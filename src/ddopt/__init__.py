@@ -21,14 +21,11 @@ from .flows import (
     check_redesign_condition,
     corrected_newton_rhs,
     cost_by_name,
-    estimated_correction,
     gradient_flow_rhs,
     ideal_correction,
     lyapunov_gradients,
-    newton_rhs,
 )
 from .numerics import (
-    NoConvergenceError,
     SingularMatrixError,
     eig_extremes_symmetric,
     expm,

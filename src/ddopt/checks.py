@@ -111,8 +111,10 @@ def check_sinusoid_error() -> CheckResult:
     gate = _Gate()
     measured = []
     expected = []
+    total_runtime = 0.0
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
         (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s, 1, 10.0, 1e-3))
+        total_runtime += runtime
         sup = sim_mod.steady_state_metric(traj, "est_error").steady_state_sup
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
@@ -122,7 +124,7 @@ def check_sinusoid_error() -> CheckResult:
                      f"sigma={sigma:g}: sup {sup:.6f} vs oracle {oracle:.6f}")
         gate.require(runtime < 1.0, f"sigma={sigma:g}: runtime {runtime:.2f}s < 1s")
     return CheckResult("sinusoid-error", gate.ok, "; ".join(expected),
-                       "; ".join(measured), 0.0, gate.details)
+                       "; ".join(measured), total_runtime, gate.details)
 
 
 def check_polynomial_exactness() -> CheckResult:

@@ -13,6 +13,7 @@ mirrors a flag name. Exit codes: 0 success, 1 runtime or check failure,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -155,52 +156,44 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
     return merged
 
 
-def _positive_float(spec: dict, key: str) -> float:
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
+
+# Spec key -> (parser, [(predicate, message), ...]). The predicates run in
+# order and the first one that fails is reported, under the flag's name.
+_RUN_FIELDS = {
+    "k": (int, [(lambda v: v >= 1, "must be >= 1")]),
+    "sigma": (float, [_POSITIVE, _FINITE]),
+    # nan passes the sign test and is caught by the finiteness test.
+    "noise_var": (float, [(lambda v: not v < 0.0, "must be >= 0"), _FINITE]),
+    "seed": (int, [(lambda v: v >= 0, "must be >= 0")]),
+    "t0": (float, [_FINITE]),
+    "tf": (float, [_POSITIVE, _FINITE]),
+    "h": (float, [_POSITIVE, _FINITE]),
+}
+_PARSE_ERRORS = {int: "not an integer", float: "not a number"}
+
+
+def _parse_field(key: str, token: str):
+    parse, rules = _RUN_FIELDS[key]
+    field = key.replace("_", "-")
     try:
-        value = float(spec[key])
+        value = parse(token)
     except ValueError:
-        raise SpecError(key, f"not a number: {spec[key]!r}") from None
-    if not value > 0.0:
-        raise SpecError(key, f"must be > 0, got {value}")
+        raise SpecError(field, f"{_PARSE_ERRORS[parse]}: {token!r}") from None
+    for ok, message in rules:
+        if not ok(value):
+            raise SpecError(field, f"{message}, got {value}")
     return value
 
 
 def _parse_run_spec(spec: dict):
     """Validate the merged flag/config values into typed run parameters."""
     signal = parse_signal(spec["signal"])
-    try:
-        k = int(spec["k"])
-    except ValueError:
-        raise SpecError("k", f"not an integer: {spec['k']!r}") from None
-    if k < 1:
-        raise SpecError("k", f"must be >= 1, got {k}")
-    sigmas = []
-    for token in str(spec["sigma"]).split(","):
-        try:
-            value = float(token)
-        except ValueError:
-            raise SpecError("sigma", f"not a number: {token!r}") from None
-        if not value > 0.0:
-            raise SpecError("sigma", f"must be > 0, got {value}")
-        sigmas.append(value)
-    try:
-        noise_var = float(spec["noise_var"])
-    except ValueError:
-        raise SpecError("noise-var", f"not a number: {spec['noise_var']!r}") from None
-    if noise_var < 0.0:
-        raise SpecError("noise-var", f"must be >= 0, got {noise_var}")
-    try:
-        seed = int(spec["seed"])
-    except ValueError:
-        raise SpecError("seed", f"not an integer: {spec['seed']!r}") from None
-    if seed < 0:
-        raise SpecError("seed", f"must be >= 0, got {seed}")
-    try:
-        t0 = float(spec["t0"])
-    except ValueError:
-        raise SpecError("t0", f"not a number: {spec['t0']!r}") from None
-    tf = _positive_float(spec, "tf")
-    h = _positive_float(spec, "h")
+    k = _parse_field("k", spec["k"])
+    sigmas = [_parse_field("sigma", token) for token in str(spec["sigma"]).split(",")]
+    noise_var, seed, t0, tf, h = (_parse_field(key, spec[key])
+                                  for key in ("noise_var", "seed", "t0", "tf", "h"))
     try:
         cfg = sim_mod.SimConfig(t0=t0, tf=tf, h=h, seed=seed)
     except ValueError as exc:

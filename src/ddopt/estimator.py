@@ -226,7 +226,10 @@ class DirtyDerivativeEstimator:
     """Stateful order-k estimator running m parallel scalar channels.
 
     Channels share the discrete advance maps; the state is an (n, m) array,
-    zero-initialized. An instance belongs to a single simulation run.
+    zero-initialized. An instance belongs to a single simulation run. The
+    runners in ``sim`` read only its maps and initial state and scan whole
+    input grids; ``output``/``step``/``step_sampled`` are the per-sample
+    reference that batch results are tested against.
     """
 
     def __init__(self, config: DirtyDerivativeConfig, step: float):

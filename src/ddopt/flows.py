@@ -176,28 +176,21 @@ def cost_by_name(name: str, dim: int) -> CostModel:
         raise ValueError(f"unknown cost {name!r}; expected one of {sorted(_COSTS)}") from None
 
 
-def newton_rhs(cost: CostModel, x, theta) -> np.ndarray:
-    """Correction-free Newton vector field -hess^{-1} grad."""
-    return -cost.solve_hessian(x, theta, cost.gradient(x, theta))
-
-
 def ideal_correction(cost: CostModel, x, theta, theta_dot) -> np.ndarray:
-    """-hess^{-1} cross @ theta_dot, the exact minimizer-motion compensation."""
+    """-hess^{-1} cross @ theta_dot, the minimizer-motion compensation; exact
+    when ``theta_dot`` is the true parameter velocity, and fed the online
+    estimate of it in estimated mode."""
     rhs = cost.cross_hessian(x, theta) @ np.asarray(theta_dot, dtype=np.float64)
     return -cost.solve_hessian(x, theta, rhs)
-
-
-def estimated_correction(cost: CostModel, x, theta, theta_dot_estimate) -> np.ndarray:
-    """Same formula as :func:`ideal_correction`, fed an estimate of theta'."""
-    return ideal_correction(cost, x, theta, theta_dot_estimate)
 
 
 def corrected_newton_rhs(cost: CostModel, x, theta, velocity=None) -> np.ndarray:
     """Newton field plus correction in a single Hessian solve.
 
     ``velocity`` is the parameter-rate vector the correction should cancel
-    (exact or estimated); None means no correction. Equal to
-    newton_rhs + ideal_correction by linearity of the solve.
+    (exact or estimated); None gives the correction-free Newton field
+    -hess^{-1} grad. Equal to that field plus :func:`ideal_correction` by
+    linearity of the solve.
     """
     g = cost.gradient(x, theta)
     if velocity is not None:

@@ -1,12 +1,16 @@
 """Small dense linear-algebra kernel.
 
-Everything here operates on tiny matrices (n below ~30), so plain O(n^3)
-dense algorithms are used throughout. Matrices and vectors are ordinary
-float64 (or complex128) numpy arrays; shape and finiteness are validated at
-the operation boundary.
+Thin checked wrappers over LAPACK (through numpy/scipy) for the tiny
+matrices involved (n below ~30): an LU solve with per-column pivot
+thresholds, the matrix exponential, a Lyapunov solve by Kronecker
+vectorization, and symmetric eigenvalue extremes. Matrices and vectors are
+ordinary float64 (or complex128) numpy arrays; shape, finiteness and pivot
+size are validated at the operation boundary.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -16,16 +20,8 @@ class SingularMatrixError(Exception):
     """A linear solve hit a pivot too small to trust."""
 
 
-class NoConvergenceError(Exception):
-    """An iterative routine exhausted its iteration budget."""
-
-
-# Pivot threshold, relative to the largest entry magnitude of the input matrix.
+# Pivot threshold, relative to the largest initial magnitude of the pivot's column.
 PIVOT_RTOL = 1e-12
-
-# Jacobi eigenvalue iteration: absolute off-diagonal norm target and sweep cap.
-JACOBI_OFFDIAG_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 50
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -40,12 +36,12 @@ def _square_dim(A: np.ndarray) -> int:
 
 
 def solve_linear(A, b):
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+    """Solve A x = b by LU factorization with partial pivoting (LAPACK).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
     has the same shape. Complex inputs are supported (used by the frequency
     response helper). Raises :class:`SingularMatrixError` when a pivot falls
-    below ``PIVOT_RTOL`` times the largest entry magnitude of ``A``.
+    below ``PIVOT_RTOL`` times the largest initial magnitude of its column.
     """
     A = np.asarray(A)
     b = np.asarray(b)
@@ -55,70 +51,20 @@ def solve_linear(A, b):
     _check_finite(A, "matrix")
     _check_finite(b, "rhs")
 
-    complex_input = np.iscomplexobj(A) or np.iscomplexobj(b)
     # Pivot thresholds are per elimination column, relative to that column's
     # largest initial magnitude, so badly scaled but regular systems pass.
     tol = PIVOT_RTOL * np.max(np.abs(A), axis=0)
-
-    if not complex_input and b.ndim == 1 and n <= 4:
-        return _solve_small(A, b, n, tol)
-    return _solve_general(A, b, n, tol, complex_input)
-
-
-def _solve_small(A, b, n, tol):
-    # Scalar-arithmetic path: for n <= 4 Python floats beat numpy call overhead,
-    # and this solve sits inside the per-stage loop of the flow integrator.
-    M = [list(map(float, row)) for row in A]
-    x = list(map(float, b))
-    tol = list(map(float, tol))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if abs(M[piv][col]) <= tol[col]:
-            raise SingularMatrixError(
-                f"pivot {M[piv][col]!r} in column {col} below threshold {tol[col]!r}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            x[col], x[piv] = x[piv], x[col]
-        mrow = M[col]
-        inv_p = 1.0 / mrow[col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv_p
-            if f != 0.0:
-                row = M[r]
-                for c in range(col + 1, n):
-                    row[c] -= f * mrow[c]
-                x[r] -= f * x[col]
-    for col in range(n - 1, -1, -1):
-        s = x[col]
-        row = M[col]
-        for c in range(col + 1, n):
-            s -= row[c] * x[c]
-        x[col] = s / row[col]
-    return np.array(x)
-
-
-def _solve_general(A, b, n, tol, complex_input):
-    dtype = np.complex128 if complex_input else np.float64
-    M = np.array(A, dtype=dtype)
-    rhs = np.array(b, dtype=dtype)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs.reshape(n, 1)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[piv, col]) <= tol[col]:
-            raise SingularMatrixError(
-                f"pivot {M[piv, col]!r} in column {col} below threshold {tol[col]!r}")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        factors = M[col + 1:, col] / M[col, col]
-        M[col + 1:, col:] -= np.outer(factors, M[col, col:])
-        rhs[col + 1:] -= np.outer(factors, rhs[col])
-    x = np.empty_like(rhs)
-    for col in range(n - 1, -1, -1):
-        x[col] = (rhs[col] - M[col, col + 1:] @ x[col + 1:]) / M[col, col]
-    return x[:, 0] if vector else x
+    with warnings.catch_warnings():
+        # An exactly zero pivot is reported below as SingularMatrixError.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    pivots = np.diag(lu)
+    small = np.flatnonzero(np.abs(pivots) <= tol)
+    if small.size:
+        col = int(small[0])
+        raise SingularMatrixError(
+            f"pivot {pivots[col].item()!r} in column {col} below threshold {tol[col].item()!r}")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def expm(A):
@@ -153,40 +99,11 @@ def lyapunov_solve(A, Q):
 
 
 def eig_extremes_symmetric(P):
-    """Extreme eigenvalues (smallest, largest) of a symmetric matrix.
-
-    Cyclic Jacobi rotations, run until the off-diagonal Frobenius norm drops
-    below ``JACOBI_OFFDIAG_TOL``; raises :class:`NoConvergenceError` after
-    ``JACOBI_MAX_SWEEPS`` sweeps. Intended for the modestly scaled matrices
-    produced by :func:`lyapunov_solve`.
-    """
+    """Extreme eigenvalues (smallest, largest) of a symmetric matrix."""
     P = np.asarray(P, dtype=np.float64)
-    n = _square_dim(P)
+    _square_dim(P)
     _check_finite(P, "matrix")
     if not np.allclose(P, P.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("matrix must be symmetric")
-    if n == 1:
-        return float(P[0, 0]), float(P[0, 0])
-
-    S = 0.5 * (P + P.T)
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = np.sqrt(np.sum(np.square(S - np.diag(np.diag(S)))))
-        if off <= JACOBI_OFFDIAG_TOL:
-            d = np.diag(S)
-            return float(np.min(d)), float(np.max(d))
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                spq = S[p, q]
-                if spq == 0.0:
-                    continue
-                tau = (S[q, q] - S[p, p]) / (2.0 * spq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                S[[p, q], :] = rot.T @ S[[p, q], :]
-                S[:, [p, q]] = S[:, [p, q]] @ rot
-                S[p, q] = S[q, p] = 0.0
-    raise NoConvergenceError(f"Jacobi iteration did not reach {JACOBI_OFFDIAG_TOL} in {JACOBI_MAX_SWEEPS} sweeps")
+    evals = np.linalg.eigvalsh(P)
+    return float(evals[0]), float(evals[-1])

@@ -6,13 +6,15 @@ Two kinds of dynamics are stepped here:
 * the linear estimator cascade, advanced by its precomputed discrete maps
   (exact zero-order hold, or RK4 stage sampling of the continuous input).
 
-When both run together they are stepped in lockstep on the same grid: at
-each step the estimator emits its current derivative estimate, the estimate
-is held constant over the optimizer's RK4 step, and both advance by h.
+Every LTI run goes through one batch path, :func:`_drive_lti`: the sampled
+input grid is mapped to per-step input terms, the state recurrence is
+scanned once, and the outputs are read out for the whole grid. The result
+equals stepping the estimator sample by sample, just considerably faster.
 
-Derivative-only experiments are executed in batch form (precomputed input
-grids plus a linear state scan); the result is identical to stepping the
-estimator sample by sample, just considerably faster.
+The estimator is open loop (its input, the measured parameter, does not
+depend on the optimizer state), so the interconnection computes the whole
+estimate first and the flow loop then only reads it: the estimate at each
+grid point is held constant over the optimizer's RK4 step.
 """
 
 from __future__ import annotations
@@ -256,6 +258,29 @@ def _stage_times(cfg: SimConfig) -> np.ndarray:
     return cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
 
 
+def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Outputs (N+1, q, m) of a discretized realization driven by m channels.
+
+    ``maps`` is either the RK4 tuple (Phi, M0, M1, M2), with ``W`` sampled on
+    the stage grid of :func:`_stage_times`, shape (2N+1, m), or the ZOH pair
+    (A_d, B_d), with ``W`` on the integer grid, shape (N+1, m). ``x0`` is the
+    (n, m) initial state. Outputs are at the integer sample times.
+    """
+    if len(maps) == 4:
+        T, M0, M1, M2 = maps
+        V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
+             + M1[:, 0][None, :, None] * W[1::2, None, :]
+             + M2[:, 0][None, :, None] * W[2::2, None, :])
+        W = W[0::2]
+    else:
+        T, Bd = maps
+        V = Bd[:, 0][None, :, None] * W[:-1, None, :]
+    X = _scan_linear(T, V, x0)
+    C, D = realization.C, realization.D
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("qn,jnm->jqm", C, X) + D[:, 0][None, :, None] * W[:, None, :]
+
+
 def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
                          x0: np.ndarray | None = None,
                          integrator: str = "rk4") -> tuple[np.ndarray, np.ndarray]:
@@ -274,23 +299,14 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
     if integrator == "rk4":
         if u.shape[0] != 2 * N + 1:
             raise ValueError("rk4 input must be sampled on the stage grid")
-        Phi, M0, M1, M2 = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
-        V = (M0[:, 0][None, :] * u[0:-2:2, None]
-             + M1[:, 0][None, :] * u[1::2, None]
-             + M2[:, 0][None, :] * u[2::2, None])[:, :, None]
-        u_integer = u[0::2]
-        X = _scan_linear(Phi, V, x0)
+        maps = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
     elif integrator == "zoh":
         if u.shape[0] != N + 1:
             raise ValueError("zoh input must be sampled on the integer grid")
-        Ad, Bd = est_mod.zoh_discretize(realization.A, realization.B, cfg.h)
-        V = (Bd[:, 0][None, :] * u[:-1, None])[:, :, None]
-        u_integer = u
-        X = _scan_linear(Ad, V, x0)
+        maps = est_mod.zoh_discretize(realization.A, realization.B, cfg.h)
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
-    Y = np.einsum("qn,jnm->jq", realization.C, X) + realization.D[:, 0][None, :] * u_integer[:, None]
-    return cfg.times(), Y
+    return cfg.times(), _drive_lti(realization, maps, u[:, None], x0)[:, :, 0]
 
 
 def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
@@ -308,28 +324,14 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
                          f"signal_dim {est_cfg.signal_dim}")
     estimator = est_mod.build_estimator(est_cfg, cfg.h)
     m = signal.dim
-    N = cfg.num_steps
-    rng = noise.make_rng()
-
     if integrator == "rk4":
-        ts_all = _stage_times(cfg)
-        W = sig_mod.sample_noisy_grid(signal, noise, ts_all, rng)  # (2N+1, m)
-        Phi, M0, M1, M2 = estimator.rk4_maps
-        V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
-             + M1[:, 0][None, :, None] * W[1::2, None, :]
-             + M2[:, 0][None, :, None] * W[2::2, None, :])
-        W_integer = W[0::2]
-        X = _scan_linear(Phi, V, estimator.state)
+        ts, maps = _stage_times(cfg), estimator.rk4_maps
     elif integrator == "zoh":
-        W_integer = sig_mod.sample_noisy_grid(signal, noise, cfg.times(), rng)
-        V = estimator.B_d[:, 0][None, :, None] * W_integer[:-1, None, :]
-        X = _scan_linear(estimator.A_d, V, estimator.state)
+        ts, maps = cfg.times(), (estimator.A_d, estimator.B_d)
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
-
-    C, D = estimator.continuous.C, estimator.continuous.D
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = np.einsum("qn,jnm->jqm", C, X) + D[:, 0][None, :, None] * W_integer[:, None, :]
+    W = sig_mod.sample_noisy_grid(signal, noise, ts, noise.make_rng())
+    Y = _drive_lti(estimator.continuous, maps, W, estimator.state)
 
     idx = cfg.record_indices()
     t_rec = cfg.times()[idx]
@@ -360,10 +362,11 @@ def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSigna
     """Newton flow tracking the moving minimizer, optionally closed over the
     derivative estimator.
 
-    Per step: sample the parameter (noisy when configured), emit the current
-    derivative estimate, hold it constant over the optimizer's RK4 step (the
-    stages re-evaluate the cost at stage states and at the exact parameter
-    path), then advance both systems by h. The recorded ``redesign_lhs``
+    The estimator is open loop, so its estimate is computed for the whole
+    grid first, from the (noisy when configured) parameter samples. Each
+    flow step then holds the estimate at its start constant over the
+    optimizer's RK4 step (the stages re-evaluate the cost at stage states
+    and at the exact parameter path). The recorded ``redesign_lhs``
     column is the Lyapunov redesign certificate for the correction in use;
     for the uncorrected flow it is the raw drift term, which no condition
     constrains.
@@ -377,8 +380,6 @@ def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSigna
         if est_cfg.signal_dim != signal.dim:
             raise ValueError("estimator signal_dim does not match signal dim")
         estimator = est_mod.build_estimator(est_cfg, cfg.h)
-    else:
-        estimator = None
 
     n, p = cost.n, cost.p
     N = cfg.num_steps
@@ -391,8 +392,9 @@ def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSigna
     theta_all = signal.eval_many(ts_all, 0)        # exact path at stage times
     theta_dot_all = signal.eval_many(ts_all, 1)
     if estimated:
-        rng = noise.make_rng()
-        meas_all = sig_mod.sample_noisy_grid(signal, noise, ts_all, rng)
+        meas_all = sig_mod.sample_noisy_grid(signal, noise, ts_all, noise.make_rng())
+        theta_hat_all = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
+                                   estimator.state)[:, 0, :]
 
     idx = cfg.record_indices()
     n_rec = len(idx)
@@ -412,14 +414,13 @@ def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSigna
     rhs = flows_mod.corrected_newton_rhs
     # Overflow from unstable gain/step combinations is surfaced as
     # NonFiniteStateError, not as numpy warnings mid-loop.
-    old_err = np.seterr(over="ignore", invalid="ignore")
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(N + 1):
             t = cfg.t0 + j * h
             theta = theta_all[2 * j]
             theta_dot = theta_dot_all[2 * j]
             if estimated:
-                theta_hat = estimator.output(meas_all[2 * j])[0]
+                theta_hat = theta_hat_all[j]
             if rec_pos < n_rec and idx[rec_pos] == j:
                 v_cert = theta_hat if estimated else theta_dot
                 if mode is flows_mod.CorrectionMode.NONE:
@@ -460,13 +461,6 @@ def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSigna
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteStateError(t + h)
-            if estimated:
-                estimator.state = (estimator.rk4_maps[0] @ estimator.state
-                                   + estimator.rk4_maps[1] @ meas_all[2 * j][np.newaxis, :]
-                                   + estimator.rk4_maps[2] @ meas_all[2 * j + 1][np.newaxis, :]
-                                   + estimator.rk4_maps[3] @ meas_all[2 * j + 2][np.newaxis, :])
-    finally:
-        np.seterr(**old_err)
 
     cols = {"t": rec_t}
     for c in range(p):

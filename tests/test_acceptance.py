@@ -17,7 +17,9 @@ def _run(number, result):
 
 
 def test_criterion_01_steady_state_sinusoid_error():
-    _run(1, checks.check_sinusoid_error())
+    result = checks.check_sinusoid_error()
+    assert result.runtime > 0.0  # the sum of its two timed runs
+    _run(1, result)
 
 
 def test_criterion_02_polynomial_exactness():

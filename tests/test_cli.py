@@ -111,9 +111,13 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--sigma", "-3"], ["--h", "0"],
                                        ["--tf", "-1"], ["--signal", "tan(t)"],
                                        ["--noise-var", "-0.5"], ["--mode", "sorcery"],
-                                       ["--cost", "cubic"], ["--seed", "-1"]])
-    def test_invalid_spec_exits_two(self, tmp_path, flags):
+                                       ["--cost", "cubic"], ["--seed", "-1"],
+                                       ["--tf", "inf"], ["--t0", "nan"], ["--t0", "inf"],
+                                       ["--h", "inf"], ["--noise-var", "inf"],
+                                       ["--noise-var", "nan"], ["--sigma", "inf"]])
+    def test_invalid_spec_exits_two(self, tmp_path, capsys, flags):
         assert cli.main(["estimate", "--out", str(tmp_path / "x")] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]}: ")
 
     def test_unstable_gain_step_combination_exits_one(self, tmp_path):
         # sigma*h far past the stability limit: warned, then aborted cleanly.

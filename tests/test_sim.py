@@ -192,6 +192,18 @@ class TestSimulateRealization:
         y_ref = ref.column_group("x") @ block.C[0]
         assert np.max(np.abs(y[:, 0] - y_ref)) <= 1e-12
 
+    def test_zoh_with_initial_state_matches_stateful_stepping(self):
+        est_cfg = est.DirtyDerivativeConfig(2, 5.0, 1)
+        cfg = sim.SimConfig(tf=0.5, h=1e-2)
+        dd = est.build_estimator(est_cfg, cfg.h)
+        x0 = np.random.default_rng(4).standard_normal(dd.continuous.state_dim)
+        u = np.sin(cfg.times())
+        _, y = sim.simulate_realization(dd.continuous, u, cfg, x0=x0, integrator="zoh")
+        dd.state = x0.reshape(-1, 1).copy()
+        for row, sample in enumerate(u):
+            out = dd.step([sample])[:, 0]
+            assert np.max(np.abs(out - y[row])) <= 1e-13 * max(1.0, np.max(np.abs(out)))
+
     def test_grid_length_validation(self):
         block = est.build_f_block(1, 1.0)
         cfg = sim.SimConfig(tf=1.0, h=0.1)
@@ -224,6 +236,25 @@ class TestInterconnection:
                                     flows.CorrectionMode.ESTIMATED, cfg, **kwargs)
         for name in a.columns:
             assert np.array_equal(a.column(name), b.column(name))
+
+    def test_estimate_matches_stateful_stepping(self):
+        # The flow reads the estimate the stateful estimator emits when it is
+        # stepped over the same noisy stage samples.
+        signal = signals.benchmark_parameter_path()
+        cfg = sim.SimConfig(tf=0.5, h=1e-2)
+        est_cfg = est.DirtyDerivativeConfig(2, 5.0, 3)
+        noise = signals.NoiseSpec(0.01, 11)
+        traj = sim.run_interconnection(flows.QuadraticTrackingCost(3), signal,
+                                       flows.CorrectionMode.ESTIMATED, cfg,
+                                       est_cfg=est_cfg, noise=noise)
+        ts = cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
+        w = signals.sample_noisy_grid(signal, noise, ts, noise.make_rng())
+        dd = est.build_estimator(est_cfg, cfg.h)
+        hat = traj.column_group("thetahat")
+        for j in range(cfg.num_steps + 1):
+            assert np.max(np.abs(dd.output(w[2 * j])[0] - hat[j])) <= 1e-13
+            if j < cfg.num_steps:
+                dd.step_sampled(w[2 * j], w[2 * j + 1], w[2 * j + 2])
 
     def test_estimated_certificate_stays_nonpositive(self):
         cfg = sim.SimConfig(tf=2.0, h=1e-3)
