@@ -39,7 +39,6 @@ from .signals import (
     Polynomial,
     Sinusoid,
     benchmark_parameter_path,
-    sample_noisy,
     sinusoid_5t_minus_2,
 )
 from .sim import (
@@ -51,6 +50,7 @@ from .sim import (
     integrate_rk4,
     run_derivative_experiment,
     run_interconnection,
+    run_interconnections,
     slope_fit,
     steady_state_metric,
 )

@@ -87,14 +87,14 @@ def _ordering_runs():
     cost = flows_mod.QuadraticTrackingCost(3)
     signal = sig_mod.benchmark_parameter_path()
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
-    runs = {}
-    runs["ideal"] = sim_mod.run_interconnection(cost, signal, flows_mod.CorrectionMode.IDEAL, cfg)
-    for sigma in (BENCH_SIGMA_HIGH, BENCH_SIGMA_LOW):
-        est_cfg = est_mod.DirtyDerivativeConfig(1, sigma, 3)
-        runs[f"estimated{sigma:g}"] = sim_mod.run_interconnection(
-            cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg)
-    runs["none"] = sim_mod.run_interconnection(cost, signal, flows_mod.CorrectionMode.NONE, cfg)
-    return runs
+    est_high = est_mod.DirtyDerivativeConfig(1, BENCH_SIGMA_HIGH, 3)
+    est_low = est_mod.DirtyDerivativeConfig(1, BENCH_SIGMA_LOW, 3)
+    names = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
+    specs = [(flows_mod.CorrectionMode.IDEAL, None),
+             (flows_mod.CorrectionMode.ESTIMATED, est_high),
+             (flows_mod.CorrectionMode.ESTIMATED, est_low),
+             (flows_mod.CorrectionMode.NONE, None)]
+    return dict(zip(names, sim_mod.run_interconnections(cost, signal, specs, cfg)))
 
 
 def _window_mean(traj: sim_mod.Trajectory, column: str) -> float:

@@ -257,18 +257,16 @@ def cmd_estimate(spec: dict) -> int:
 def cmd_optimize(spec: dict) -> int:
     signal, cost, k, sigmas, modes, noise, cfg, out = _parse_run_spec(spec)
     out.mkdir(parents=True, exist_ok=True)
-    runs = []
+    labels, specs = [], []
     for mode in modes:
         if mode is flows_mod.CorrectionMode.ESTIMATED:
             for sigma in sigmas:
-                est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
-                label = f"estimated-s{sigma:g}"
-                traj = sim_mod.run_interconnection(cost, signal, mode, cfg,
-                                                   est_cfg=est_cfg, noise=noise)
-                runs.append((label, traj))
+                labels.append(f"estimated-s{sigma:g}")
+                specs.append((mode, est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)))
         else:
-            traj = sim_mod.run_interconnection(cost, signal, mode, cfg, noise=noise)
-            runs.append((mode.value, traj))
+            labels.append(mode.value)
+            specs.append((mode, None))
+    runs = list(zip(labels, sim_mod.run_interconnections(cost, signal, specs, cfg, noise=noise)))
     series = []
     for label, traj in runs:
         traj.to_csv(out / f"trajectory_{label}.csv")

@@ -47,6 +47,13 @@ class CostModel:
     eigenvalues >= mu) and ``cross_hessian`` (n x p, the derivative of the
     gradient with respect to theta), plus a ``minimizer`` oracle when the
     argmin is known in closed form.
+
+    Every method accepts a leading batch axis: ``x`` of shape (..., n) and
+    ``theta`` of shape (..., p), broadcast against each other. ``value``
+    then returns shape (...), ``gradient`` (..., n), ``hessian`` (..., n, n)
+    and ``cross_hessian`` (..., n, p); a matrix that does not depend on the
+    point may be returned as a single (n, n) or (n, p) matrix, which
+    broadcasts the same way.
     """
 
     name = "abstract"
@@ -60,7 +67,7 @@ class CostModel:
         self.p = p
         self.mu = mu
 
-    def value(self, x, theta) -> float:
+    def value(self, x, theta):
         raise NotImplementedError
 
     def gradient(self, x, theta) -> np.ndarray:
@@ -78,11 +85,20 @@ class CostModel:
     def solve_hessian(self, x, theta, rhs) -> np.ndarray:
         """Solve hess(x, theta) y = rhs.
 
+        ``rhs`` has shape (..., n); each batch entry is solved on its own.
         Subclasses with structured Hessians may shortcut this, provided the
         result is bit-identical to partial-pivot elimination on the full
         matrix (true for identity and diagonal Hessians).
         """
-        return numerics.solve_linear(self.hessian(x, theta), rhs)
+        H = self.hessian(x, theta)
+        rhs = np.asarray(rhs)
+        batch = np.broadcast_shapes(rhs.shape[:-1], H.shape[:-2])
+        H = np.broadcast_to(H, batch + H.shape[-2:])
+        rhs = np.broadcast_to(rhs, batch + rhs.shape[-1:])
+        out = np.empty(rhs.shape, dtype=np.result_type(H, rhs))
+        for i in np.ndindex(batch):
+            out[i] = numerics.solve_linear(H[i], rhs[i])
+        return out
 
 
 class QuadraticTrackingCost(CostModel):
@@ -97,9 +113,9 @@ class QuadraticTrackingCost(CostModel):
         self._neg_eye = -np.eye(dim)
         self._neg_eye.setflags(write=False)
 
-    def value(self, x, theta) -> float:
+    def value(self, x, theta):
         d = np.asarray(x) - np.asarray(theta)
-        return 0.5 * float(d @ d)
+        return 0.5 * np.sum(d * d, axis=-1)
 
     def gradient(self, x, theta) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
@@ -130,6 +146,8 @@ class LogCoshTrackingCost(CostModel):
 
     def __init__(self, dim: int, mu: float = 0.1):
         super().__init__(dim, dim, mu=mu)
+        self._eye = np.eye(dim)
+        self._eye.setflags(write=False)
 
     @staticmethod
     def _logcosh(u: np.ndarray) -> np.ndarray:
@@ -137,9 +155,9 @@ class LogCoshTrackingCost(CostModel):
         a = np.abs(u)
         return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
-    def value(self, x, theta) -> float:
+    def value(self, x, theta):
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        return float(np.sum(self._logcosh(d)) + 0.5 * self.mu * (d @ d))
+        return np.sum(self._logcosh(d), axis=-1) + 0.5 * self.mu * np.sum(d * d, axis=-1)
 
     def gradient(self, x, theta) -> np.ndarray:
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
@@ -150,7 +168,7 @@ class LogCoshTrackingCost(CostModel):
         return 1.0 / np.cosh(d) ** 2 + self.mu
 
     def hessian(self, x, theta) -> np.ndarray:
-        return np.diag(self._hessian_diagonal(x, theta))
+        return self._hessian_diagonal(x, theta)[..., None] * self._eye
 
     def cross_hessian(self, x, theta) -> np.ndarray:
         return -self.hessian(x, theta)
@@ -176,11 +194,16 @@ def cost_by_name(name: str, dim: int) -> CostModel:
         raise ValueError(f"unknown cost {name!r}; expected one of {sorted(_COSTS)}") from None
 
 
+def _matvec(M, v) -> np.ndarray:
+    """M @ v over leading batch axes: (..., n, p) with (..., p) -> (..., n)."""
+    return (M @ np.asarray(v, dtype=np.float64)[..., None])[..., 0]
+
+
 def ideal_correction(cost: CostModel, x, theta, theta_dot) -> np.ndarray:
     """-hess^{-1} cross @ theta_dot, the minimizer-motion compensation; exact
     when ``theta_dot`` is the true parameter velocity, and fed the online
     estimate of it in estimated mode."""
-    rhs = cost.cross_hessian(x, theta) @ np.asarray(theta_dot, dtype=np.float64)
+    rhs = _matvec(cost.cross_hessian(x, theta), theta_dot)
     return -cost.solve_hessian(x, theta, rhs)
 
 
@@ -190,11 +213,11 @@ def corrected_newton_rhs(cost: CostModel, x, theta, velocity=None) -> np.ndarray
     ``velocity`` is the parameter-rate vector the correction should cancel
     (exact or estimated); None gives the correction-free Newton field
     -hess^{-1} grad. Equal to that field plus :func:`ideal_correction` by
-    linearity of the solve.
+    linearity of the solve. A zero velocity gives the same bits as None.
     """
     g = cost.gradient(x, theta)
     if velocity is not None:
-        g = g + cost.cross_hessian(x, theta) @ np.asarray(velocity, dtype=np.float64)
+        g = g + _matvec(cost.cross_hessian(x, theta), velocity)
     return -cost.solve_hessian(x, theta, g)
 
 
@@ -209,9 +232,9 @@ def lyapunov_gradients(cost: CostModel, x, theta):
     Returns (V, hess @ grad, cross^T @ grad); the last is a p-vector.
     """
     g = cost.gradient(x, theta)
-    V = 0.5 * float(g @ g)
-    grad_x_V = cost.hessian(x, theta) @ g
-    grad_theta_V = cost.cross_hessian(x, theta).T @ g
+    V = 0.5 * np.sum(g * g, axis=-1)
+    grad_x_V = _matvec(cost.hessian(x, theta), g)
+    grad_theta_V = _matvec(np.swapaxes(cost.cross_hessian(x, theta), -1, -2), g)
     return V, grad_x_V, grad_theta_V
 
 
@@ -219,7 +242,9 @@ def check_redesign_condition(grad_x_V, grad_theta_V, u, theta_rate):
     """Evaluate <grad_x V, u> + <grad_theta V, theta_rate>.
 
     ``theta_rate`` is the parameter velocity plus any disturbance (or the
-    online estimate standing in for it). Returns (lhs, lhs <= REDESIGN_TOL).
+    online estimate standing in for it). Returns (lhs, lhs <= REDESIGN_TOL),
+    both of the shape of the leading batch axes.
     """
-    lhs = float(np.dot(grad_x_V, u)) + float(np.dot(grad_theta_V, theta_rate))
+    lhs = (np.sum(np.multiply(grad_x_V, u), axis=-1)
+           + np.sum(np.multiply(grad_theta_V, theta_rate), axis=-1))
     return lhs, lhs <= REDESIGN_TOL

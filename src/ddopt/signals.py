@@ -166,23 +166,16 @@ class NoiseSpec:
         return np.random.default_rng(self.seed)
 
 
-def sample_noisy(signal: AnalyticSignal, noise: NoiseSpec, t: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Signal value at t plus one i.i.d. Gaussian draw per component.
-
-    Every call consumes fresh draws (noise is per sample, not per time point);
-    with variance 0 the generator is left untouched so noise-free runs do not
-    depend on it.
-    """
-    value = signal.eval(t, 0)
-    if not noise.enabled:
-        return value
-    return value + rng.normal(0.0, math.sqrt(noise.variance), size=signal.dim)
-
-
 def sample_noisy_grid(signal: AnalyticSignal, noise: NoiseSpec, ts: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """Vectorized :func:`sample_noisy` over a grid, same draw order per sample."""
+    """Signal values at the times ``ts`` plus one i.i.d. Gaussian draw per
+    component and sample, shape (len(ts), dim).
+
+    Draws are taken in sample order, so splitting a grid over consecutive
+    calls on one generator gives the same values; noise is per sample, not
+    per time point. With variance 0 the generator is left untouched, so
+    noise-free runs do not depend on it.
+    """
     values = signal.eval_many(ts, 0)
     if not noise.enabled:
         return values

@@ -15,6 +15,13 @@ The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
 estimate first and the flow loop then only reads it: the estimate at each
 grid point is held constant over the optimizer's RK4 step.
+
+The interconnection runs that share a parameter path (none, ideal and
+estimated at each gain) are integrated together by
+:func:`run_interconnections`: one RK4 loop advances the stacked states
+(runs, n) and stores only them, and the recorded columns are computed
+after the loop on blocks of recorded rows, through the same ``flows``
+functions.
 """
 
 from __future__ import annotations
@@ -29,6 +36,14 @@ from . import flows as flows_mod
 from . import signals as sig_mod
 
 STEADY_STATE_FRACTION = 0.2  # metrics use the final 20% of a run
+# Step budget: the grids of a run grow with the step count (and with the
+# number of runs integrated together), so a run past it is refused before
+# anything is allocated. About 67 times the longest shipped run (30k steps).
+MAX_STEPS = 2_000_000
+# Rows handled per block when deriving recorded columns and writing CSVs,
+# so that temporaries (such as stacked Hessians) do not grow with run length.
+_RECORD_BLOCK_ROWS = 256
+_CSV_BLOCK_ROWS = 64
 
 
 class NonFiniteStateError(Exception):
@@ -64,6 +79,8 @@ class SimConfig:
             raise ValueError("step h must be > 0")
         if (self.tf - self.t0) / self.h < 10:
             raise ValueError("run must span at least 10 steps")
+        if (self.tf - self.t0) / self.h > MAX_STEPS:
+            raise ValueError(f"run must span at most {MAX_STEPS} steps")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.seed < 0:
@@ -136,11 +153,13 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write all columns, 17 significant digits, LF line endings."""
         names = list(self.columns)
+        row_format = ",".join(["%.17g"] * len(names)) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
-            data = [self.columns[n] for n in names]
-            for row in zip(*data):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                block = slice(start, start + _CSV_BLOCK_ROWS)
+                rows = np.column_stack([self.columns[n][block] for n in names]).tolist()
+                fh.writelines(row_format % tuple(row) for row in rows)
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -354,131 +373,146 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
     return traj
 
 
+def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal, runs,
+                         cfg: SimConfig, noise: sig_mod.NoiseSpec = sig_mod.NoiseSpec(),
+                         x0: np.ndarray | None = None) -> list[Trajectory]:
+    """Newton flows tracking the moving minimizer, one per ``(mode, est_cfg)``
+    pair in ``runs`` (``est_cfg`` is used by estimated runs only), integrated
+    together; returns one trajectory per run, in order.
+
+    The runs share the parameter path, the initial state and the (noisy when
+    configured) parameter samples. They differ only in the velocity the
+    correction is fed: zero (none), the exact velocity at the stage times
+    (ideal), or the run's estimate (estimated). The estimator is open loop,
+    so each estimate is computed for the whole grid first, and a flow step
+    holds the estimate at its start constant over the optimizer's RK4 step.
+    The stacked state (runs, n) advances in one RK4 loop that stores only
+    the state; the other columns are computed from the stored states after
+    the loop. Each run comes out bit-identical to the same run alone.
+
+    The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
+    for the correction in use, evaluated at the estimate in estimated runs
+    and at the exact velocity otherwise; for the uncorrected flow it is the
+    raw drift term <grad_theta V, theta_dot>, which no condition constrains.
+    """
+    if signal.dim != cost.p:
+        raise ValueError(f"signal dim {signal.dim} does not match cost parameter dim {cost.p}")
+    runs = list(runs)
+    if not runs:
+        raise ValueError("no runs to integrate")
+    Mode = flows_mod.CorrectionMode
+    for mode, est_cfg in runs:
+        if mode is Mode.ESTIMATED:
+            if est_cfg is None:
+                raise ValueError("estimated mode requires an estimator config")
+            if est_cfg.signal_dim != signal.dim:
+                raise ValueError("estimator signal_dim does not match signal dim")
+
+    n, p, B = cost.n, cost.p, len(runs)
+    N = cfg.num_steps
+    h = cfg.h
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
+    x = np.tile(x0, (B, 1))
+
+    ts_all = _stage_times(cfg)
+    theta_all = signal.eval_many(ts_all, 0)        # exact path at stage times
+    theta_dot_all = signal.eval_many(ts_all, 1)
+    meas_all = None
+
+    # Velocity fed to the correction at the grid points (RK4 stage 1), at
+    # the midpoint stages 2-3 and at stage 4 of each step: zero, the exact
+    # velocity, or the estimate held over the step.
+    v0 = np.zeros((N + 1, B, p))
+    vm, v1 = np.zeros((2, N, B, p))
+    for b, (mode, est_cfg) in enumerate(runs):
+        if mode is Mode.ESTIMATED:
+            if meas_all is None:
+                meas_all = sig_mod.sample_noisy_grid(signal, noise, ts_all, noise.make_rng())
+            estimator = est_mod.build_estimator(est_cfg, h)
+            v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
+                                  estimator.state)[:, 0, :]
+            vm[:, b] = v1[:, b] = v0[:-1, b]
+        elif mode is Mode.IDEAL:
+            v0[:, b] = theta_dot_all[0::2]
+            vm[:, b] = theta_dot_all[1::2]
+            v1[:, b] = theta_dot_all[2::2]
+
+    stride = cfg.record_stride
+    X = np.empty((N // stride + 1, B, n))
+    X[0] = x
+    rhs = flows_mod.corrected_newton_rhs
+    # Overflow from unstable gain/step combinations is surfaced as
+    # NonFiniteStateError, not as numpy warnings mid-loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(N):
+            th_m = theta_all[2 * j + 1]
+            k1 = rhs(cost, x, theta_all[2 * j], v0[j])
+            k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
+            k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
+            k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteStateError(cfg.t0 + j * h + h)
+            if (j + 1) % stride == 0:
+                X[(j + 1) // stride] = x
+
+        # Recorded rows: every stride-th grid point, every 2*stride-th stage.
+        theta = theta_all[::2 * stride]
+        theta_dot = theta_dot_all[::2 * stride]
+        v_rec = v0[::stride]
+        xstar = cost.minimizer(theta)
+        uncorrected = [mode is Mode.NONE for mode, _ in runs]
+        estimated = np.array([mode is Mode.ESTIMATED for mode, _ in runs])
+        loss, tracking, lhs = np.empty((3, len(X), B))
+        for start in range(0, len(X), _RECORD_BLOCK_ROWS):
+            rows = slice(start, start + _RECORD_BLOCK_ROWS)
+            x_r, theta_r, v_r = X[rows], theta[rows, None, :], v_rec[rows]
+            u = flows_mod.ideal_correction(cost, x_r, theta_r, v_r)
+            u[:, uncorrected] = 0.0
+            # The certificate is evaluated at the estimate in estimated runs
+            # and at the exact velocity otherwise, the uncorrected flow's too.
+            v_cert = np.where(estimated[:, None], v_r, theta_dot[rows, None, :])
+            _, gxV, gtV = flows_mod.lyapunov_gradients(cost, x_r, theta_r)
+            lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)[0]
+            loss[rows] = cost.value(x_r, theta_r)
+            tracking[rows] = np.linalg.norm(x_r - xstar[rows, None, :], axis=-1)
+        est_error = np.linalg.norm(v_rec - theta_dot[:, None, :], axis=-1)
+
+    t_rec = cfg.times()[::stride]
+    trajectories = []
+    for b, (mode, _) in enumerate(runs):
+        estimated = mode is Mode.ESTIMATED
+        cols = {"t": t_rec}
+        for c in range(p):
+            cols[f"theta_{c}"] = theta[:, c]
+        for c in range(p):
+            cols[f"thetadot_{c}"] = theta_dot[:, c]
+        if estimated:
+            for c in range(p):
+                cols[f"thetahat_{c}"] = v_rec[:, b, c]
+        for c in range(n):
+            cols[f"x_{c}"] = X[:, b, c]
+        for c in range(n):
+            cols[f"xstar_{c}"] = xstar[:, c]
+        cols["loss"] = loss[:, b]
+        cols["tracking_error"] = tracking[:, b]
+        if estimated:
+            cols["est_error"] = est_error[:, b]
+        cols["redesign_lhs"] = lhs[:, b]
+        traj = Trajectory(cols)
+        traj.check_finite()
+        trajectories.append(traj)
+    return trajectories
+
+
 def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal,
                         mode: flows_mod.CorrectionMode, cfg: SimConfig,
                         est_cfg: est_mod.DirtyDerivativeConfig | None = None,
                         noise: sig_mod.NoiseSpec = sig_mod.NoiseSpec(),
                         x0: np.ndarray | None = None) -> Trajectory:
-    """Newton flow tracking the moving minimizer, optionally closed over the
-    derivative estimator.
-
-    The estimator is open loop, so its estimate is computed for the whole
-    grid first, from the (noisy when configured) parameter samples. Each
-    flow step then holds the estimate at its start constant over the
-    optimizer's RK4 step (the stages re-evaluate the cost at stage states
-    and at the exact parameter path). The recorded ``redesign_lhs``
-    column is the Lyapunov redesign certificate for the correction in use;
-    for the uncorrected flow it is the raw drift term, which no condition
-    constrains.
-    """
-    if signal.dim != cost.p:
-        raise ValueError(f"signal dim {signal.dim} does not match cost parameter dim {cost.p}")
-    estimated = mode is flows_mod.CorrectionMode.ESTIMATED
-    if estimated:
-        if est_cfg is None:
-            raise ValueError("estimated mode requires an estimator config")
-        if est_cfg.signal_dim != signal.dim:
-            raise ValueError("estimator signal_dim does not match signal dim")
-        estimator = est_mod.build_estimator(est_cfg, cfg.h)
-
-    n, p = cost.n, cost.p
-    N = cfg.num_steps
-    h = cfg.h
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (n,):
-        raise ValueError(f"x0 shape {x.shape} does not match cost dimension {n}")
-
-    ts_all = _stage_times(cfg)
-    theta_all = signal.eval_many(ts_all, 0)        # exact path at stage times
-    theta_dot_all = signal.eval_many(ts_all, 1)
-    if estimated:
-        meas_all = sig_mod.sample_noisy_grid(signal, noise, ts_all, noise.make_rng())
-        theta_hat_all = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
-                                   estimator.state)[:, 0, :]
-
-    idx = cfg.record_indices()
-    n_rec = len(idx)
-    rec_t = np.empty(n_rec)
-    rec_loss = np.empty(n_rec)
-    rec_track = np.empty(n_rec)
-    rec_lhs = np.empty(n_rec)
-    rec_theta = np.empty((n_rec, p))
-    rec_thetadot = np.empty((n_rec, p))
-    rec_x = np.empty((n_rec, n))
-    rec_xstar = np.empty((n_rec, n))
-    if estimated:
-        rec_thetahat = np.empty((n_rec, p))
-        rec_esterr = np.empty(n_rec)
-    rec_pos = 0
-
-    rhs = flows_mod.corrected_newton_rhs
-    # Overflow from unstable gain/step combinations is surfaced as
-    # NonFiniteStateError, not as numpy warnings mid-loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N + 1):
-            t = cfg.t0 + j * h
-            theta = theta_all[2 * j]
-            theta_dot = theta_dot_all[2 * j]
-            if estimated:
-                theta_hat = theta_hat_all[j]
-            if rec_pos < n_rec and idx[rec_pos] == j:
-                v_cert = theta_hat if estimated else theta_dot
-                if mode is flows_mod.CorrectionMode.NONE:
-                    u = np.zeros(n)
-                else:
-                    u = flows_mod.ideal_correction(cost, x, theta, v_cert)
-                _, gxV, gtV = flows_mod.lyapunov_gradients(cost, x, theta)
-                lhs, _ = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)
-                xstar = cost.minimizer(theta)
-                rec_t[rec_pos] = t
-                rec_loss[rec_pos] = cost.value(x, theta)
-                rec_track[rec_pos] = float(np.linalg.norm(x - xstar))
-                rec_lhs[rec_pos] = lhs
-                rec_theta[rec_pos] = theta
-                rec_thetadot[rec_pos] = theta_dot
-                rec_x[rec_pos] = x
-                rec_xstar[rec_pos] = xstar
-                if estimated:
-                    rec_thetahat[rec_pos] = theta_hat
-                    rec_esterr[rec_pos] = float(np.linalg.norm(theta_hat - theta_dot))
-                rec_pos += 1
-            if j == N:
-                break
-            # Stage parameter values; the velocity fed to the correction is the
-            # exact one at the stage times (ideal) or the held estimate.
-            if mode is flows_mod.CorrectionMode.IDEAL:
-                v0, vm, v1 = theta_dot, theta_dot_all[2 * j + 1], theta_dot_all[2 * j + 2]
-            elif estimated:
-                v0 = vm = v1 = theta_hat
-            else:
-                v0 = vm = v1 = None
-            th_m = theta_all[2 * j + 1]
-            th_1 = theta_all[2 * j + 2]
-            k1 = rhs(cost, x, theta, v0)
-            k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm)
-            k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm)
-            k4 = rhs(cost, x + h * k3, th_1, v1)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError(t + h)
-
-    cols = {"t": rec_t}
-    for c in range(p):
-        cols[f"theta_{c}"] = rec_theta[:, c]
-    for c in range(p):
-        cols[f"thetadot_{c}"] = rec_thetadot[:, c]
-    if estimated:
-        for c in range(p):
-            cols[f"thetahat_{c}"] = rec_thetahat[:, c]
-    for c in range(n):
-        cols[f"x_{c}"] = rec_x[:, c]
-    for c in range(n):
-        cols[f"xstar_{c}"] = rec_xstar[:, c]
-    cols["loss"] = rec_loss
-    cols["tracking_error"] = rec_track
-    if estimated:
-        cols["est_error"] = rec_esterr
-    cols["redesign_lhs"] = rec_lhs
-    traj = Trajectory(cols)
-    traj.check_finite()
-    return traj
+    """One run of :func:`run_interconnections`: the Newton flow tracking the
+    moving minimizer with correction ``mode``, optionally closed over the
+    derivative estimator configured by ``est_cfg``."""
+    return run_interconnections(cost, signal, [(mode, est_cfg)], cfg, noise=noise, x0=x0)[0]

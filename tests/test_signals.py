@@ -98,24 +98,29 @@ class TestNoise:
         noise = signals.NoiseSpec(0.0, 123)
         rng = noise.make_rng()
         before = rng.bit_generator.state["state"]["state"]
-        sample = signals.sample_noisy(sig, noise, 0.3, rng)
-        assert np.array_equal(sample, sig.eval(0.3, 0))
+        ts = np.array([0.3, 1.7])
+        sample = signals.sample_noisy_grid(sig, noise, ts, rng)
+        assert np.array_equal(sample, sig.eval_many(ts, 0))
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_repeated_calls_draw_fresh_noise(self):
+        # Noise is per sample, not per time point: the same time drawn twice,
+        # in one grid or in two calls, gets two draws.
         sig = signals.sinusoid_5t_minus_2()
         noise = signals.NoiseSpec(0.01, 42)
         rng = noise.make_rng()
-        a = signals.sample_noisy(sig, noise, 1.0, rng)
-        b = signals.sample_noisy(sig, noise, 1.0, rng)
+        a, b = signals.sample_noisy_grid(sig, noise, np.array([1.0, 1.0]), rng)
+        c = signals.sample_noisy_grid(sig, noise, np.array([1.0]), rng)[0]
         assert a[0] != b[0]
+        assert c[0] not in (a[0], b[0])
 
     def test_seeded_determinism(self):
         sig = signals.benchmark_parameter_path()
         noise = signals.NoiseSpec(0.01, 7)
-        draws1 = [signals.sample_noisy(sig, noise, t, noise.make_rng())[0] for t in (0.0,)]
-        draws2 = [signals.sample_noisy(sig, noise, t, noise.make_rng())[0] for t in (0.0,)]
-        assert draws1 == draws2
+        ts = np.linspace(0.0, 1.0, 5)
+        draws1 = signals.sample_noisy_grid(sig, noise, ts, noise.make_rng())
+        draws2 = signals.sample_noisy_grid(sig, noise, ts, noise.make_rng())
+        assert np.array_equal(draws1, draws2)
 
     def test_grid_sampling_matches_sequential_calls(self):
         sig = signals.benchmark_parameter_path()
@@ -123,7 +128,8 @@ class TestNoise:
         ts = np.linspace(0.0, 1.0, 17)
         grid = signals.sample_noisy_grid(sig, noise, ts, noise.make_rng())
         rng = noise.make_rng()
-        rows = np.array([signals.sample_noisy(sig, noise, t, rng) for t in ts])
+        rows = np.concatenate([signals.sample_noisy_grid(sig, noise, ts[i:i + 1], rng)
+                               for i in range(len(ts))])
         assert np.array_equal(grid, rows)
 
     def test_empirical_variance(self):

@@ -1,10 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddopt import estimator as est
 from ddopt import flows, signals, sim
+
+NONE = flows.CorrectionMode.NONE
+IDEAL = flows.CorrectionMode.IDEAL
+ESTIMATED = flows.CorrectionMode.ESTIMATED
 
 
 class TestSimConfig:
@@ -17,6 +24,8 @@ class TestSimConfig:
             sim.SimConfig(tf=0.05, h=0.01)  # fewer than 10 steps
         with pytest.raises(ValueError):
             sim.SimConfig(record_stride=0)
+        with pytest.raises(ValueError):
+            sim.SimConfig(tf=1e7)  # 1e10 steps, past the step budget
 
     def test_grid(self):
         cfg = sim.SimConfig(t0=0.0, tf=1.0, h=0.1, record_stride=2)
@@ -106,6 +115,18 @@ class TestTrajectoryCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.split(b"\n")[0] == b"t,x_0"
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # 200 rows: the writer's row blocks and their boundaries are covered.
+        v = np.tile([-0.0, 5e-324, 1e300, 0.1 + 0.2, -7.0], 40)
+        t = np.arange(float(len(v)))
+        traj = sim.Trajectory({"t": t, "v": v, "w": v[::-1]})
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        expected = "t,v,w\n" + "".join(
+            ",".join(format(value, ".17g") for value in row) + "\n"
+            for row in zip(t, v, v[::-1]))
+        assert path.read_bytes() == expected.encode()
 
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError):
@@ -345,3 +366,133 @@ class TestInterconnection:
                     + [f"xstar_{i}" for i in range(3)]
                     + ["loss", "tracking_error", "est_error", "redesign_lhs"])
         assert list(traj.columns) == expected
+
+
+def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpec()):
+    """Run-by-run reference for the batched engine: one RK4 loop over a single
+    state vector, recording every derived column row by row. The estimate
+    comes from the same batch LTI path as in the engine (it is checked
+    against stateful stepping in TestInterconnection)."""
+    n, N, h = cost.n, cfg.num_steps, cfg.h
+    ts = cfg.t0 + 0.5 * h * np.arange(2 * N + 1)
+    theta_all = signal.eval_many(ts, 0)
+    theta_dot_all = signal.eval_many(ts, 1)
+    estimated = mode is ESTIMATED
+    if estimated:
+        dd = est.build_estimator(est_cfg, h)
+        meas = signals.sample_noisy_grid(signal, noise, ts, noise.make_rng())
+        hat = sim._drive_lti(dd.continuous, dd.rk4_maps, meas, dd.state)[:, 0, :]
+    x = np.zeros(n)
+    rows = []
+    for j in range(N + 1):
+        theta, theta_dot = theta_all[2 * j], theta_dot_all[2 * j]
+        if j % cfg.record_stride == 0:
+            v_cert = hat[j] if estimated else theta_dot
+            u = np.zeros(n) if mode is NONE else flows.ideal_correction(cost, x, theta, v_cert)
+            _, gx, gt = flows.lyapunov_gradients(cost, x, theta)
+            lhs, _ = flows.check_redesign_condition(gx, gt, u, v_cert)
+            xstar = cost.minimizer(theta)
+            row = {"t": cfg.t0 + j * h}
+            row.update({f"theta_{c}": theta[c] for c in range(signal.dim)})
+            row.update({f"thetadot_{c}": theta_dot[c] for c in range(signal.dim)})
+            if estimated:
+                row.update({f"thetahat_{c}": hat[j, c] for c in range(signal.dim)})
+            row.update({f"x_{c}": x[c] for c in range(n)})
+            row.update({f"xstar_{c}": xstar[c] for c in range(n)})
+            row["loss"] = cost.value(x, theta)
+            row["tracking_error"] = np.linalg.norm(x - xstar)
+            if estimated:
+                row["est_error"] = np.linalg.norm(hat[j] - theta_dot)
+            row["redesign_lhs"] = lhs
+            rows.append(row)
+        if j == N:
+            break
+        if mode is IDEAL:
+            v0, vm, v1 = theta_dot, theta_dot_all[2 * j + 1], theta_dot_all[2 * j + 2]
+        elif estimated:
+            v0 = vm = v1 = hat[j]
+        else:
+            v0 = vm = v1 = None
+        rhs = flows.corrected_newton_rhs
+        th_m, th_1 = theta_all[2 * j + 1], theta_all[2 * j + 2]
+        k1 = rhs(cost, x, theta, v0)
+        k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm)
+        k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm)
+        k4 = rhs(cost, x + h * k3, th_1, v1)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+STATE_COLUMNS = ("t", "theta_", "thetadot_", "thetahat_", "x_", "xstar_")
+MIXED_RUNS = [(NONE, None), (IDEAL, None),
+              (ESTIMATED, est.DirtyDerivativeConfig(1, 5.0, 3)),
+              (ESTIMATED, est.DirtyDerivativeConfig(2, 20.0, 3))]
+BATCH_POOL = [(NONE, None), (IDEAL, None),
+              (ESTIMATED, est.DirtyDerivativeConfig(1, 5.0, 3)),
+              (ESTIMATED, est.DirtyDerivativeConfig(1, 20.0, 3))]
+BATCH_CFG = sim.SimConfig(tf=0.5, h=1e-2)
+BATCH_NOISE = signals.NoiseSpec(0.01, 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_alone(cost_name, index):
+    mode, est_cfg = BATCH_POOL[index]
+    return sim.run_interconnection(flows.cost_by_name(cost_name, 3),
+                                   signals.benchmark_parameter_path(), mode, BATCH_CFG,
+                                   est_cfg=est_cfg, noise=BATCH_NOISE)
+
+
+class TestInterconnections:
+    @pytest.mark.parametrize("cost_name,noise_var,stride", [
+        ("quadratic-tracking", 0.0, 1), ("logcosh", 0.0, 3),
+        ("quadratic-tracking", 0.01, 3), ("logcosh", 0.01, 1)])
+    def test_batch_matches_run_by_run_reference(self, cost_name, noise_var, stride):
+        cost = flows.cost_by_name(cost_name, 3)
+        signal = signals.benchmark_parameter_path()
+        # 301 recorded rows at stride 1: more than one recording block.
+        cfg = sim.SimConfig(tf=3.0, h=1e-2, record_stride=stride)
+        noise = signals.NoiseSpec(noise_var, 5)
+        batch = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg, noise=noise)
+        for (mode, est_cfg), traj in zip(MIXED_RUNS, batch):
+            ref = _reference_run(cost, signal, mode, cfg, est_cfg, noise)
+            assert list(traj.columns) == list(ref)
+            for name, expected in ref.items():
+                got = traj.column(name)
+                if name == "t" or name.startswith(STATE_COLUMNS[1:]):
+                    assert np.array_equal(got, expected), name
+                else:
+                    # Derived columns are reduced over whole arrays, in a
+                    # different order than row by row.
+                    scale = max(1.0, float(np.max(np.abs(expected))))
+                    assert np.max(np.abs(got - expected)) <= 1e-12 * scale, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(cost_name=st.sampled_from(["quadratic-tracking", "logcosh"]),
+           order=st.lists(st.integers(0, len(BATCH_POOL) - 1), min_size=1,
+                          max_size=len(BATCH_POOL), unique=True))
+    def test_each_batched_run_equals_the_run_alone(self, cost_name, order):
+        batch = sim.run_interconnections(flows.cost_by_name(cost_name, 3),
+                                         signals.benchmark_parameter_path(),
+                                         [BATCH_POOL[i] for i in order], BATCH_CFG,
+                                         noise=BATCH_NOISE)
+        for index, traj in zip(order, batch):
+            alone = _run_alone(cost_name, index)
+            assert list(traj.columns) == list(alone.columns)
+            for name in alone.columns:
+                assert np.array_equal(traj.column(name), alone.column(name)), name
+
+    def test_diverging_batch_raises_at_the_failing_time(self):
+        # sigma*h = 10 is far outside the RK4 stability interval: the estimate
+        # overflows, and the state with it, while the other runs stay finite.
+        cfg = sim.SimConfig(tf=20.0, h=0.1)
+        runs = [(NONE, None), (ESTIMATED, est.DirtyDerivativeConfig(1, 100.0, 3)), (IDEAL, None)]
+        with pytest.warns(UserWarning, match="sigma"):
+            with pytest.raises(sim.NonFiniteStateError) as info:
+                sim.run_interconnections(flows.QuadraticTrackingCost(3),
+                                         signals.benchmark_parameter_path(), runs, cfg)
+        assert info.value.t == 12.6  # the time the run-by-run loop reported
+
+    def test_empty_run_list_rejected(self):
+        with pytest.raises(ValueError):
+            sim.run_interconnections(flows.QuadraticTrackingCost(3),
+                                     signals.benchmark_parameter_path(), [], sim.SimConfig())
