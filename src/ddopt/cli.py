@@ -129,15 +129,13 @@ def load_config(path: str) -> dict:
 
 
 _FLAG_DEFAULTS = {
-    "estimate": dict(signal="sin(5*t-2)", cost="quadratic-tracking", k="1", sigma="5",
-                     mode="estimated", noise_var="0", seed="0", t0="0", tf="10",
-                     h="1e-3", out="out"),
+    "estimate": dict(signal="sin(5*t-2)", k="1", sigma="5", noise_var="0", seed="0",
+                     t0="0", tf="10", h="1e-3", out="out"),
     "optimize": dict(signal="cos(5*t-2),sin(5*t-2),cos2(5*t-2)", cost="quadratic-tracking",
                      k="1", sigma="5,20", mode="ideal,estimated", noise_var="0", seed="0",
                      t0="0", tf="10", h="1e-3", out="out"),
-    "sweep": dict(signal="sin(5*t-2)", cost="quadratic-tracking", k="1",
-                  sigma="40,80,160,320", mode="estimated", noise_var="0", seed="0",
-                  t0="0", tf="30", h="1e-3", out="out"),
+    "sweep": dict(signal="sin(5*t-2)", k="1", sigma="40,80,160,320", noise_var="0",
+                  seed="0", t0="0", tf="30", h="1e-3", out="out"),
     "verify": dict(),
 }
 
@@ -188,7 +186,9 @@ def _parse_field(key: str, token: str):
 
 
 def _parse_run_spec(spec: dict):
-    """Validate the merged flag/config values into typed run parameters."""
+    """Validate the merged flag/config values into typed run parameters.
+
+    ``cost`` and ``modes`` are None for the commands without those flags."""
     signal = parse_signal(spec["signal"])
     k = _parse_field("k", spec["k"])
     sigmas = [_parse_field("sigma", token) for token in str(spec["sigma"]).split(",")]
@@ -198,16 +198,19 @@ def _parse_run_spec(spec: dict):
         cfg = sim_mod.SimConfig(t0=t0, tf=tf, h=h, seed=seed)
     except ValueError as exc:
         raise SpecError("tf/h", str(exc)) from None
-    modes = []
-    for token in str(spec["mode"]).split(","):
+    cost = modes = None
+    if "mode" in spec:
+        modes = []
+        for token in str(spec["mode"]).split(","):
+            try:
+                modes.append(flows_mod.CorrectionMode.from_string(token))
+            except ValueError as exc:
+                raise SpecError("mode", str(exc)) from None
+    if "cost" in spec:
         try:
-            modes.append(flows_mod.CorrectionMode.from_string(token))
+            cost = flows_mod.cost_by_name(spec["cost"], signal.dim)
         except ValueError as exc:
-            raise SpecError("mode", str(exc)) from None
-    try:
-        cost = flows_mod.cost_by_name(spec["cost"], signal.dim)
-    except ValueError as exc:
-        raise SpecError("cost", str(exc)) from None
+            raise SpecError("cost", str(exc)) from None
     noise = sig_mod.NoiseSpec(noise_var, seed)
     return signal, cost, k, sigmas, modes, noise, cfg, Path(spec["out"])
 
@@ -225,6 +228,8 @@ def _oracle_parameters(signal: sig_mod.AnalyticSignal):
 
 def cmd_estimate(spec: dict) -> int:
     signal, _, k, sigmas, _, noise, cfg, out = _parse_run_spec(spec)
+    if len(sigmas) != 1:
+        raise SpecError("sigma", f"estimate takes one value, got {len(sigmas)}")
     sigma = sigmas[0]
     est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
     traj = sim_mod.run_derivative_experiment(signal, noise, est_cfg, cfg)
@@ -331,13 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "time-varying optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    def add_run_flags(p, command):
         p.add_argument("--signal", help="signal components, e.g. 'sin(5*t-2)' or "
                                         "'cos(5*t-2),poly:0,1'")
-        p.add_argument("--cost", help="cost model: quadratic-tracking or logcosh")
+        if command == "optimize":
+            p.add_argument("--cost", help="cost model: quadratic-tracking or logcosh")
+            p.add_argument("--mode", help="correction modes: none, ideal, estimated "
+                                          "(comma list)")
         p.add_argument("--k", help="estimator order (>= 1)")
-        p.add_argument("--sigma", help="estimator gain, comma list for sweeps/optimize")
-        p.add_argument("--mode", help="correction modes: none, ideal, estimated (comma list)")
+        p.add_argument("--sigma", help="estimator gain, comma list for sweep/optimize")
         p.add_argument("--noise-var", dest="noise_var", help="measurement noise variance")
         p.add_argument("--seed", help="seed for the noise stream")
         p.add_argument("--t0", help="start time")
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("estimate", "run the derivative-tracking experiment"),
                             ("optimize", "run the moving-minimizer Newton flow"),
                             ("sweep", "sweep sigma and fit error power laws")):
-        add_run_flags(sub.add_parser(name, help=help_text))
+        add_run_flags(sub.add_parser(name, help=help_text), name)
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--only", help="comma list of check names to run")
     verify.add_argument("--perturb-transfer", dest="perturb_transfer", type=float,

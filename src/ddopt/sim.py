@@ -7,9 +7,11 @@ Two kinds of dynamics are stepped here:
   (exact zero-order hold, or RK4 stage sampling of the continuous input).
 
 Every LTI run goes through one batch path, :func:`_drive_lti`: the sampled
-input grid is mapped to per-step input terms, the state recurrence is
-scanned once, and the outputs are read out for the whole grid. The result
-equals stepping the estimator sample by sample, just considerably faster.
+input grid is cut into chunks of 64 steps, each chunk's outputs come from
+matrix products with kernels built from powers of the step map, and only
+the states at the chunk starts are carried from chunk to chunk. The result
+equals stepping the estimator sample by sample up to roundoff, with no
+Python loop over the grid steps.
 
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
@@ -44,6 +46,8 @@ MAX_STEPS = 2_000_000
 # so that temporaries (such as stacked Hessians) do not grow with run length.
 _RECORD_BLOCK_ROWS = 256
 _CSV_BLOCK_ROWS = 64
+# Steps per chunk of the LTI kernel in _drive_lti.
+_CHUNK = 64
 
 
 class NonFiniteStateError(Exception):
@@ -258,8 +262,10 @@ def integrate_rk4(rhs, x0, cfg: SimConfig) -> Trajectory:
 def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States of x[j+1] = T x[j] + V[j]; returns (N+1, n, m).
 
-    Overflow is tolerated here (unstable gain/step combinations); callers
-    surface it through the trajectory finiteness check.
+    :func:`_drive_lti` calls it on the chunk start states, with T the step
+    map to the power of the chunk length and one step per chunk. Overflow
+    is tolerated here (unstable gain/step combinations); callers surface it
+    through the trajectory finiteness check.
     """
     N = V.shape[0]
     X = np.empty((N + 1,) + x0.shape)
@@ -284,20 +290,81 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     the stage grid of :func:`_stage_times`, shape (2N+1, m), or the ZOH pair
     (A_d, B_d), with ``W`` on the integer grid, shape (N+1, m). ``x0`` is the
     (n, m) initial state. Outputs are at the integer sample times.
+
+    The recurrence x[j+1] = T x[j] + taps u[j] is evaluated in chunks of
+    L = ``_CHUNK`` steps. ``taps`` holds the S input columns of one step (the
+    first columns of M0, M1, M2 for RK4, with u[j] = W[2j], W[2j+1], W[2j+2];
+    that of B_d for ZOH, with u[j] = W[j]). The samples are laid out as
+    ``Wf``, shape (L*S, chunks*m): row l*S + s holds tap s of step l of a
+    chunk, column c*m + i chunk c of channel i, and the last chunk is padded
+    with zeros. Three kernels, built once per call from powers of T, then
+    map whole chunks with matrix products:
+
+    * ``G``, block (i, l) = C T^(i-l) taps for l <= i, zero above: the
+      output after step i of a chunk that starts from zero;
+    * ``E``, block l = T^(L-1-l) taps: the state at the end of such a chunk;
+    * ``H``, block i = C T^(i+1): the response after step i to the chunk's
+      start state.
+
+    The start states follow their own linear recurrence,
+    s[c+1] = T^L s[c] + (E @ Wf)[c], one step per chunk through
+    :func:`_scan_linear`, and the outputs are G @ Wf + H @ starts + D w.
+    ``L`` is one constant, not a per-size tuning: with the outputs fused
+    into these products, 64 was the fastest of 16, 32, 64 and 128, or within
+    20% of it, at every shipped state size (1, 4, 9 and 16), and a fixed
+    chunk keeps each run's rounding independent of any tuning.
     """
+    C, D = realization.C, realization.D
     if len(maps) == 4:
         T, M0, M1, M2 = maps
-        V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
-             + M1[:, 0][None, :, None] * W[1::2, None, :]
-             + M2[:, 0][None, :, None] * W[2::2, None, :])
-        W = W[0::2]
+        taps = np.column_stack([M0[:, 0], M1[:, 0], M2[:, 0]])
+        stride = 2                    # stage-grid rows per step
     else:
         T, Bd = maps
-        V = Bd[:, 0][None, :, None] * W[:-1, None, :]
-    X = _scan_linear(T, V, x0)
-    C, D = realization.C, realization.D
+        taps = Bd[:, :1]
+        stride = 1
+    samples = W[::stride]             # the integer grid
+    L, n, q, S = _CHUNK, T.shape[0], C.shape[0], taps.shape[1]
+    N, m = len(samples) - 1, W.shape[1]
+    chunks = -(-N // L)
+
+    # Tap s of step l of chunk c is Wp[stride * (c L + l) + s].
+    Wp = np.zeros((stride * chunks * L + 1, m))
+    Wp[:len(W)] = W
+    row, col = Wp.strides
+    Wf = np.lib.stride_tricks.as_strided(
+        Wp, (L, S, chunks, m), (stride * row, row, stride * L * row, col),
+        writeable=False).reshape(L * S, chunks * m)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("qn,jnm->jqm", C, X) + D[:, 0][None, :, None] * W[:, None, :]
+        # Powers T^0 .. T^L and columns T^d taps, by doubling. The columns
+        # are propagated themselves, not taken as P[d] @ taps: that rounds
+        # closer to the per-step recurrence (checked in tests/test_sim.py
+        # against an extended-precision reference).
+        P = np.empty((L + 1, n, n))
+        PB = np.empty((L, n, S))
+        P[0], P[1], PB[0] = np.eye(n), T, taps
+        k = 1
+        while k < L:
+            P[k + 1:2 * k + 1] = P[1:k + 1] @ P[k]
+            PB[k:2 * k] = P[k] @ PB[:k]
+            k *= 2
+        CPB = C @ PB                                        # C T^d taps, (L, q, S)
+        i, l = np.tril_indices(L)
+        G = np.zeros((L, q, L, S))
+        G[i, :, l, :] = CPB[i - l]
+        G = G.reshape(L * q, L * S)
+        E = PB[::-1].transpose(1, 0, 2).reshape(n, L * S)
+        H = (C @ P[1:]).reshape(L * q, n)
+
+        V = (E @ Wf).reshape(n, chunks, m).transpose(1, 0, 2)
+        starts = _scan_linear(P[L], V[:-1], x0)             # (chunks, n, m)
+        Y = G @ Wf + H @ starts.transpose(1, 0, 2).reshape(n, chunks * m)
+        out = np.empty((N + 1, q, m))
+        out[0] = C @ x0
+        out[1:] = Y.reshape(L, q, chunks, m).transpose(2, 0, 1, 3).reshape(chunks * L, q, m)[:N]
+        out += D[:, 0][None, :, None] * samples[:, None, :]
+        return out
 
 
 def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,

@@ -115,20 +115,42 @@ class TestEstimateCommand:
                                        ["--tf", "inf"], ["--t0", "nan"], ["--t0", "inf"],
                                        ["--h", "inf"], ["--noise-var", "inf"],
                                        ["--noise-var", "nan"], ["--sigma", "inf"],
-                                       ["--tf", "1e7"]])
+                                       ["--tf", "1e7"], ["--sigma", "5,20"]])
     def test_invalid_spec_exits_two(self, tmp_path, capsys, flags):
         # Past sim.MAX_STEPS is a run-length limit, which involves both flags
         # and is reported as "tf/h"; every other case names exactly its flag.
         field = "tf/h" if flags == ["--tf", "1e7"] else flags[0][2:]
-        assert cli.main(["estimate", "--out", str(tmp_path / "x")] + flags) == 2
+        # --mode and --cost exist on optimize only.
+        command = "optimize" if field in ("mode", "cost") else "estimate"
+        assert cli.main([command, "--out", str(tmp_path / "x")] + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
-    def test_unstable_gain_step_combination_exits_one(self, tmp_path):
-        # sigma*h far past the stability limit: warned, then aborted cleanly.
+    def test_unstable_gain_step_combination_exits_one(self, tmp_path, capsys):
+        # sigma*h far past the stability limit: warned, then aborted cleanly
+        # at the step where the state first overflows.
         with pytest.warns(UserWarning, match="sigma"):
             rc = cli.main(["estimate", "--sigma", "1e6", "--tf", "1",
                            "--out", str(tmp_path / "x")])
         assert rc == 1
+        assert "non-finite at t = 0.029\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+class TestFlagsOfOptimizeOnly:
+    """--cost and --mode only affect optimize; elsewhere they are rejected
+    rather than silently ignored."""
+
+    def test_flags_rejected(self, tmp_path, capsys, command):
+        argv = [command, "--cost", "logcosh", "--mode", "none", "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert "unrecognized arguments: --cost logcosh --mode none" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["cost", "mode"])
+    def test_config_keys_rejected(self, tmp_path, capsys, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = none\n")
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: config: unknown key {key!r}\n"
 
 
 class TestOptimizeCommand:

@@ -198,6 +198,76 @@ class TestDerivativeExperiment:
                                           sim.SimConfig(), integrator="euler")
 
 
+def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
+    """The per-step form of sim._drive_lti, in ``dtype``: per-step input
+    terms, one matrix-vector recurrence step per grid step, and an einsum
+    read-out of the whole state array."""
+    maps = [np.asarray(M, dtype) for M in maps]
+    W = np.asarray(W, dtype)
+    if len(maps) == 4:
+        T, M0, M1, M2 = maps
+        V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
+             + M1[:, 0][None, :, None] * W[1::2, None, :]
+             + M2[:, 0][None, :, None] * W[2::2, None, :])
+        W = W[0::2]
+    else:
+        T, Bd = maps
+        V = Bd[:, 0][None, :, None] * W[:-1, None, :]
+    X = np.empty((len(W),) + x0.shape, dtype)
+    X[0] = x0
+    for j in range(len(V)):
+        X[j + 1] = T @ X[j] + V[j]
+    C, D = (np.asarray(M, dtype) for M in (realization.C, realization.D))
+    return np.einsum("qn,jnm->jqm", C, X) + D[:, 0][None, :, None] * W[:, None, :]
+
+
+class TestChunkedKernel:
+    @pytest.mark.parametrize("steps", [10, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("integrator", ["rk4", "zoh"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_per_step_loop(self, order, channels, integrator, steps):
+        # 10 and 63 steps are one partial chunk, 64 exactly one, 65 one plus
+        # a one-step padded chunk, 1000 sixteen chunks with a padded last.
+        h = 1e-2
+        dd = est.build_estimator(est.DirtyDerivativeConfig(order, 20.0, channels), h)
+        if integrator == "rk4":
+            maps, rows = dd.rk4_maps, 2 * steps + 1
+        else:
+            maps, rows = (dd.A_d, dd.B_d), steps + 1
+        W = np.sin(2.5 * h * np.arange(rows)[:, None] + np.arange(channels))
+        x0 = np.random.default_rng(order).standard_normal(dd.state.shape)
+        got = sim._drive_lti(dd.continuous, maps, W, x0)
+        expected = _loop_drive_lti(dd.continuous, maps, W, x0)
+        assert got.shape == expected.shape == (steps + 1, order, channels)
+        for i in range(order):
+            column = expected[:, i, :]
+            scale = max(1.0, float(np.max(np.abs(column))))
+            assert np.max(np.abs(got[:, i, :] - column)) <= 1e-12 * scale, i + 1
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("sigma", [160.0, 320.0])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_no_less_accurate_than_per_step_loop(self, order, sigma):
+        # Reference: the same recurrence on the same float64 maps, carried out
+        # in extended precision. Higher-order outputs are small differences of
+        # large terms, so both float64 forms carry sizeable roundoff there;
+        # the chunked form must stay within a small factor of the loop's.
+        cfg = sim.SimConfig(tf=5.0, h=1e-3)
+        dd = est.build_estimator(est.DirtyDerivativeConfig(order, sigma, 1), cfg.h)
+        W = np.sin(5.0 * sim._stage_times(cfg) - 2.0)[:, None]
+        window = sim.Trajectory({"t": cfg.times()}).window_mask()
+        got = sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
+        loop = _loop_drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
+        ref = _loop_drive_lti(dd.continuous, dd.rk4_maps, W, dd.state, np.longdouble)[window]
+        for i in range(order):
+            loop_error = float(np.max(np.abs(loop[:, i] - ref[:, i])))
+            error = float(np.max(np.abs(got[:, i] - ref[:, i])))
+            scale = float(np.max(np.abs(ref[:, i])))
+            assert error <= max(4.0 * loop_error, 1e-12 * scale), i + 1
+
+
 class TestSimulateRealization:
     def test_matches_general_rk4_integrator(self):
         block = est.build_f_block(2, 2.0)
