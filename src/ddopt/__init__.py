@@ -53,6 +53,7 @@ from .sim import (
     run_interconnections,
     slope_fit,
     steady_state_metric,
+    write_csvs,
 )
 
 __version__ = "0.1.0"

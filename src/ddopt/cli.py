@@ -272,9 +272,9 @@ def cmd_optimize(spec: dict) -> int:
             labels.append(mode.value)
             specs.append((mode, None))
     runs = list(zip(labels, sim_mod.run_interconnections(cost, signal, specs, cfg, noise=noise)))
+    sim_mod.write_csvs((traj, out / f"trajectory_{label}.csv") for label, traj in runs)
     series = []
     for label, traj in runs:
-        traj.to_csv(out / f"trajectory_{label}.csv")
         series.append((label, traj.t, traj.column("loss")))
         mask = traj.window_mask()
         mean_loss = float(np.mean(traj.column("loss")[mask]))

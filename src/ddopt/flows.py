@@ -54,6 +54,11 @@ class CostModel:
     and ``cross_hessian`` (..., n, p); a matrix that does not depend on the
     point may be returned as a single (n, n) or (n, p) matrix, which
     broadcasts the same way.
+
+    :meth:`newton_field` is the flow's right-hand side. Its default goes
+    through ``gradient``, ``cross_hessian`` and ``solve_hessian``; a subclass
+    may replace it with a closed form, provided the result is bit-identical
+    to that general path (the sign of an exact zero aside).
     """
 
     name = "abstract"
@@ -100,6 +105,14 @@ class CostModel:
             out[i] = numerics.solve_linear(H[i], rhs[i])
         return out
 
+    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
+        """-hess^{-1} (grad + cross @ velocity); ``velocity`` None drops the
+        cross term. See :func:`corrected_newton_rhs`."""
+        g = self.gradient(x, theta)
+        if velocity is not None:
+            g = g + _matvec(self.cross_hessian(x, theta), velocity)
+        return -self.solve_hessian(x, theta, g)
+
 
 class QuadraticTrackingCost(CostModel):
     """f(x, theta) = 0.5 ||x - theta||^2 (n = p, identity Hessian)."""
@@ -133,6 +146,13 @@ class QuadraticTrackingCost(CostModel):
         # Identity Hessian: elimination returns the rhs unchanged.
         return np.asarray(rhs, dtype=np.float64).copy()
 
+    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
+        # Identity Hessian, cross-Hessian -I: -(d - v), elementwise.
+        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        if velocity is not None:
+            d = d - np.asarray(velocity, dtype=np.float64)
+        return -d
+
 
 class LogCoshTrackingCost(CostModel):
     """f(x, theta) = sum log cosh(x_i - theta_i) + (mu/2) ||x - theta||^2.
@@ -163,9 +183,14 @@ class LogCoshTrackingCost(CostModel):
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
         return np.tanh(d) + self.mu * d
 
+    def _curvature(self, d: np.ndarray) -> np.ndarray:
+        # phi''(d) = sech^2 d + mu; cosh overflows to inf at large |d|,
+        # which gives mu exactly.
+        return 1.0 / np.cosh(d) ** 2 + self.mu
+
     def _hessian_diagonal(self, x, theta) -> np.ndarray:
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        return 1.0 / np.cosh(d) ** 2 + self.mu
+        return self._curvature(d)
 
     def hessian(self, x, theta) -> np.ndarray:
         return self._hessian_diagonal(x, theta)[..., None] * self._eye
@@ -179,6 +204,16 @@ class LogCoshTrackingCost(CostModel):
     def solve_hessian(self, x, theta, rhs) -> np.ndarray:
         # Diagonal Hessian: elimination reduces to elementwise division.
         return np.asarray(rhs, dtype=np.float64) / self._hessian_diagonal(x, theta)
+
+    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
+        # Diagonal Hessian phi''(d), cross-Hessian its negative:
+        # -(phi'(d) - phi''(d) v) / phi''(d), elementwise, phi'' computed once.
+        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        curvature = self._curvature(d)
+        g = np.tanh(d) + self.mu * d
+        if velocity is not None:
+            g = g - curvature * np.asarray(velocity, dtype=np.float64)
+        return -(g / curvature)
 
 
 _COSTS = {
@@ -213,12 +248,11 @@ def corrected_newton_rhs(cost: CostModel, x, theta, velocity=None) -> np.ndarray
     ``velocity`` is the parameter-rate vector the correction should cancel
     (exact or estimated); None gives the correction-free Newton field
     -hess^{-1} grad. Equal to that field plus :func:`ideal_correction` by
-    linearity of the solve. A zero velocity gives the same bits as None.
+    linearity of the solve. A zero velocity gives the same values as None.
+    Delegates to :meth:`CostModel.newton_field`, which the shipped costs
+    evaluate elementwise.
     """
-    g = cost.gradient(x, theta)
-    if velocity is not None:
-        g = g + _matvec(cost.cross_hessian(x, theta), velocity)
-    return -cost.solve_hessian(x, theta, g)
+    return cost.newton_field(x, theta, velocity)
 
 
 def gradient_flow_rhs(cost: CostModel, x, theta) -> np.ndarray:

@@ -21,13 +21,16 @@ grid point is held constant over the optimizer's RK4 step.
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
 :func:`run_interconnections`: one RK4 loop advances the stacked states
-(runs, n) and stores only them, and the recorded columns are computed
-after the loop on blocks of recorded rows, through the same ``flows``
-functions.
+(runs, n), stores only them and checks them for non-finite values a block
+of steps at a time; the recorded columns are computed after the loop on
+blocks of recorded rows, through the same ``flows`` functions.
+:func:`write_csvs` writes the runs' trajectories together, formatting the
+columns they have in common once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -42,10 +45,10 @@ STEADY_STATE_FRACTION = 0.2  # metrics use the final 20% of a run
 # number of runs integrated together), so a run past it is refused before
 # anything is allocated. About 67 times the longest shipped run (30k steps).
 MAX_STEPS = 2_000_000
-# Rows handled per block when deriving recorded columns and writing CSVs,
-# so that temporaries (such as stacked Hessians) do not grow with run length.
+# Rows handled per block by the flow loop's finiteness check, when deriving
+# recorded columns and when writing CSVs, so that buffers and temporaries
+# (such as stacked Hessians or formatted text) do not grow with run length.
 _RECORD_BLOCK_ROWS = 256
-_CSV_BLOCK_ROWS = 64
 # Steps per chunk of the LTI kernel in _drive_lti.
 _CHUNK = 64
 
@@ -156,14 +159,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write all columns, 17 significant digits, LF line endings."""
-        names = list(self.columns)
-        row_format = ",".join(["%.17g"] * len(names)) + "\n"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                block = slice(start, start + _CSV_BLOCK_ROWS)
-                rows = np.column_stack([self.columns[n][block] for n in names]).tolist()
-                fh.writelines(row_format % tuple(row) for row in rows)
+        write_csvs([(self, path)])
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -175,6 +171,40 @@ class Trajectory:
         if data.size == 0 or data.shape[1] != len(names):
             raise ValueError(f"malformed trajectory CSV {path}")
         return cls({name: data[:, i] for i, name in enumerate(names)})
+
+
+def write_csvs(pairs) -> None:
+    """Write each ``(trajectory, path)`` pair as :meth:`Trajectory.to_csv` does.
+
+    The files are written together, block of rows by block of rows. In each
+    block every distinct column (by its bytes) is formatted once, so the
+    columns that runs integrated together share, such as the time, the
+    parameter path and a minimizer equal to it, cost one formatting pass.
+    Trajectories may differ in length.
+    """
+    with contextlib.ExitStack() as stack:
+        files = []
+        for traj, path in pairs:
+            fh = stack.enter_context(open(path, "w", newline="\n"))
+            fh.write(",".join(traj.columns) + "\n")
+            files.append((fh, len(traj), list(traj.columns.values())))
+        for start in range(0, max((length for _, length, _ in files), default=0),
+                           _RECORD_BLOCK_ROWS):
+            stop = start + _RECORD_BLOCK_ROWS
+            cells = {}
+            for fh, length, columns in files:
+                if start >= length:
+                    continue
+                keys = []
+                for col in columns:
+                    part = col[start:stop]
+                    key = part.tobytes()
+                    if key not in cells:
+                        values = part.tolist()
+                        text = "\n".join(["%.17g"] * len(values)) % tuple(values)
+                        cells[key] = text.split("\n")
+                    keys.append(key)
+                fh.write("\n".join(map(",".join, zip(*[cells[key] for key in keys]))) + "\n")
 
 
 @dataclass(frozen=True)
@@ -509,21 +539,44 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     stride = cfg.record_stride
     X = np.empty((N // stride + 1, B, n))
     X[0] = x
+    # The states after steps start .. start+len-1 of a block; row i is the
+    # state at grid point start + i + 1.
+    block = np.empty((_RECORD_BLOCK_ROWS, B, n))
+
+    def check_finite(start, rows):
+        # A non-finite state component stays non-finite (x + dx is inf or
+        # nan whenever x is), so the first non-finite row of the block is
+        # the step at which the run failed.
+        finite = np.isfinite(block[:rows]).all(axis=(1, 2))
+        if not finite.all():
+            j = start + int(np.argmin(finite))
+            raise NonFiniteStateError(cfg.t0 + j * h + h)
+
     rhs = flows_mod.corrected_newton_rhs
     # Overflow from unstable gain/step combinations is surfaced as
     # NonFiniteStateError, not as numpy warnings mid-loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N):
-            th_m = theta_all[2 * j + 1]
-            k1 = rhs(cost, x, theta_all[2 * j], v0[j])
-            k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
-            k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
-            k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError(cfg.t0 + j * h + h)
-            if (j + 1) % stride == 0:
-                X[(j + 1) // stride] = x
+        for start in range(0, N, _RECORD_BLOCK_ROWS):
+            stop = min(start + _RECORD_BLOCK_ROWS, N)
+            try:
+                for j in range(start, stop):
+                    th_m = theta_all[2 * j + 1]
+                    k1 = rhs(cost, x, theta_all[2 * j], v0[j])
+                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
+                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
+                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
+                    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    block[j - start] = x
+            except Exception:
+                # A cost may reject a non-finite state (numerics.solve_linear
+                # does); report the step that produced it instead.
+                check_finite(start, j - start)
+                raise
+            check_finite(start, stop - start)
+            # Recorded grid points of this block: the multiples of stride
+            # in start+1 .. stop.
+            first = -(-(start + 1) // stride) * stride
+            X[first // stride:stop // stride + 1] = block[first - start - 1:stop - start:stride]
 
         # Recorded rows: every stride-th grid point, every 2*stride-th stage.
         theta = theta_all[::2 * stride]

@@ -180,6 +180,24 @@ class TestOptimizeCommand:
         assert rc == 0
 
 
+    def test_track_rerun_is_byte_identical(self, tmp_path, capsys):
+        # The benchmark's track argv shape at a short horizon, run twice.
+        for rerun in ("first", "second"):
+            for cost in ("quadratic-tracking", "logcosh"):
+                rc = cli.main(["optimize", "--cost", cost, "--mode", "none,ideal,estimated",
+                               "--sigma", "5,20", "--noise-var", "0.01", "--seed", "3",
+                               "--tf", "0.5", "--out", str(tmp_path / rerun / cost)])
+                assert rc == 0
+        first, second = (sorted(p.relative_to(tmp_path / rerun)
+                                for p in (tmp_path / rerun).rglob("*") if p.is_file())
+                         for rerun in ("first", "second"))
+        assert first == second
+        assert len(first) == 2 * 5   # per cost, four trajectory CSVs and loss.svg
+        for rel in first:
+            assert (tmp_path / "first" / rel).read_bytes() == \
+                (tmp_path / "second" / rel).read_bytes(), rel
+
+
 class TestSweepCommand:
     def test_fits_slope_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep"

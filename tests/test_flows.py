@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddopt import flows, numerics, signals, sim
 
@@ -83,6 +86,46 @@ class TestNewtonRhs:
                 rhs = rng.standard_normal(cost.n)
                 direct = numerics.solve_linear(cost.hessian(x, theta), rhs)
                 assert np.array_equal(cost.solve_hessian(x, theta, rhs), direct)
+
+
+# |x - theta| reaches 2e3, past 710.5, where cosh overflows to inf.
+_COORD = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _field_inputs(draw):
+    """Batched x (B, n); theta (n,) shared or (B, n); velocity None, zero or
+    drawn, (B, n)."""
+    B, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x = draw(hnp.arrays(np.float64, (B, n), elements=_COORD))
+    theta = draw(hnp.arrays(np.float64, draw(st.sampled_from([(n,), (B, n)])),
+                            elements=_COORD))
+    velocity = draw(st.one_of(st.none(), st.just(np.zeros((B, n))),
+                              hnp.arrays(np.float64, (B, n), elements=_COORD)))
+    return x, theta, velocity
+
+
+class TestNewtonField:
+    @settings(max_examples=200, deadline=None)
+    @given(cost_name=st.sampled_from(["quadratic-tracking", "logcosh"]),
+           inputs=_field_inputs())
+    @example(cost_name="logcosh",
+             inputs=(np.array([[800.0, -800.0, 0.5]]), np.zeros(3), np.array([[1.0, -2.0, 0.0]])))
+    @example(cost_name="quadratic-tracking",
+             inputs=(np.array([[-0.0]]), np.zeros(1), np.zeros((1, 1))))
+    def test_closed_form_equals_general_path(self, cost_name, inputs):
+        # The shipped costs evaluate the field elementwise; the CostModel
+        # default builds the full Hessian and cross-Hessian. They must agree
+        # bit for bit as values (the sign of an exact zero aside: the
+        # general path's matmul sums from +0.0).
+        x, theta, velocity = inputs
+        cost = flows.cost_by_name(cost_name, x.shape[-1])
+        with np.errstate(over="ignore"):
+            fused = cost.newton_field(x, theta, velocity)
+            general = flows.CostModel.newton_field(cost, x, theta, velocity)
+        assert fused.shape == general.shape
+        assert np.all(np.isfinite(fused))
+        assert np.array_equal(fused, general)
 
 
 class TestCorrections:

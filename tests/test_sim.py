@@ -128,6 +128,36 @@ class TestTrajectoryCsv:
             for row in zip(t, v, v[::-1]))
         assert path.read_bytes() == expected.encode()
 
+    def test_shared_columns_across_row_blocks(self, tmp_path):
+        # Three files share the t and v arrays, over more than two row blocks.
+        rows = 2 * sim._RECORD_BLOCK_ROWS + 37
+        v = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2, -7.0], rows)
+        t = np.arange(float(rows))
+        own = [v[::-1].copy(), -v, 3.0 * v]
+        trajs = [sim.Trajectory({"t": t, "v": v, "w": w}) for w in own]
+        assert all(traj.column("v") is v for traj in trajs)
+        paths = [tmp_path / f"traj{i}.csv" for i in range(len(own))]
+        sim.write_csvs(zip(trajs, paths))
+        for w, path in zip(own, paths):
+            expected = "t,v,w\n" + "".join(
+                ",".join(format(value, ".17g") for value in row) + "\n"
+                for row in zip(t, v, w))
+            assert path.read_bytes() == expected.encode()
+
+    def test_unequal_lengths(self, tmp_path):
+        block = sim._RECORD_BLOCK_ROWS
+        values = np.random.default_rng(4).standard_normal(3 * block)
+        trajs = [sim.Trajectory({"t": np.arange(float(n)), "v": values[:n]})
+                 for n in (1, block, block + 1, 3 * block)]
+        paths = [tmp_path / f"traj{i}.csv" for i in range(len(trajs))]
+        sim.write_csvs(zip(trajs, paths))
+        for traj, path in zip(trajs, paths):
+            expected = "t,v\n" + "".join(
+                ",".join(format(value, ".17g") for value in row) + "\n"
+                for row in zip(traj.t, traj.column("v")))
+            assert path.read_bytes() == expected.encode()
+        sim.write_csvs([])
+
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError):
             sim.Trajectory({"t": [0.0, 0.0], "v": [1.0, 1.0]})
@@ -438,11 +468,22 @@ class TestInterconnection:
         assert list(traj.columns) == expected
 
 
+def _general_rhs(cost, x, theta, velocity):
+    """The corrected Newton field through the full matrices: gradient plus
+    cross-Hessian matvec, solved by elimination on the full Hessian
+    (``CostModel.solve_hessian`` calls ``numerics.solve_linear``), whatever
+    closed form the cost's own ``newton_field`` uses."""
+    g = cost.gradient(x, theta)
+    if velocity is not None:
+        g = g + cost.cross_hessian(x, theta) @ velocity
+    return -flows.CostModel.solve_hessian(cost, x, theta, g)
+
+
 def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpec()):
     """Run-by-run reference for the batched engine: one RK4 loop over a single
-    state vector, recording every derived column row by row. The estimate
-    comes from the same batch LTI path as in the engine (it is checked
-    against stateful stepping in TestInterconnection)."""
+    state vector through :func:`_general_rhs`, recording every derived column
+    row by row. The estimate comes from the same batch LTI path as in the
+    engine (it is checked against stateful stepping in TestInterconnection)."""
     n, N, h = cost.n, cfg.num_steps, cfg.h
     ts = cfg.t0 + 0.5 * h * np.arange(2 * N + 1)
     theta_all = signal.eval_many(ts, 0)
@@ -483,7 +524,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
             v0 = vm = v1 = hat[j]
         else:
             v0 = vm = v1 = None
-        rhs = flows.corrected_newton_rhs
+        rhs = _general_rhs
         th_m, th_1 = theta_all[2 * j + 1], theta_all[2 * j + 2]
         k1 = rhs(cost, x, theta, v0)
         k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm)
@@ -491,6 +532,51 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
         k4 = rhs(cost, x + h * k3, th_1, v1)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+class _FieldBlowsUpAt(flows.QuadraticTrackingCost):
+    """Scalar quadratic tracker whose field is infinite wherever theta has
+    reached ``t_bad`` and the velocity fed to the correction is nonzero."""
+
+    def __init__(self, t_bad):
+        super().__init__(1)
+        self.t_bad = t_bad
+
+    def newton_field(self, x, theta, velocity=None):
+        field = super().newton_field(x, theta, velocity)
+        blown = (np.asarray(theta) >= self.t_bad) & (np.asarray(velocity) != 0.0)
+        return np.where(blown, np.inf, field)
+
+
+class _RejectsNonFiniteState(_FieldBlowsUpAt):
+    """The same field, which raises on a non-finite state the way
+    ``numerics.solve_linear`` raises on a non-finite Hessian."""
+
+    def newton_field(self, x, theta, velocity=None):
+        if not np.all(np.isfinite(x)):
+            raise ValueError("state contains non-finite entries")
+        return super().newton_field(x, theta, velocity)
+
+
+def _per_step_failure_time(cost, signal, cfg):
+    """The failing time a check after every step reports for the ideal run:
+    one state vector, RK4 one step at a time; None if it stays finite."""
+    h = cfg.h
+    ts = sim._stage_times(cfg)
+    theta, theta_dot = signal.eval_many(ts, 0), signal.eval_many(ts, 1)
+    rhs = flows.corrected_newton_rhs
+    x = np.zeros(cost.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(cfg.num_steps):
+            a, m, b = 2 * j, 2 * j + 1, 2 * j + 2
+            k1 = rhs(cost, x, theta[a], theta_dot[a])
+            k2 = rhs(cost, x + 0.5 * h * k1, theta[m], theta_dot[m])
+            k3 = rhs(cost, x + 0.5 * h * k2, theta[m], theta_dot[m])
+            k4 = rhs(cost, x + h * k3, theta[b], theta_dot[b])
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                return cfg.t0 + j * h + h
+    return None
 
 
 STATE_COLUMNS = ("t", "theta_", "thetadot_", "thetahat_", "x_", "xstar_")
@@ -561,6 +647,25 @@ class TestInterconnections:
                 sim.run_interconnections(flows.QuadraticTrackingCost(3),
                                          signals.benchmark_parameter_path(), runs, cfg)
         assert info.value.t == 12.6  # the time the run-by-run loop reported
+
+    @pytest.mark.parametrize("cost_class", [_FieldBlowsUpAt, _RejectsNonFiniteState])
+    @pytest.mark.parametrize("step,stride", [
+        (0, 1),                                 # the first step
+        (sim._RECORD_BLOCK_ROWS - 1, 1),        # the last step of a block
+        (sim._RECORD_BLOCK_ROWS, 1),            # the first step of the next block
+        (100, 3)])                              # a step whose state is not recorded
+    def test_failing_time_matches_a_per_step_check(self, cost_class, step, stride):
+        cfg = sim.SimConfig(tf=6.0, h=1e-2, record_stride=stride)
+        signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0)),))   # theta = t
+        # The field is infinite from the stage where theta reaches the end of
+        # the step, in the ideal run only; the none run stays finite.
+        t_bad = signal.eval_many(sim._stage_times(cfg), 0)[2 * step + 2, 0]
+        cost = cost_class(t_bad)
+        expected = _per_step_failure_time(cost, signal, cfg)
+        assert expected == cfg.t0 + step * cfg.h + cfg.h
+        with pytest.raises(sim.NonFiniteStateError) as info:
+            sim.run_interconnections(cost, signal, [(NONE, None), (IDEAL, None)], cfg)
+        assert info.value.t == expected
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ValueError):
