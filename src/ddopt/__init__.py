@@ -43,7 +43,6 @@ from .signals import (
 )
 from .sim import (
     InsufficientDataError,
-    Metric,
     NonFiniteStateError,
     SimConfig,
     Trajectory,
@@ -52,7 +51,7 @@ from .sim import (
     run_interconnection,
     run_interconnections,
     slope_fit,
-    steady_state_metric,
+    steady_state_sup,
     write_csvs,
 )
 

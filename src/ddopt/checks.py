@@ -68,7 +68,7 @@ def _scalar_sinusoid() -> sig_mod.AnalyticSignal:
 @functools.lru_cache(maxsize=None)
 def _derivative_run(sigma: float, order: int, tf: float, h: float,
                     variance: float = 0.0, seed: int = 0) -> sim_mod.Trajectory:
-    cfg = sim_mod.SimConfig(t0=0.0, tf=tf, h=h, seed=seed)
+    cfg = sim_mod.SimConfig(t0=0.0, tf=tf, h=h)
     est_cfg = est_mod.DirtyDerivativeConfig(order, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
     return sim_mod.run_derivative_experiment(_scalar_sinusoid(), noise, est_cfg, cfg)
@@ -115,7 +115,7 @@ def check_sinusoid_error() -> CheckResult:
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
         (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s, 1, 10.0, 1e-3))
         total_runtime += runtime
-        sup = sim_mod.steady_state_metric(traj, "est_error").steady_state_sup
+        sup = sim_mod.steady_state_sup(traj, "est_error")
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
         measured.append(f"sigma={sigma:g}: {sup:.5f} ({runtime:.2f}s)")
@@ -164,8 +164,7 @@ def check_sigma_scaling() -> CheckResult:
                 traj = _derivative_run(sigma, order, 30.0, 1e-3)
                 for i in range(1, order + 1):
                     suffix = "" if i == 1 else str(i)
-                    sups[(order, i, sigma)] = sim_mod.steady_state_metric(
-                        traj, f"est_error{suffix}").steady_state_sup
+                    sups[(order, i, sigma)] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
         return sups
 
     sups, runtime = _timed(run)
@@ -279,7 +278,7 @@ def check_ideal_tracking() -> CheckResult:
     e0 = float(np.linalg.norm(theta0))
     predicted = e0 * np.exp(-(traj.t - traj.t[0]))
     dev = float(np.max(np.abs(traj.column("tracking_error") - predicted)))
-    window_loss = sim_mod.steady_state_metric(traj, "loss").steady_state_sup
+    window_loss = sim_mod.steady_state_sup(traj, "loss")
     gate.require(dev <= 1e-6, f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} <= 1e-6")
     gate.require(window_loss < 1e-10, f"final-window loss {window_loss:.3g} < 1e-10")
     gate.require(runtime < 1.0, f"runtime {runtime:.2f}s < 1s")
@@ -337,8 +336,8 @@ def check_noise_robustness() -> CheckResult:
         clean_est = _derivative_run(BENCH_SIGMA_HIGH, 1, 10.0, 1e-3)
         noisy_est = _derivative_run(BENCH_SIGMA_HIGH, 1, 10.0, 1e-3,
                                     variance=NOISE_VARIANCE, seed=NOISE_SEED)
-        sup_clean = sim_mod.steady_state_metric(clean_est, "est_error").steady_state_sup
-        sup_noisy = sim_mod.steady_state_metric(noisy_est, "est_error").steady_state_sup
+        sup_clean = sim_mod.steady_state_sup(clean_est, "est_error")
+        sup_noisy = sim_mod.steady_state_sup(noisy_est, "est_error")
 
         cost = flows_mod.QuadraticTrackingCost(3)
         signal = sig_mod.benchmark_parameter_path()
@@ -348,8 +347,8 @@ def check_noise_robustness() -> CheckResult:
         noisy_opt = sim_mod.run_interconnection(
             cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
             noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
-        loss_clean = sim_mod.steady_state_metric(clean_opt, "loss").steady_state_sup
-        loss_noisy = sim_mod.steady_state_metric(noisy_opt, "loss").steady_state_sup
+        loss_clean = sim_mod.steady_state_sup(clean_opt, "loss")
+        loss_noisy = sim_mod.steady_state_sup(noisy_opt, "loss")
         return sup_clean, sup_noisy, loss_clean, loss_noisy
 
     (sup_clean, sup_noisy, loss_clean, loss_noisy), runtime = _timed(run)

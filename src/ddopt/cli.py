@@ -116,7 +116,12 @@ def parse_signal(text: str) -> sig_mod.AnalyticSignal:
 def load_config(path: str) -> dict:
     """Flat ``key = value`` file; '#' starts a comment; keys mirror flags."""
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SpecError("config", f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise SpecError("config", f"{path!r} is not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -195,7 +200,7 @@ def _parse_run_spec(spec: dict):
     noise_var, seed, t0, tf, h = (_parse_field(key, spec[key])
                                   for key in ("noise_var", "seed", "t0", "tf", "h"))
     try:
-        cfg = sim_mod.SimConfig(t0=t0, tf=tf, h=h, seed=seed)
+        cfg = sim_mod.SimConfig(t0=t0, tf=tf, h=h)
     except ValueError as exc:
         raise SpecError("tf/h", str(exc)) from None
     cost = modes = None
@@ -213,6 +218,13 @@ def _parse_run_spec(spec: dict):
             raise SpecError("cost", str(exc)) from None
     noise = sig_mod.NoiseSpec(noise_var, seed)
     return signal, cost, k, sigmas, modes, noise, cfg, Path(spec["out"])
+
+
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError("out", f"cannot create directory {str(out)!r}: {exc.strerror}") from None
 
 
 def _oracle_parameters(signal: sig_mod.AnalyticSignal):
@@ -233,7 +245,7 @@ def cmd_estimate(spec: dict) -> int:
     sigma = sigmas[0]
     est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
     traj = sim_mod.run_derivative_experiment(signal, noise, est_cfg, cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     traj.to_csv(out / "trajectory.csv")
 
     series = []
@@ -248,7 +260,7 @@ def cmd_estimate(spec: dict) -> int:
     oracle_params = _oracle_parameters(signal)
     for order in range(1, k + 1):
         suffix = "" if order == 1 else str(order)
-        sup = sim_mod.steady_state_metric(traj, f"est_error{suffix}").steady_state_sup
+        sup = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
         line = f"order {order}: steady-state sup error {sup:.6g}"
         if oracle_params is not None:
             amp, omega = oracle_params
@@ -261,7 +273,7 @@ def cmd_estimate(spec: dict) -> int:
 
 def cmd_optimize(spec: dict) -> int:
     signal, cost, k, sigmas, modes, noise, cfg, out = _parse_run_spec(spec)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     labels, specs = [], []
     for mode in modes:
         if mode is flows_mod.CorrectionMode.ESTIMATED:
@@ -287,17 +299,17 @@ def cmd_optimize(spec: dict) -> int:
 
 def cmd_sweep(spec: dict) -> int:
     signal, _, k, sigmas, _, noise, cfg, out = _parse_run_spec(spec)
-    if len(sigmas) < 3:
-        raise SpecError("sigma", f"sweep needs at least 3 values, got {len(sigmas)}")
-    out.mkdir(parents=True, exist_ok=True)
+    distinct = len(set(sigmas))
+    if distinct < 3:
+        raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {distinct}")
+    _make_out_dir(out)
     sups = np.empty((len(sigmas), k))
     for row, sigma in enumerate(sigmas):
         est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
         traj = sim_mod.run_derivative_experiment(signal, noise, est_cfg, cfg)
         for order in range(1, k + 1):
             suffix = "" if order == 1 else str(order)
-            sups[row, order - 1] = sim_mod.steady_state_metric(
-                traj, f"est_error{suffix}").steady_state_sup
+            sups[row, order - 1] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write("sigma," + ",".join(f"est_error_sup_{i}" for i in range(1, k + 1)) + "\n")
         for row, sigma in enumerate(sigmas):

@@ -12,14 +12,13 @@ where branch_i realizes sigma^i s^i / (s+sigma)^i and f_block_i realizes
 -sigma, so the gain sigma sets both the tracking bandwidth and the size of
 the steady-state estimation error.
 
-Two discrete-time advance maps are precomputed for a fixed step h:
-
-* an exact zero-order-hold pair (A_d, B_d): exact when the input really is
-  piecewise constant between samples;
-* a classical Runge-Kutta one-step map sampling the input at t, t+h/2 and
-  t+h: the right choice when the sampled signal is a smooth continuous-time
-  trajectory, since holding such an input injects an O(sigma*omega*h)
-  artifact that can dwarf the estimator's own error at large sigma.
+The cascade is advanced by one discrete-time map for a fixed step h: the
+linear one-step map of classical Runge-Kutta, sampling the input at t, t+h/2
+and t+h. The measured signal is a smooth continuous-time trajectory, and
+holding it constant over a step instead injects an O(sigma*omega*h)
+artifact that can dwarf the estimator's own error at large sigma. The exact
+zero-order-hold pair of :func:`zoh_discretize` stays as the reference that
+map is checked against.
 """
 
 from __future__ import annotations
@@ -223,13 +222,12 @@ def rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float):
 
 
 class DirtyDerivativeEstimator:
-    """Stateful order-k estimator running m parallel scalar channels.
+    """Order-k estimator running m parallel scalar channels.
 
-    Channels share the discrete advance maps; the state is an (n, m) array,
-    zero-initialized. An instance belongs to a single simulation run. The
-    runners in ``sim`` read only its maps and initial state and scan whole
-    input grids; ``output``/``step``/``step_sampled`` are the per-sample
-    reference that batch results are tested against.
+    Channels share the RK4 step maps; the state is an (n, m) array,
+    zero-initialized. The runners in ``sim`` read only its maps and initial
+    state and scan whole input grids; ``output``/``step_sampled`` are the
+    per-sample reference that batch results are tested against.
     """
 
     def __init__(self, config: DirtyDerivativeConfig, step: float):
@@ -244,12 +242,8 @@ class DirtyDerivativeEstimator:
         self.config = config
         self.h = float(step)
         self.continuous = compose_cascade(config.order, config.gain)
-        self.A_d, self.B_d = zoh_discretize(self.continuous.A, self.continuous.B, self.h)
         self.rk4_maps = rk4_step_maps(self.continuous.A, self.continuous.B, self.h)
         self.state = np.zeros((self.continuous.state_dim, config.signal_dim))
-
-    def reset(self) -> None:
-        self.state[:] = 0.0
 
     def _check_sample(self, sample) -> np.ndarray:
         sample = np.asarray(sample, dtype=np.float64)
@@ -262,14 +256,6 @@ class DirtyDerivativeEstimator:
         """Estimates at the current time given the current sample, (k, m)."""
         sample = self._check_sample(sample)
         return self.continuous.C @ self.state + self.continuous.D @ sample[np.newaxis, :]
-
-    def step(self, sample) -> np.ndarray:
-        """Emit estimates at the current time, then advance one step with the
-        sample held constant over it (zero-order hold). Returns (k, m)."""
-        sample = self._check_sample(sample)
-        estimates = self.output(sample)
-        self.state = self.A_d @ self.state + self.B_d @ sample[np.newaxis, :]
-        return estimates
 
     def step_sampled(self, sample, sample_mid, sample_next) -> np.ndarray:
         """Emit estimates at the current time, then advance one RK4 step using
@@ -285,7 +271,7 @@ class DirtyDerivativeEstimator:
 
 
 def build_estimator(config: DirtyDerivativeConfig, step: float) -> DirtyDerivativeEstimator:
-    """Compose the cascade, precompute its discrete maps, zero the state."""
+    """Compose the cascade, precompute its RK4 step maps, zero the state."""
     return DirtyDerivativeEstimator(config, step)
 
 

@@ -2,8 +2,10 @@
 
 A signal is a vector of scalar components, each one of a small closed set of
 descriptors (sinusoids, polynomials, constants). Keeping the set closed means
-every component has closed-form derivatives and an exact supremum bound for
-any derivative order, which the verification harness leans on.
+every component has closed-form derivatives of any order, which the runners
+and the verification checks use as ground truth, and an exact supremum bound
+for each order (:meth:`AnalyticSignal.sup_derivative_bound`), which no check
+uses.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.variance < 0.0:
             raise ValueError("noise variance must be >= 0")
+        if self.seed < 0:
+            raise ValueError("noise seed must be >= 0")
 
     @property
     def enabled(self) -> bool:

@@ -3,8 +3,8 @@
 Two kinds of dynamics are stepped here:
 
 * the nonlinear optimizer flow, integrated by classical RK4;
-* the linear estimator cascade, advanced by its precomputed discrete maps
-  (exact zero-order hold, or RK4 stage sampling of the continuous input).
+* the linear estimator cascade, advanced by its precomputed RK4 step maps,
+  which sample the continuous input at every RK4 stage (t, t+h/2, t+h).
 
 Every LTI run goes through one batch path, :func:`_drive_lti`: the sampled
 input grid is cut into chunks of 64 steps, each chunk's outputs come from
@@ -22,8 +22,8 @@ The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
 :func:`run_interconnections`: one RK4 loop advances the stacked states
 (runs, n), stores only them and checks them for non-finite values a block
-of steps at a time; the recorded columns are computed after the loop on
-blocks of recorded rows, through the same ``flows`` functions.
+of steps at a time; the other columns are computed after the loop on blocks
+of rows, through the same ``flows`` functions.
 :func:`write_csvs` writes the runs' trajectories together, formatting the
 columns they have in common once.
 """
@@ -31,7 +31,6 @@ columns they have in common once.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ STEADY_STATE_FRACTION = 0.2  # metrics use the final 20% of a run
 # anything is allocated. About 67 times the longest shipped run (30k steps).
 MAX_STEPS = 2_000_000
 # Rows handled per block by the flow loop's finiteness check, when deriving
-# recorded columns and when writing CSVs, so that buffers and temporaries
+# the other columns and when writing CSVs, so that buffers and temporaries
 # (such as stacked Hessians or formatted text) do not grow with run length.
 _RECORD_BLOCK_ROWS = 256
 # Steps per chunk of the LTI kernel in _drive_lti.
@@ -67,17 +66,11 @@ class InsufficientDataError(Exception):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step run description.
-
-    ``seed`` is the run-level seed (the CLI wires it into the noise stream);
-    ``record_stride`` keeps every N-th sample in the trajectory.
-    """
+    """Fixed-step run description: the grid t0, t0+h, ..., tf."""
 
     t0: float = 0.0
     tf: float = 10.0
     h: float = 1e-3
-    seed: int = 0
-    record_stride: int = 1
 
     def __post_init__(self):
         if not self.tf > self.t0:
@@ -88,10 +81,6 @@ class SimConfig:
             raise ValueError("run must span at least 10 steps")
         if (self.tf - self.t0) / self.h > MAX_STEPS:
             raise ValueError(f"run must span at most {MAX_STEPS} steps")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
     @property
     def num_steps(self) -> int:
@@ -99,9 +88,6 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.num_steps + 1)
-
-    def record_indices(self) -> np.ndarray:
-        return np.arange(0, self.num_steps + 1, self.record_stride)
 
 
 class Trajectory:
@@ -207,32 +193,10 @@ def write_csvs(pairs) -> None:
                 fh.write("\n".join(map(",".join, zip(*[cells[key] for key in keys]))) + "\n")
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Sup of |column| over the steady-state window, and the first time after
-    which |column| stays below the threshold (None when no threshold given,
-    inf when it never settles)."""
-
-    steady_state_sup: float
-    transient_time: float | None = None
-
-
-def steady_state_metric(traj: Trajectory, column: str, threshold: float | None = None) -> Metric:
-    values = np.abs(traj.column(column))
-    mask = traj.window_mask()
-    sup = float(np.max(values[mask]))
-    transient = None
-    if threshold is not None:
-        below = values < threshold
-        # last index where the column is at or above threshold
-        above = np.flatnonzero(~below)
-        if len(above) == 0:
-            transient = float(traj.t[0])
-        elif above[-1] == len(values) - 1:
-            transient = math.inf
-        else:
-            transient = float(traj.t[above[-1] + 1])
-    return Metric(sup, transient)
+def steady_state_sup(traj: Trajectory, column: str) -> float:
+    """Sup of |column| over the steady-state window, the final
+    ``STEADY_STATE_FRACTION`` of the run."""
+    return float(np.max(np.abs(traj.column(column))[traj.window_mask()]))
 
 
 def slope_fit(points) -> float:
@@ -263,13 +227,9 @@ def integrate_rk4(rhs, x0, cfg: SimConfig) -> Trajectory:
     x = np.asarray(x0, dtype=np.float64).copy()
     n = x.shape[0]
     h = cfg.h
-    idx = cfg.record_indices()
     times = cfg.times()
-    recorded = np.empty((len(idx), n))
-    rec_pos = 0
-    if idx[rec_pos] == 0:
-        recorded[rec_pos] = x
-        rec_pos += 1
+    recorded = np.empty((cfg.num_steps + 1, n))
+    recorded[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(cfg.num_steps):
             t = times[j]
@@ -280,10 +240,8 @@ def integrate_rk4(rhs, x0, cfg: SimConfig) -> Trajectory:
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteStateError(float(times[j + 1]))
-            if rec_pos < len(idx) and idx[rec_pos] == j + 1:
-                recorded[rec_pos] = x
-                rec_pos += 1
-    cols = {"t": times[idx]}
+            recorded[j + 1] = x
+    cols = {"t": times}
     for i in range(n):
         cols[f"x_{i}"] = recorded[:, i]
     return Trajectory(cols)
@@ -316,19 +274,19 @@ def _stage_times(cfg: SimConfig) -> np.ndarray:
 def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Outputs (N+1, q, m) of a discretized realization driven by m channels.
 
-    ``maps`` is either the RK4 tuple (Phi, M0, M1, M2), with ``W`` sampled on
-    the stage grid of :func:`_stage_times`, shape (2N+1, m), or the ZOH pair
-    (A_d, B_d), with ``W`` on the integer grid, shape (N+1, m). ``x0`` is the
-    (n, m) initial state. Outputs are at the integer sample times.
+    ``maps`` is the RK4 tuple (Phi, M0, M1, M2) of
+    :func:`estimator.rk4_step_maps`, ``W`` the inputs sampled on the stage
+    grid of :func:`_stage_times`, shape (2N+1, m), and ``x0`` the (n, m)
+    initial state. Outputs are at the integer sample times.
 
-    The recurrence x[j+1] = T x[j] + taps u[j] is evaluated in chunks of
-    L = ``_CHUNK`` steps. ``taps`` holds the S input columns of one step (the
-    first columns of M0, M1, M2 for RK4, with u[j] = W[2j], W[2j+1], W[2j+2];
-    that of B_d for ZOH, with u[j] = W[j]). The samples are laid out as
-    ``Wf``, shape (L*S, chunks*m): row l*S + s holds tap s of step l of a
-    chunk, column c*m + i chunk c of channel i, and the last chunk is padded
-    with zeros. Three kernels, built once per call from powers of T, then
-    map whole chunks with matrix products:
+    The recurrence x[j+1] = T x[j] + taps u[j], with T = Phi, is evaluated in
+    chunks of L = ``_CHUNK`` steps. ``taps`` holds the S = 3 input columns of
+    one step, the first columns of M0, M1 and M2, with u[j] = W[2j], W[2j+1],
+    W[2j+2]. The samples are laid out as ``Wf``, shape (L*S, chunks*m): row
+    l*S + s holds tap s of step l of a chunk, column c*m + i chunk c of
+    channel i, and the last chunk is padded with zeros. Three kernels, built
+    once per call from powers of T, then map whole chunks with matrix
+    products:
 
     * ``G``, block (i, l) = C T^(i-l) taps for l <= i, zero above: the
       output after step i of a chunk that starts from zero;
@@ -345,25 +303,18 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     chunk keeps each run's rounding independent of any tuning.
     """
     C, D = realization.C, realization.D
-    if len(maps) == 4:
-        T, M0, M1, M2 = maps
-        taps = np.column_stack([M0[:, 0], M1[:, 0], M2[:, 0]])
-        stride = 2                    # stage-grid rows per step
-    else:
-        T, Bd = maps
-        taps = Bd[:, :1]
-        stride = 1
-    samples = W[::stride]             # the integer grid
+    T, M0, M1, M2 = maps
+    taps = np.column_stack([M0[:, 0], M1[:, 0], M2[:, 0]])
     L, n, q, S = _CHUNK, T.shape[0], C.shape[0], taps.shape[1]
-    N, m = len(samples) - 1, W.shape[1]
+    N, m = (len(W) - 1) // 2, W.shape[1]
     chunks = -(-N // L)
 
-    # Tap s of step l of chunk c is Wp[stride * (c L + l) + s].
-    Wp = np.zeros((stride * chunks * L + 1, m))
+    # Tap s of step l of chunk c is Wp[2 (c L + l) + s].
+    Wp = np.zeros((2 * chunks * L + 1, m))
     Wp[:len(W)] = W
     row, col = Wp.strides
     Wf = np.lib.stride_tricks.as_strided(
-        Wp, (L, S, chunks, m), (stride * row, row, stride * L * row, col),
+        Wp, (L, S, chunks, m), (2 * row, row, 2 * L * row, col),
         writeable=False).reshape(L * S, chunks * m)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,18 +344,16 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
         out = np.empty((N + 1, q, m))
         out[0] = C @ x0
         out[1:] = Y.reshape(L, q, chunks, m).transpose(2, 0, 1, 3).reshape(chunks * L, q, m)[:N]
-        out += D[:, 0][None, :, None] * samples[:, None, :]
+        out += D[:, 0][None, :, None] * W[::2, None, :]
         return out
 
 
 def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
-                         x0: np.ndarray | None = None,
-                         integrator: str = "rk4") -> tuple[np.ndarray, np.ndarray]:
+                         x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Drive one LTI realization with a sampled input; returns (times, outputs).
 
     ``input_values`` holds the scalar input on the stage grid of
-    :func:`_stage_times` for the rk4 integrator, or on the integer grid for
-    zoh. Outputs are (N+1, q) at the integer sample times.
+    :func:`_stage_times`. Outputs are (N+1, q) at the integer sample times.
     """
     n = realization.state_dim
     N = cfg.num_steps
@@ -412,22 +361,14 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
         x0 = np.zeros(n)
     x0 = np.asarray(x0, dtype=np.float64).reshape(n, 1)
     u = np.asarray(input_values, dtype=np.float64)
-    if integrator == "rk4":
-        if u.shape[0] != 2 * N + 1:
-            raise ValueError("rk4 input must be sampled on the stage grid")
-        maps = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
-    elif integrator == "zoh":
-        if u.shape[0] != N + 1:
-            raise ValueError("zoh input must be sampled on the integer grid")
-        maps = est_mod.zoh_discretize(realization.A, realization.B, cfg.h)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+    if u.shape[0] != 2 * N + 1:
+        raise ValueError("input must be sampled on the stage grid")
+    maps = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
     return cfg.times(), _drive_lti(realization, maps, u[:, None], x0)[:, :, 0]
 
 
 def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
-                              est_cfg: est_mod.DirtyDerivativeConfig, cfg: SimConfig,
-                              integrator: str = "rk4") -> Trajectory:
+                              est_cfg: est_mod.DirtyDerivativeConfig, cfg: SimConfig) -> Trajectory:
     """Feed (possibly noisy) signal samples to the estimator over one run.
 
     Records the clean signal, the true derivatives, all k estimates, and the
@@ -440,17 +381,10 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
                          f"signal_dim {est_cfg.signal_dim}")
     estimator = est_mod.build_estimator(est_cfg, cfg.h)
     m = signal.dim
-    if integrator == "rk4":
-        ts, maps = _stage_times(cfg), estimator.rk4_maps
-    elif integrator == "zoh":
-        ts, maps = cfg.times(), (estimator.A_d, estimator.B_d)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
-    W = sig_mod.sample_noisy_grid(signal, noise, ts, noise.make_rng())
-    Y = _drive_lti(estimator.continuous, maps, W, estimator.state)
+    W = sig_mod.sample_noisy_grid(signal, noise, _stage_times(cfg), noise.make_rng())
+    Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
 
-    idx = cfg.record_indices()
-    t_rec = cfg.times()[idx]
+    t_rec = cfg.times()
     cols = {"t": t_rec}
     clean = signal.eval_many(t_rec, 0)
     for c in range(m):
@@ -459,7 +393,7 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
         for order in range(1, est_cfg.order + 1):
             suffix = "" if order == 1 else str(order)
             true = signal.eval_many(t_rec, order)
-            hat = Y[idx, order - 1, :]
+            hat = Y[:, order - 1, :]
             for c in range(m):
                 cols[f"thetadot{suffix}_{c}"] = true[:, c]
             for c in range(m):
@@ -536,18 +470,14 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             vm[:, b] = theta_dot_all[1::2]
             v1[:, b] = theta_dot_all[2::2]
 
-    stride = cfg.record_stride
-    X = np.empty((N // stride + 1, B, n))
+    X = np.empty((N + 1, B, n))
     X[0] = x
-    # The states after steps start .. start+len-1 of a block; row i is the
-    # state at grid point start + i + 1.
-    block = np.empty((_RECORD_BLOCK_ROWS, B, n))
 
-    def check_finite(start, rows):
-        # A non-finite state component stays non-finite (x + dx is inf or
-        # nan whenever x is), so the first non-finite row of the block is
-        # the step at which the run failed.
-        finite = np.isfinite(block[:rows]).all(axis=(1, 2))
+    def check_finite(start, stop):
+        # The states after steps start .. stop-1. A non-finite state
+        # component stays non-finite (x + dx is inf or nan whenever x is), so
+        # the first non-finite row is the step at which the run failed.
+        finite = np.isfinite(X[start + 1:stop + 1]).all(axis=(1, 2))
         if not finite.all():
             j = start + int(np.argmin(finite))
             raise NonFiniteStateError(cfg.t0 + j * h + h)
@@ -566,29 +496,24 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
                     k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
                     k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
                     x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    block[j - start] = x
+                    X[j + 1] = x
             except Exception:
                 # A cost may reject a non-finite state (numerics.solve_linear
                 # does); report the step that produced it instead.
-                check_finite(start, j - start)
+                check_finite(start, j)
                 raise
-            check_finite(start, stop - start)
-            # Recorded grid points of this block: the multiples of stride
-            # in start+1 .. stop.
-            first = -(-(start + 1) // stride) * stride
-            X[first // stride:stop // stride + 1] = block[first - start - 1:stop - start:stride]
+            check_finite(start, stop)
 
-        # Recorded rows: every stride-th grid point, every 2*stride-th stage.
-        theta = theta_all[::2 * stride]
-        theta_dot = theta_dot_all[::2 * stride]
-        v_rec = v0[::stride]
+        # The grid points are every other stage.
+        theta = theta_all[::2]
+        theta_dot = theta_dot_all[::2]
         xstar = cost.minimizer(theta)
         uncorrected = [mode is Mode.NONE for mode, _ in runs]
         estimated = np.array([mode is Mode.ESTIMATED for mode, _ in runs])
         loss, tracking, lhs = np.empty((3, len(X), B))
         for start in range(0, len(X), _RECORD_BLOCK_ROWS):
             rows = slice(start, start + _RECORD_BLOCK_ROWS)
-            x_r, theta_r, v_r = X[rows], theta[rows, None, :], v_rec[rows]
+            x_r, theta_r, v_r = X[rows], theta[rows, None, :], v0[rows]
             u = flows_mod.ideal_correction(cost, x_r, theta_r, v_r)
             u[:, uncorrected] = 0.0
             # The certificate is evaluated at the estimate in estimated runs
@@ -598,9 +523,9 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)[0]
             loss[rows] = cost.value(x_r, theta_r)
             tracking[rows] = np.linalg.norm(x_r - xstar[rows, None, :], axis=-1)
-        est_error = np.linalg.norm(v_rec - theta_dot[:, None, :], axis=-1)
+        est_error = np.linalg.norm(v0 - theta_dot[:, None, :], axis=-1)
 
-    t_rec = cfg.times()[::stride]
+    t_rec = cfg.times()
     trajectories = []
     for b, (mode, _) in enumerate(runs):
         estimated = mode is Mode.ESTIMATED
@@ -611,7 +536,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             cols[f"thetadot_{c}"] = theta_dot[:, c]
         if estimated:
             for c in range(p):
-                cols[f"thetahat_{c}"] = v_rec[:, b, c]
+                cols[f"thetahat_{c}"] = v0[:, b, c]
         for c in range(n):
             cols[f"x_{c}"] = X[:, b, c]
         for c in range(n):

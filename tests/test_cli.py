@@ -78,6 +78,27 @@ class TestConfigFile:
         assert cli.main(["estimate", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("command,case", [
+    ("estimate", "missing-config"), ("estimate", "directory-config"),
+    ("estimate", "non-utf8-config"), ("estimate", "out-is-a-file"),
+    ("optimize", "out-is-a-file"), ("sweep", "out-is-a-file")])
+def test_unusable_path_exits_two(tmp_path, capsys, command, case):
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text("tf = 1\nh = 1e-2\n")
+    if case == "missing-config":
+        config.unlink()
+    elif case == "directory-config":
+        config.unlink()
+        config.mkdir()
+    elif case == "non-utf8-config":
+        config.write_bytes(b"tf = 1\n# caf\xe9\n")
+    else:
+        out.write_text("")
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    field = "out" if case == "out-is-a-file" else "config"
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 class TestEstimateCommand:
     def test_writes_outputs_and_prints_oracle(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -211,6 +232,13 @@ class TestSweepCommand:
 
     def test_two_sigmas_is_a_spec_error(self, tmp_path):
         assert cli.main(["sweep", "--sigma", "40,80", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("sigmas", ["40,40,40", "40,80,40"])
+    def test_repeated_sigmas_are_a_spec_error(self, tmp_path, capsys, sigmas):
+        # A power law needs three distinct gains; repeats would fit a nan slope.
+        assert cli.main(["sweep", "--sigma", sigmas, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("error: sigma: ")
+        assert not (tmp_path / "s").exists()
 
 
 class TestVerifyCommand:

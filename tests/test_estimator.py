@@ -181,11 +181,13 @@ class TestStepping:
         # k=1: state obeys x' = -sigma x + c, so x(t) = (c/sigma)(1 - e^{-sigma t})
         # and the estimate is sigma c e^{-sigma t}; ZOH stepping is exact.
         sigma, h, c = 3.0, 1e-3, 2.0
-        dd = est.build_estimator(est.DirtyDerivativeConfig(1, sigma, 1), h)
-        sample = np.array([c])
+        cascade = est.compose_cascade(1, sigma)
+        Ad, Bd = est.zoh_discretize(cascade.A, cascade.B, h)
+        x = np.zeros((1, 1))
         for j in range(2000):
             t = j * h
-            out = dd.step(sample)
+            out = cascade.C @ x + cascade.D * c
+            x = Ad @ x + Bd * c
             expected = sigma * c * math.exp(-sigma * t)
             assert abs(out[0, 0] - expected) <= 1e-10
 
@@ -194,7 +196,7 @@ class TestStepping:
         sample = np.array([2.0])
         out = None
         for _ in range(10_000):
-            out = dd.step(sample)
+            out = dd.step_sampled(sample, sample, sample)
         assert np.max(np.abs(out)) <= 1e-8
 
     def test_ramp_converges_to_slope(self):
@@ -211,7 +213,7 @@ class TestStepping:
 
     def test_first_output_is_feedthrough_only(self):
         dd = est.build_estimator(est.DirtyDerivativeConfig(2, 4.0, 1), 1e-3)
-        out = dd.step(np.array([3.0]))
+        out = dd.step_sampled(np.array([3.0]), np.array([5.0]), np.array([7.0]))
         assert out[0, 0] == pytest.approx(4.0 * 3.0)       # sigma * w
         assert out[1, 0] == pytest.approx(16.0 * 3.0)      # sigma^2 * w
 
@@ -222,25 +224,20 @@ class TestStepping:
                    for _ in range(3)]
         rng = np.random.default_rng(4)
         for _ in range(50):
-            sample = rng.standard_normal(3)
-            out = dd.step(sample)
+            samples = rng.standard_normal((3, 3))      # t, t+h/2, t+h by channel
+            out = dd.step_sampled(*samples)
             for c in range(3):
-                ref = scalars[c].step(sample[c:c + 1])
+                ref = scalars[c].step_sampled(*samples[:, c:c + 1])
                 # channels are independent; matmul summation order may differ
                 # between the (n, 3) and (n, 1) state updates
                 assert np.allclose(out[:, c], ref[:, 0], rtol=1e-12, atol=1e-14)
 
-    def test_reset(self):
-        dd = est.build_estimator(est.DirtyDerivativeConfig(1, 5.0, 1), 1e-3)
-        dd.step(np.array([1.0]))
-        assert np.any(dd.state != 0.0)
-        dd.reset()
-        assert np.all(dd.state == 0.0)
-
     def test_sample_shape_validation(self):
         dd = est.build_estimator(est.DirtyDerivativeConfig(1, 5.0, 2), 1e-3)
-        with pytest.raises(ValueError):
-            dd.step(np.array([1.0]))
+        good, bad = np.array([1.0, 2.0]), np.array([1.0])
+        for samples in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(ValueError):
+                dd.step_sampled(*samples)
 
     def test_gain_step_product_warning(self):
         with pytest.warns(UserWarning, match="sigma"):
@@ -269,8 +266,7 @@ class TestErrorScaling:
                     signal, signals.NoiseSpec(), est.DirtyDerivativeConfig(order, sigma, 1), cfg)
                 for i in range(1, order + 1):
                     suffix = "" if i == 1 else str(i)
-                    sups[(order, i, sigma)] = sim.steady_state_metric(
-                        traj, f"est_error{suffix}").steady_state_sup
+                    sups[(order, i, sigma)] = sim.steady_state_sup(traj, f"est_error{suffix}")
         for order, i in ((1, 1), (2, 1), (2, 2)):
             slope = sim.slope_fit([(s, sups[(order, i, s)]) for s in sigmas])
             assert abs(slope - (-(order + 1 - i))) <= 0.2

@@ -141,8 +141,11 @@ class TestNoise:
         assert 0.0095 <= float(np.var(draws)) <= 0.0105
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variance"):
             signals.NoiseSpec(-0.1, 0)
+        # A negative seed is refused here, not later inside numpy's generator.
+        with pytest.raises(ValueError, match="seed"):
+            signals.NoiseSpec(0.01, -1)
 
 
 class TestValidation:

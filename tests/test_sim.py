@@ -23,15 +23,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             sim.SimConfig(tf=0.05, h=0.01)  # fewer than 10 steps
         with pytest.raises(ValueError):
-            sim.SimConfig(record_stride=0)
-        with pytest.raises(ValueError):
             sim.SimConfig(tf=1e7)  # 1e10 steps, past the step budget
 
     def test_grid(self):
-        cfg = sim.SimConfig(t0=0.0, tf=1.0, h=0.1, record_stride=2)
+        cfg = sim.SimConfig(t0=0.0, tf=1.0, h=0.1)
         assert cfg.num_steps == 10
         assert np.allclose(cfg.times(), np.arange(11) * 0.1)
-        assert np.array_equal(cfg.record_indices(), [0, 2, 4, 6, 8, 10])
 
 
 class TestIntegrateRk4:
@@ -52,32 +49,13 @@ class TestIntegrateRk4:
             sim.integrate_rk4(lambda t, x: 3000.0 * x, np.array([1.0]), cfg)
         assert 0.0 < info.value.t <= 1.0
 
-    def test_record_stride(self):
-        cfg = sim.SimConfig(tf=1.0, h=0.01, record_stride=10)
-        traj = sim.integrate_rk4(lambda t, x: -x, np.array([1.0]), cfg)
-        assert len(traj) == 11
-        assert traj.t[1] == pytest.approx(0.1)
-
 
 class TestMetrics:
     def test_steady_state_sup_uses_final_window(self):
         t = np.linspace(0.0, 10.0, 101)
         values = np.where(t < 8.0, 100.0, 1.0)
         traj = sim.Trajectory({"t": t, "v": values})
-        assert sim.steady_state_metric(traj, "v").steady_state_sup == 1.0
-
-    def test_transient_time(self):
-        t = np.linspace(0.0, 10.0, 101)
-        values = 5.0 * np.exp(-t)
-        traj = sim.Trajectory({"t": t, "v": values})
-        metric = sim.steady_state_metric(traj, "v", threshold=0.1)
-        # 5 e^-t < 0.1 from t = ln(50) ~ 3.912; grid resolution 0.1
-        assert metric.transient_time == pytest.approx(4.0, abs=0.11)
-
-    def test_transient_never_settles(self):
-        t = np.linspace(0.0, 1.0, 11)
-        traj = sim.Trajectory({"t": t, "v": np.ones(11)})
-        assert sim.steady_state_metric(traj, "v", threshold=0.5).transient_time == math.inf
+        assert sim.steady_state_sup(traj, "v") == 1.0
 
     def test_slope_fit_exact_power_law(self):
         sigmas = [40.0, 80.0, 160.0, 320.0]
@@ -167,19 +145,14 @@ class TestTrajectoryCsv:
             sim.Trajectory({"x": [1.0]})
 
 
-class TestDerivativeExperiment:
-    def test_batch_zoh_matches_stateful_stepping(self):
-        signal = signals.sinusoid_5t_minus_2()
-        cfg = sim.SimConfig(tf=0.5, h=1e-2)
-        est_cfg = est.DirtyDerivativeConfig(2, 5.0, 1)
-        traj = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg,
-                                             integrator="zoh")
-        dd = est.build_estimator(est_cfg, cfg.h)
-        for row, t in enumerate(traj.t):
-            out = dd.step(signal.eval(t, 0))
-            assert abs(out[0, 0] - traj.column("thetahat_0")[row]) <= 1e-13
-            assert abs(out[1, 0] - traj.column("thetahat2_0")[row]) <= 1e-13
+def _zoh_maps(realization, h):
+    """The exact zero-order-hold pair in the shape of the RK4 step maps: the
+    sample at t held over the step, the samples at t+h/2 and t+h unused."""
+    Ad, Bd = est.zoh_discretize(realization.A, realization.B, h)
+    return Ad, Bd, np.zeros_like(Bd), np.zeros_like(Bd)
 
+
+class TestDerivativeExperiment:
     def test_batch_rk4_matches_stateful_stepping(self):
         signal = signals.sinusoid_5t_minus_2()
         cfg = sim.SimConfig(tf=0.5, h=1e-2)
@@ -193,14 +166,19 @@ class TestDerivativeExperiment:
             dd.step_sampled(w(t), w(t + cfg.h / 2), w(t + cfg.h))
 
     def test_integrators_agree_at_small_gain_step_product(self):
+        # At sigma*h = 2e-3 the stage-sampled run and the exact zero-order
+        # hold of the same samples settle to nearly the same error.
         signal = signals.sinusoid_5t_minus_2()
         cfg = sim.SimConfig(tf=10.0, h=1e-3)
         est_cfg = est.DirtyDerivativeConfig(1, 2.0, 1)
         rk4 = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
-        zoh = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg,
-                                            integrator="zoh")
-        sup_rk4 = sim.steady_state_metric(rk4, "est_error").steady_state_sup
-        sup_zoh = sim.steady_state_metric(zoh, "est_error").steady_state_sup
+        cascade = est.compose_cascade(1, 2.0)
+        W = signal.eval_many(sim._stage_times(cfg), 0)
+        hat = sim._drive_lti(cascade, _zoh_maps(cascade, cfg.h), W, np.zeros((1, 1)))
+        zoh = sim.Trajectory({"t": cfg.times(),
+                              "est_error": hat[:, 0, 0] - signal.eval_many(cfg.times(), 1)[:, 0]})
+        sup_rk4 = sim.steady_state_sup(rk4, "est_error")
+        sup_zoh = sim.steady_state_sup(zoh, "est_error")
         assert abs(sup_rk4 - sup_zoh) <= 1e-2
 
     def test_noisy_runs_are_deterministic(self):
@@ -220,29 +198,17 @@ class TestDerivativeExperiment:
                                           est.DirtyDerivativeConfig(1, 5.0, 1),
                                           sim.SimConfig())
 
-    def test_unknown_integrator_rejected(self):
-        with pytest.raises(ValueError):
-            sim.run_derivative_experiment(signals.sinusoid_5t_minus_2(),
-                                          signals.NoiseSpec(),
-                                          est.DirtyDerivativeConfig(1, 5.0, 1),
-                                          sim.SimConfig(), integrator="euler")
-
 
 def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
     """The per-step form of sim._drive_lti, in ``dtype``: per-step input
     terms, one matrix-vector recurrence step per grid step, and an einsum
     read-out of the whole state array."""
-    maps = [np.asarray(M, dtype) for M in maps]
+    T, M0, M1, M2 = (np.asarray(M, dtype) for M in maps)
     W = np.asarray(W, dtype)
-    if len(maps) == 4:
-        T, M0, M1, M2 = maps
-        V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
-             + M1[:, 0][None, :, None] * W[1::2, None, :]
-             + M2[:, 0][None, :, None] * W[2::2, None, :])
-        W = W[0::2]
-    else:
-        T, Bd = maps
-        V = Bd[:, 0][None, :, None] * W[:-1, None, :]
+    V = (M0[:, 0][None, :, None] * W[0:-2:2, None, :]
+         + M1[:, 0][None, :, None] * W[1::2, None, :]
+         + M2[:, 0][None, :, None] * W[2::2, None, :])
+    W = W[0::2]
     X = np.empty((len(W),) + x0.shape, dtype)
     X[0] = x0
     for j in range(len(V)):
@@ -253,19 +219,18 @@ def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
 
 class TestChunkedKernel:
     @pytest.mark.parametrize("steps", [10, 63, 64, 65, 1000])
-    @pytest.mark.parametrize("integrator", ["rk4", "zoh"])
+    @pytest.mark.parametrize("maps", ["rk4", "zoh"])
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_matches_per_step_loop(self, order, channels, integrator, steps):
+    def test_matches_per_step_loop(self, order, channels, maps, steps):
         # 10 and 63 steps are one partial chunk, 64 exactly one, 65 one plus
         # a one-step padded chunk, 1000 sixteen chunks with a padded last.
+        # The kernel is linear in any step maps; the exact zero-order-hold
+        # pair gives it a step map with another spectrum and a single tap.
         h = 1e-2
         dd = est.build_estimator(est.DirtyDerivativeConfig(order, 20.0, channels), h)
-        if integrator == "rk4":
-            maps, rows = dd.rk4_maps, 2 * steps + 1
-        else:
-            maps, rows = (dd.A_d, dd.B_d), steps + 1
-        W = np.sin(2.5 * h * np.arange(rows)[:, None] + np.arange(channels))
+        maps = dd.rk4_maps if maps == "rk4" else _zoh_maps(dd.continuous, h)
+        W = np.sin(2.5 * h * np.arange(2 * steps + 1)[:, None] + np.arange(channels))
         x0 = np.random.default_rng(order).standard_normal(dd.state.shape)
         got = sim._drive_lti(dd.continuous, maps, W, x0)
         expected = _loop_drive_lti(dd.continuous, maps, W, x0)
@@ -313,17 +278,19 @@ class TestSimulateRealization:
         y_ref = ref.column_group("x") @ block.C[0]
         assert np.max(np.abs(y[:, 0] - y_ref)) <= 1e-12
 
-    def test_zoh_with_initial_state_matches_stateful_stepping(self):
+    def test_initial_state_matches_stateful_stepping(self):
         est_cfg = est.DirtyDerivativeConfig(2, 5.0, 1)
         cfg = sim.SimConfig(tf=0.5, h=1e-2)
         dd = est.build_estimator(est_cfg, cfg.h)
         x0 = np.random.default_rng(4).standard_normal(dd.continuous.state_dim)
-        u = np.sin(cfg.times())
-        _, y = sim.simulate_realization(dd.continuous, u, cfg, x0=x0, integrator="zoh")
+        u = np.sin(sim._stage_times(cfg))[:, None]
+        _, y = sim.simulate_realization(dd.continuous, u[:, 0], cfg, x0=x0)
         dd.state = x0.reshape(-1, 1).copy()
-        for row, sample in enumerate(u):
-            out = dd.step([sample])[:, 0]
+        for row in range(cfg.num_steps + 1):
+            out = dd.output(u[2 * row])[:, 0]
             assert np.max(np.abs(out - y[row])) <= 1e-13 * max(1.0, np.max(np.abs(out)))
+            if row < cfg.num_steps:
+                dd.step_sampled(*u[2 * row:2 * row + 3])
 
     def test_grid_length_validation(self):
         block = est.build_f_block(1, 1.0)
@@ -399,8 +366,8 @@ class TestInterconnection:
         signal = signals.benchmark_parameter_path()
         ideal = sim.run_interconnection(cost, signal, flows.CorrectionMode.IDEAL, cfg)
         none = sim.run_interconnection(cost, signal, flows.CorrectionMode.NONE, cfg)
-        sup_ideal = sim.steady_state_metric(ideal, "tracking_error").steady_state_sup
-        sup_none = sim.steady_state_metric(none, "tracking_error").steady_state_sup
+        sup_ideal = sim.steady_state_sup(ideal, "tracking_error")
+        sup_none = sim.steady_state_sup(none, "tracking_error")
         assert sup_none > 0.1
         assert sup_none > sup_ideal
 
@@ -497,25 +464,24 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
     rows = []
     for j in range(N + 1):
         theta, theta_dot = theta_all[2 * j], theta_dot_all[2 * j]
-        if j % cfg.record_stride == 0:
-            v_cert = hat[j] if estimated else theta_dot
-            u = np.zeros(n) if mode is NONE else flows.ideal_correction(cost, x, theta, v_cert)
-            _, gx, gt = flows.lyapunov_gradients(cost, x, theta)
-            lhs, _ = flows.check_redesign_condition(gx, gt, u, v_cert)
-            xstar = cost.minimizer(theta)
-            row = {"t": cfg.t0 + j * h}
-            row.update({f"theta_{c}": theta[c] for c in range(signal.dim)})
-            row.update({f"thetadot_{c}": theta_dot[c] for c in range(signal.dim)})
-            if estimated:
-                row.update({f"thetahat_{c}": hat[j, c] for c in range(signal.dim)})
-            row.update({f"x_{c}": x[c] for c in range(n)})
-            row.update({f"xstar_{c}": xstar[c] for c in range(n)})
-            row["loss"] = cost.value(x, theta)
-            row["tracking_error"] = np.linalg.norm(x - xstar)
-            if estimated:
-                row["est_error"] = np.linalg.norm(hat[j] - theta_dot)
-            row["redesign_lhs"] = lhs
-            rows.append(row)
+        v_cert = hat[j] if estimated else theta_dot
+        u = np.zeros(n) if mode is NONE else flows.ideal_correction(cost, x, theta, v_cert)
+        _, gx, gt = flows.lyapunov_gradients(cost, x, theta)
+        lhs, _ = flows.check_redesign_condition(gx, gt, u, v_cert)
+        xstar = cost.minimizer(theta)
+        row = {"t": cfg.t0 + j * h}
+        row.update({f"theta_{c}": theta[c] for c in range(signal.dim)})
+        row.update({f"thetadot_{c}": theta_dot[c] for c in range(signal.dim)})
+        if estimated:
+            row.update({f"thetahat_{c}": hat[j, c] for c in range(signal.dim)})
+        row.update({f"x_{c}": x[c] for c in range(n)})
+        row.update({f"xstar_{c}": xstar[c] for c in range(n)})
+        row["loss"] = cost.value(x, theta)
+        row["tracking_error"] = np.linalg.norm(x - xstar)
+        if estimated:
+            row["est_error"] = np.linalg.norm(hat[j] - theta_dot)
+        row["redesign_lhs"] = lhs
+        rows.append(row)
         if j == N:
             break
         if mode is IDEAL:
@@ -599,14 +565,15 @@ def _run_alone(cost_name, index):
 
 
 class TestInterconnections:
-    @pytest.mark.parametrize("cost_name,noise_var,stride", [
+    # tf = 1 records 101 rows, inside one recording block; tf = 3 records
+    # 301 rows, more than one.
+    @pytest.mark.parametrize("cost_name,noise_var,tf", [
         ("quadratic-tracking", 0.0, 1), ("logcosh", 0.0, 3),
         ("quadratic-tracking", 0.01, 3), ("logcosh", 0.01, 1)])
-    def test_batch_matches_run_by_run_reference(self, cost_name, noise_var, stride):
+    def test_batch_matches_run_by_run_reference(self, cost_name, noise_var, tf):
         cost = flows.cost_by_name(cost_name, 3)
         signal = signals.benchmark_parameter_path()
-        # 301 recorded rows at stride 1: more than one recording block.
-        cfg = sim.SimConfig(tf=3.0, h=1e-2, record_stride=stride)
+        cfg = sim.SimConfig(tf=tf, h=1e-2)
         noise = signals.NoiseSpec(noise_var, 5)
         batch = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg, noise=noise)
         for (mode, est_cfg), traj in zip(MIXED_RUNS, batch):
@@ -649,22 +616,25 @@ class TestInterconnections:
         assert info.value.t == 12.6  # the time the run-by-run loop reported
 
     @pytest.mark.parametrize("cost_class", [_FieldBlowsUpAt, _RejectsNonFiniteState])
-    @pytest.mark.parametrize("step,stride", [
+    # finite_runs uncorrected runs, which stay finite, are integrated beside
+    # the failing ideal run.
+    @pytest.mark.parametrize("step,finite_runs", [
         (0, 1),                                 # the first step
         (sim._RECORD_BLOCK_ROWS - 1, 1),        # the last step of a block
         (sim._RECORD_BLOCK_ROWS, 1),            # the first step of the next block
-        (100, 3)])                              # a step whose state is not recorded
-    def test_failing_time_matches_a_per_step_check(self, cost_class, step, stride):
-        cfg = sim.SimConfig(tf=6.0, h=1e-2, record_stride=stride)
+        (100, 3)])                              # a step inside a block
+    def test_failing_time_matches_a_per_step_check(self, cost_class, step, finite_runs):
+        cfg = sim.SimConfig(tf=6.0, h=1e-2)
         signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0)),))   # theta = t
         # The field is infinite from the stage where theta reaches the end of
-        # the step, in the ideal run only; the none run stays finite.
+        # the step, in the ideal run only; the none runs stay finite.
         t_bad = signal.eval_many(sim._stage_times(cfg), 0)[2 * step + 2, 0]
         cost = cost_class(t_bad)
         expected = _per_step_failure_time(cost, signal, cfg)
         assert expected == cfg.t0 + step * cfg.h + cfg.h
+        runs = [(NONE, None)] * finite_runs + [(IDEAL, None)]
         with pytest.raises(sim.NonFiniteStateError) as info:
-            sim.run_interconnections(cost, signal, [(NONE, None), (IDEAL, None)], cfg)
+            sim.run_interconnections(cost, signal, runs, cfg)
         assert info.value.t == expected
 
     def test_empty_run_list_rejected(self):
