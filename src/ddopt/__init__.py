@@ -21,7 +21,6 @@ from .flows import (
     check_redesign_condition,
     corrected_newton_rhs,
     cost_by_name,
-    gradient_flow_rhs,
     ideal_correction,
     lyapunov_gradients,
 )
@@ -34,7 +33,6 @@ from .numerics import (
 )
 from .signals import (
     AnalyticSignal,
-    Constant,
     NoiseSpec,
     Polynomial,
     Sinusoid,

@@ -61,17 +61,13 @@ NOISE_VARIANCE = 0.01
 NOISE_SEED = 42
 
 
-def _scalar_sinusoid() -> sig_mod.AnalyticSignal:
-    return sig_mod.sinusoid_5t_minus_2()
-
-
 @functools.lru_cache(maxsize=None)
 def _derivative_run(sigma: float, order: int, tf: float, h: float,
                     variance: float = 0.0, seed: int = 0) -> sim_mod.Trajectory:
     cfg = sim_mod.SimConfig(t0=0.0, tf=tf, h=h)
     est_cfg = est_mod.DirtyDerivativeConfig(order, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
-    return sim_mod.run_derivative_experiment(_scalar_sinusoid(), noise, est_cfg, cfg)
+    return sim_mod.run_derivative_experiment(sig_mod.sinusoid_5t_minus_2(), noise, est_cfg, cfg)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,8 +186,7 @@ def check_block_output_bound() -> CheckResult:
     def run():
         rng = np.random.default_rng(20260811)
         cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
-        ts = cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
-        u = np.sin(ts)
+        u = np.sin(cfg.stage_times())
         violations = 0
         total = 0
         margin = math.inf
@@ -376,7 +371,7 @@ CHECKS = [
 ]
 
 
-def run_checks(names=None, transfer_perturbation: float = 0.0):
+def run_checks(names=None):
     """Run the battery (or the named subset) and return CheckResults."""
     known = {name for name, _ in CHECKS}
     if names:
@@ -387,8 +382,5 @@ def run_checks(names=None, transfer_perturbation: float = 0.0):
     for name, fn in CHECKS:
         if names and name not in names:
             continue
-        if name == "transfer-equivalence":
-            results.append(check_transfer_equivalence(transfer_perturbation))
-        else:
-            results.append(fn())
+        results.append(fn())
     return results

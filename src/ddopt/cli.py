@@ -137,11 +137,24 @@ _FLAG_DEFAULTS = {
     "estimate": dict(signal="sin(5*t-2)", k="1", sigma="5", noise_var="0", seed="0",
                      t0="0", tf="10", h="1e-3", out="out"),
     "optimize": dict(signal="cos(5*t-2),sin(5*t-2),cos2(5*t-2)", cost="quadratic-tracking",
-                     k="1", sigma="5,20", mode="ideal,estimated", noise_var="0", seed="0",
+                     mode="ideal,estimated", k="1", sigma="5,20", noise_var="0", seed="0",
                      t0="0", tf="10", h="1e-3", out="out"),
     "sweep": dict(signal="sin(5*t-2)", k="1", sigma="40,80,160,320", noise_var="0",
                   seed="0", t0="0", tf="30", h="1e-3", out="out"),
-    "verify": dict(),
+}
+# A run command takes one flag per key of its _FLAG_DEFAULTS entry, plus --config.
+_FLAG_HELP = {
+    "signal": "signal components, e.g. 'sin(5*t-2)' or 'cos(5*t-2),poly:0,1'",
+    "cost": "cost model: quadratic-tracking or logcosh",
+    "mode": "correction modes: none, ideal, estimated (comma list)",
+    "k": "estimator order (>= 1)",
+    "sigma": "estimator gain, comma list for sweep/optimize",
+    "noise_var": "measurement noise variance",
+    "seed": "seed for the noise stream",
+    "t0": "start time",
+    "tf": "end time",
+    "h": "integration step",
+    "out": "output directory",
 }
 
 
@@ -243,9 +256,9 @@ def cmd_estimate(spec: dict) -> int:
     if len(sigmas) != 1:
         raise SpecError("sigma", f"estimate takes one value, got {len(sigmas)}")
     sigma = sigmas[0]
+    _make_out_dir(out)
     est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
     traj = sim_mod.run_derivative_experiment(signal, noise, est_cfg, cfg)
-    _make_out_dir(out)
     traj.to_csv(out / "trajectory.csv")
 
     series = []
@@ -325,7 +338,7 @@ def cmd_sweep(spec: dict) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     names = set(ns.only.split(",")) if ns.only else None
     try:
-        results = checks_mod.run_checks(names, transfer_perturbation=ns.perturb_transfer)
+        results = checks_mod.run_checks(names)
     except ValueError as exc:
         raise SpecError("only", str(exc)) from None
     width = max(len(r.name) for r in results)
@@ -348,31 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "time-varying optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p, command):
-        p.add_argument("--signal", help="signal components, e.g. 'sin(5*t-2)' or "
-                                        "'cos(5*t-2),poly:0,1'")
-        if command == "optimize":
-            p.add_argument("--cost", help="cost model: quadratic-tracking or logcosh")
-            p.add_argument("--mode", help="correction modes: none, ideal, estimated "
-                                          "(comma list)")
-        p.add_argument("--k", help="estimator order (>= 1)")
-        p.add_argument("--sigma", help="estimator gain, comma list for sweep/optimize")
-        p.add_argument("--noise-var", dest="noise_var", help="measurement noise variance")
-        p.add_argument("--seed", help="seed for the noise stream")
-        p.add_argument("--t0", help="start time")
-        p.add_argument("--tf", help="end time")
-        p.add_argument("--h", help="integration step")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help="flat key = value config file (flags override)")
-
     for name, help_text in (("estimate", "run the derivative-tracking experiment"),
                             ("optimize", "run the moving-minimizer Newton flow"),
                             ("sweep", "sweep sigma and fit error power laws")):
-        add_run_flags(sub.add_parser(name, help=help_text), name)
+        p = sub.add_parser(name, help=help_text)
+        for key in _FLAG_DEFAULTS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAG_HELP[key])
+        p.add_argument("--config", help="flat key = value config file (flags override)")
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--only", help="comma list of check names to run")
-    verify.add_argument("--perturb-transfer", dest="perturb_transfer", type=float,
-                        default=0.0, help=argparse.SUPPRESS)
     return parser
 
 

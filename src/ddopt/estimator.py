@@ -67,14 +67,6 @@ class LtiRealization:
     def state_dim(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class DirtyDerivativeConfig:
@@ -240,9 +232,8 @@ class DirtyDerivativeEstimator:
                 stacklevel=2,
             )
         self.config = config
-        self.h = float(step)
         self.continuous = compose_cascade(config.order, config.gain)
-        self.rk4_maps = rk4_step_maps(self.continuous.A, self.continuous.B, self.h)
+        self.rk4_maps = rk4_step_maps(self.continuous.A, self.continuous.B, float(step))
         self.state = np.zeros((self.continuous.state_dim, config.signal_dim))
 
     def _check_sample(self, sample) -> np.ndarray:

@@ -164,8 +164,8 @@ class LogCoshTrackingCost(CostModel):
 
     name = "logcosh"
 
-    def __init__(self, dim: int, mu: float = 0.1):
-        super().__init__(dim, dim, mu=mu)
+    def __init__(self, dim: int):
+        super().__init__(dim, dim, mu=0.1)
         self._eye = np.eye(dim)
         self._eye.setflags(write=False)
 
@@ -253,11 +253,6 @@ def corrected_newton_rhs(cost: CostModel, x, theta, velocity=None) -> np.ndarray
     evaluate elementwise.
     """
     return cost.newton_field(x, theta, velocity)
-
-
-def gradient_flow_rhs(cost: CostModel, x, theta) -> np.ndarray:
-    """Plain descent flow -grad f."""
-    return -cost.gradient(x, theta)
 
 
 def lyapunov_gradients(cost: CostModel, x, theta):

@@ -1,11 +1,11 @@
 """Parameter trajectories with exact derivatives of every order.
 
 A signal is a vector of scalar components, each one of a small closed set of
-descriptors (sinusoids, polynomials, constants). Keeping the set closed means
-every component has closed-form derivatives of any order, which the runners
-and the verification checks use as ground truth, and an exact supremum bound
-for each order (:meth:`AnalyticSignal.sup_derivative_bound`), which no check
-uses.
+descriptors: sinusoids and polynomials (a constant is a degree-0
+polynomial). Keeping the set closed means every component has closed-form
+derivatives of any order, which the runners and the verification checks use
+as ground truth, and an exact supremum bound for each order
+(:meth:`AnalyticSignal.sup_derivative_bound`), which no check uses.
 """
 
 from __future__ import annotations
@@ -97,18 +97,6 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float = 0.0
-
-    def eval(self, t, order: int):
-        t = np.asarray(t, dtype=np.float64)
-        return np.full_like(t, self.value if order == 0 else 0.0)
-
-    def sup_derivative(self, order: int) -> float:
-        return abs(self.value) if order == 0 else 0.0
-
-
-@dataclass(frozen=True)
 class AnalyticSignal:
     """Vector-valued signal; one descriptor per component."""
 
@@ -158,6 +146,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.variance < 0.0:
             raise ValueError("noise variance must be >= 0")
+        if not math.isfinite(self.variance):
+            raise ValueError("noise variance must be finite")
         if self.seed < 0:
             raise ValueError("noise seed must be >= 0")
 

@@ -60,8 +60,8 @@ class NonFiniteStateError(Exception):
         self.t = t
 
 
-class InsufficientDataError(Exception):
-    """Not enough points for the requested fit."""
+class InsufficientDataError(ValueError):
+    """Not enough usable points for the requested fit."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,10 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.num_steps + 1)
+
+    def stage_times(self) -> np.ndarray:
+        """Integer and half-step sample times, t0, t0+h/2, t0+h, ..., tf."""
+        return self.t0 + 0.5 * self.h * np.arange(2 * self.num_steps + 1)
 
 
 class Trajectory:
@@ -121,27 +125,16 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    def column_group(self, prefix: str) -> np.ndarray:
-        """Stack columns named ``<prefix>_0 .. <prefix>_{d-1}`` into (len, d)."""
-        names = []
-        i = 0
-        while f"{prefix}_{i}" in self.columns:
-            names.append(f"{prefix}_{i}")
-            i += 1
-        if not names:
-            raise KeyError(f"no columns with prefix {prefix!r}")
-        return np.column_stack([self.columns[n] for n in names])
-
     def check_finite(self) -> None:
         for name, arr in self.columns.items():
             if not np.all(np.isfinite(arr)):
                 bad = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise NonFiniteStateError(float(self.t[bad]))
 
-    def window_mask(self, fraction: float = STEADY_STATE_FRACTION) -> np.ndarray:
-        """Boolean mask selecting the final ``fraction`` of the run."""
+    def window_mask(self) -> np.ndarray:
+        """Boolean mask selecting the final ``STEADY_STATE_FRACTION`` of the run."""
         t = self.t
-        return t >= t[0] + (1.0 - fraction) * (t[-1] - t[0])
+        return t >= t[0] + (1.0 - STEADY_STATE_FRACTION) * (t[-1] - t[0])
 
     def to_csv(self, path) -> None:
         """Write all columns, 17 significant digits, LF line endings."""
@@ -202,8 +195,8 @@ def steady_state_sup(traj: Trajectory, column: str) -> float:
 def slope_fit(points) -> float:
     """Least-squares slope of log(error) versus log(sigma).
 
-    ``points`` is a sequence of (sigma, error) pairs, all positive; fewer
-    than three raise :class:`InsufficientDataError`.
+    ``points`` is a sequence of (sigma, error) pairs; fewer than three, or
+    a value that is not positive, raise :class:`InsufficientDataError`.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -211,7 +204,7 @@ def slope_fit(points) -> float:
     sig = np.array([p[0] for p in pts], dtype=np.float64)
     err = np.array([p[1] for p in pts], dtype=np.float64)
     if np.any(sig <= 0.0) or np.any(err <= 0.0):
-        raise ValueError("slope fit needs positive sigma and error values")
+        raise InsufficientDataError("slope fit needs positive sigma and error values")
     x = np.log(sig)
     y = np.log(err)
     x = x - x.mean()
@@ -266,17 +259,12 @@ def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return X
 
 
-def _stage_times(cfg: SimConfig) -> np.ndarray:
-    """Integer and half-step sample times, t0, t0+h/2, t0+h, ..., tf."""
-    return cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
-
-
 def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Outputs (N+1, q, m) of a discretized realization driven by m channels.
 
     ``maps`` is the RK4 tuple (Phi, M0, M1, M2) of
-    :func:`estimator.rk4_step_maps`, ``W`` the inputs sampled on the stage
-    grid of :func:`_stage_times`, shape (2N+1, m), and ``x0`` the (n, m)
+    :func:`estimator.rk4_step_maps`, ``W`` the inputs sampled on
+    :meth:`SimConfig.stage_times`, shape (2N+1, m), and ``x0`` the (n, m)
     initial state. Outputs are at the integer sample times.
 
     The recurrence x[j+1] = T x[j] + taps u[j], with T = Phi, is evaluated in
@@ -352,8 +340,9 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
                          x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Drive one LTI realization with a sampled input; returns (times, outputs).
 
-    ``input_values`` holds the scalar input on the stage grid of
-    :func:`_stage_times`. Outputs are (N+1, q) at the integer sample times.
+    ``input_values`` holds the scalar input sampled on
+    :meth:`SimConfig.stage_times`. Outputs are (N+1, q) at the integer
+    sample times.
     """
     n = realization.state_dim
     N = cfg.num_steps
@@ -381,7 +370,7 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
                          f"signal_dim {est_cfg.signal_dim}")
     estimator = est_mod.build_estimator(est_cfg, cfg.h)
     m = signal.dim
-    W = sig_mod.sample_noisy_grid(signal, noise, _stage_times(cfg), noise.make_rng())
+    W = sig_mod.sample_noisy_grid(signal, noise, cfg.stage_times(), noise.make_rng())
     Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
 
     t_rec = cfg.times()
@@ -447,7 +436,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
     x = np.tile(x0, (B, 1))
 
-    ts_all = _stage_times(cfg)
+    ts_all = cfg.stage_times()
     theta_all = signal.eval_many(ts_all, 0)        # exact path at stage times
     theta_dot_all = signal.eval_many(ts_all, 1)
     meas_all = None

@@ -15,18 +15,19 @@ WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 PALETTE = ["#1f77b4", "#d62728", "#e6b800", "#2ca02c", "#9467bd", "#8c564b", "#17becf"]
 MAX_POINTS = 2000  # polylines are decimated beyond this
+TICK_COUNT = 6  # target number of ticks per axis
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
+def _ticks(lo: float, hi: float):
     if not math.isfinite(lo) or not math.isfinite(hi):
         lo, hi = 0.0, 1.0
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / (count - 1)
+    raw = (hi - lo) / (TICK_COUNT - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,8 +42,8 @@ def _ticks(lo: float, hi: float, count: int = 6):
     return ticks
 
 
-def line_plot(path, series, title: str = "", xlabel: str = "t", ylabel: str = "") -> None:
-    """Write a line plot; ``series`` is a list of (label, xs, ys)."""
+def line_plot(path, series, title: str = "", ylabel: str = "") -> None:
+    """Write a line plot over t; ``series`` is a list of (label, xs, ys)."""
     if not series:
         raise ValueError("need at least one series")
     xs_all = np.concatenate([np.asarray(s[1], dtype=np.float64) for s in series])
@@ -89,7 +90,7 @@ def line_plot(path, series, title: str = "", xlabel: str = "t", ylabel: str = ""
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                f'fill="none" stroke="#333333"/>')
     out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
-               f'text-anchor="middle">{xlabel}</text>')
+               'text-anchor="middle">t</text>')
     if ylabel:
         out.append(f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
                    f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')

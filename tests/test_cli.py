@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddopt import cli, signals, sim
+from ddopt import checks, cli, signals, sim
 
 
 class TestSignalGrammar:
@@ -82,7 +82,12 @@ class TestConfigFile:
     ("estimate", "missing-config"), ("estimate", "directory-config"),
     ("estimate", "non-utf8-config"), ("estimate", "out-is-a-file"),
     ("optimize", "out-is-a-file"), ("sweep", "out-is-a-file")])
-def test_unusable_path_exits_two(tmp_path, capsys, command, case):
+def test_unusable_path_exits_two(tmp_path, capsys, monkeypatch, command, case):
+    def run_started(*args, **kwargs):
+        raise AssertionError("the run started before the output path was checked")
+
+    monkeypatch.setattr(sim, "run_derivative_experiment", run_started)
+    monkeypatch.setattr(sim, "run_interconnections", run_started)
     config, out = tmp_path / "run.cfg", tmp_path / "out"
     config.write_text("tf = 1\nh = 1e-2\n")
     if case == "missing-config":
@@ -240,6 +245,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: sigma: ")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("signal", ["poly:0", "0*sin(t)"])
+    def test_zero_error_is_a_run_failure(self, tmp_path, capsys, signal):
+        # An exactly zero error has no logarithm to fit a slope through.
+        rc = cli.main(["sweep", "--signal", signal, "--tf", "2", "--out", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, capsys):
@@ -249,10 +262,13 @@ class TestVerifyCommand:
         assert "lyapunov-residuals" in printed
         assert "verification PASSED" in printed
 
-    def test_perturbed_transfer_fails(self, capsys):
-        rc = cli.main(["verify", "--only", "transfer-equivalence",
-                       "--perturb-transfer", "1e-3"])
-        assert rc == 1
+    def test_perturbed_transfer_fails(self, capsys, monkeypatch):
+        def perturbed():
+            return checks.check_transfer_equivalence(1e-3)
+
+        assert not perturbed().passed
+        monkeypatch.setattr(checks, "CHECKS", [("transfer-equivalence", perturbed)])
+        assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_unknown_check_name(self):
@@ -265,3 +281,4 @@ class TestParser:
 
     def test_unknown_flag_exits_two(self):
         assert cli.main(["estimate", "--banana", "1"]) == 2
+        assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2

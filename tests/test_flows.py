@@ -161,22 +161,6 @@ class TestCorrections:
         assert np.array_equal(flows.corrected_newton_rhs(cost, x, theta, None), newton)
 
 
-class TestGradientFlow:
-    def test_zero_at_minimizer(self):
-        cost = flows.QuadraticTrackingCost(2)
-        theta = np.array([0.3, -0.7])
-        assert np.array_equal(flows.gradient_flow_rhs(cost, theta.copy(), theta), np.zeros(2))
-
-    def test_descends(self):
-        cost = flows.QuadraticTrackingCost(2)
-        rhs = flows.gradient_flow_rhs(cost, np.array([3.0, -1.0]), np.zeros(2))
-        assert np.array_equal(rhs, [-3.0, 1.0])
-
-    def test_scalar_curvature(self):
-        rhs = flows.gradient_flow_rhs(FixedDiagonalCost(), np.array([1.0, 0.0]), np.zeros(1))
-        assert rhs[0] == -2.0
-
-
 class TestLyapunovGradients:
     def test_zero_at_minimizer(self):
         cost = flows.LogCoshTrackingCost(3)
@@ -299,7 +283,7 @@ class TestContraction:
             return flows.corrected_newton_rhs(cost, x, signal.eval(t, 0), signal.eval(t, 1))
 
         traj = sim.integrate_rk4(rhs, np.zeros(3), cfg)
-        x = traj.column_group("x")
+        x = np.column_stack([traj.column(f"x_{i}") for i in range(3)])
         theta = signal.eval_many(traj.t, 0)
         err = np.linalg.norm(x - theta, axis=1)
         e0 = np.linalg.norm(signal.eval(0.0, 0))

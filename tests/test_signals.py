@@ -30,7 +30,7 @@ class TestEval:
             assert sig.eval(t, 0)[0] == pytest.approx(2.0 * math.cos(5 * t - 2) ** 2, abs=1e-12)
 
     def test_constant(self):
-        sig = scalar(signals.Constant(7.0))
+        sig = scalar(signals.Polynomial((7.0,)))
         assert sig.eval(1.0, 0)[0] == 7.0
         assert sig.eval(1.0, 1)[0] == 0.0
 
@@ -54,7 +54,7 @@ class TestEval:
             signals.Sinusoid(0.7, 3.0, 0.4, "cos"),
             signals.Sinusoid(1.0, 5.0, -2.0, "cos2"),
             signals.Polynomial((1.0, 2.0, 0.5, -0.25)),
-            signals.Constant(3.0),
+            signals.Polynomial((3.0,)),
         ]
         for desc in descriptors:
             sig = scalar(desc)
@@ -70,7 +70,7 @@ class TestSupBound:
         assert signals.sinusoid_5t_minus_2().sup_derivative_bound(2) == pytest.approx(25.0)
 
     def test_constant_derivative(self):
-        assert scalar(signals.Constant(7.0)).sup_derivative_bound(1) == 0.0
+        assert scalar(signals.Polynomial((7.0,))).sup_derivative_bound(1) == 0.0
 
     def test_benchmark_path_second_derivative(self):
         # cos^2 rewritten as (1 + cos(2u))/2 has second-derivative amplitude 50;
@@ -134,15 +134,16 @@ class TestNoise:
 
     def test_empirical_variance(self):
         # Law of large numbers: 1e5 draws of var 0.01 land in [0.0095, 0.0105].
-        sig = scalar(signals.Constant(0.0))
         noise = signals.NoiseSpec(0.01, 2024)
         rng = noise.make_rng()
         draws = rng.normal(0.0, math.sqrt(noise.variance), size=100_000)
         assert 0.0095 <= float(np.var(draws)) <= 0.0105
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError, match="variance"):
-            signals.NoiseSpec(-0.1, 0)
+        # A nan variance would read as disabled noise and inf as enabled.
+        for variance in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="variance"):
+                signals.NoiseSpec(variance, 0)
         # A negative seed is refused here, not later inside numpy's generator.
         with pytest.raises(ValueError, match="seed"):
             signals.NoiseSpec(0.01, -1)

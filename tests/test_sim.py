@@ -173,7 +173,7 @@ class TestDerivativeExperiment:
         est_cfg = est.DirtyDerivativeConfig(1, 2.0, 1)
         rk4 = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
         cascade = est.compose_cascade(1, 2.0)
-        W = signal.eval_many(sim._stage_times(cfg), 0)
+        W = signal.eval_many(cfg.stage_times(), 0)
         hat = sim._drive_lti(cascade, _zoh_maps(cascade, cfg.h), W, np.zeros((1, 1)))
         zoh = sim.Trajectory({"t": cfg.times(),
                               "est_error": hat[:, 0, 0] - signal.eval_many(cfg.times(), 1)[:, 0]})
@@ -251,7 +251,7 @@ class TestChunkedKernel:
         # the chunked form must stay within a small factor of the loop's.
         cfg = sim.SimConfig(tf=5.0, h=1e-3)
         dd = est.build_estimator(est.DirtyDerivativeConfig(order, sigma, 1), cfg.h)
-        W = np.sin(5.0 * sim._stage_times(cfg) - 2.0)[:, None]
+        W = np.sin(5.0 * cfg.stage_times() - 2.0)[:, None]
         window = sim.Trajectory({"t": cfg.times()}).window_mask()
         got = sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
         loop = _loop_drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
@@ -267,15 +267,14 @@ class TestSimulateRealization:
     def test_matches_general_rk4_integrator(self):
         block = est.build_f_block(2, 2.0)
         cfg = sim.SimConfig(tf=2.0, h=1e-3)
-        ts = cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
         x0 = np.array([0.3, -0.8])
-        _, y = sim.simulate_realization(block, np.sin(ts), cfg, x0=x0)
+        _, y = sim.simulate_realization(block, np.sin(cfg.stage_times()), cfg, x0=x0)
 
         def rhs(t, x):
             return block.A @ x + block.B[:, 0] * math.sin(t)
 
         ref = sim.integrate_rk4(rhs, x0, cfg)
-        y_ref = ref.column_group("x") @ block.C[0]
+        y_ref = np.column_stack([ref.column("x_0"), ref.column("x_1")]) @ block.C[0]
         assert np.max(np.abs(y[:, 0] - y_ref)) <= 1e-12
 
     def test_initial_state_matches_stateful_stepping(self):
@@ -283,7 +282,7 @@ class TestSimulateRealization:
         cfg = sim.SimConfig(tf=0.5, h=1e-2)
         dd = est.build_estimator(est_cfg, cfg.h)
         x0 = np.random.default_rng(4).standard_normal(dd.continuous.state_dim)
-        u = np.sin(sim._stage_times(cfg))[:, None]
+        u = np.sin(cfg.stage_times())[:, None]
         _, y = sim.simulate_realization(dd.continuous, u[:, 0], cfg, x0=x0)
         dd.state = x0.reshape(-1, 1).copy()
         for row in range(cfg.num_steps + 1):
@@ -335,10 +334,9 @@ class TestInterconnection:
         traj = sim.run_interconnection(flows.QuadraticTrackingCost(3), signal,
                                        flows.CorrectionMode.ESTIMATED, cfg,
                                        est_cfg=est_cfg, noise=noise)
-        ts = cfg.t0 + 0.5 * cfg.h * np.arange(2 * cfg.num_steps + 1)
-        w = signals.sample_noisy_grid(signal, noise, ts, noise.make_rng())
+        w = signals.sample_noisy_grid(signal, noise, cfg.stage_times(), noise.make_rng())
         dd = est.build_estimator(est_cfg, cfg.h)
-        hat = traj.column_group("thetahat")
+        hat = np.column_stack([traj.column(f"thetahat_{c}") for c in range(3)])
         for j in range(cfg.num_steps + 1):
             assert np.max(np.abs(dd.output(w[2 * j])[0] - hat[j])) <= 1e-13
             if j < cfg.num_steps:
@@ -452,7 +450,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
     row by row. The estimate comes from the same batch LTI path as in the
     engine (it is checked against stateful stepping in TestInterconnection)."""
     n, N, h = cost.n, cfg.num_steps, cfg.h
-    ts = cfg.t0 + 0.5 * h * np.arange(2 * N + 1)
+    ts = cfg.stage_times()
     theta_all = signal.eval_many(ts, 0)
     theta_dot_all = signal.eval_many(ts, 1)
     estimated = mode is ESTIMATED
@@ -528,7 +526,7 @@ def _per_step_failure_time(cost, signal, cfg):
     """The failing time a check after every step reports for the ideal run:
     one state vector, RK4 one step at a time; None if it stays finite."""
     h = cfg.h
-    ts = sim._stage_times(cfg)
+    ts = cfg.stage_times()
     theta, theta_dot = signal.eval_many(ts, 0), signal.eval_many(ts, 1)
     rhs = flows.corrected_newton_rhs
     x = np.zeros(cost.n)
@@ -628,7 +626,7 @@ class TestInterconnections:
         signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0)),))   # theta = t
         # The field is infinite from the stage where theta reaches the end of
         # the step, in the ideal run only; the none runs stay finite.
-        t_bad = signal.eval_many(sim._stage_times(cfg), 0)[2 * step + 2, 0]
+        t_bad = signal.eval_many(cfg.stage_times(), 0)[2 * step + 2, 0]
         cost = cost_class(t_bad)
         expected = _per_step_failure_time(cost, signal, cfg)
         assert expected == cfg.t0 + step * cfg.h + cfg.h
