@@ -46,6 +46,7 @@ from .sim import (
     Trajectory,
     integrate_rk4,
     run_derivative_experiment,
+    run_derivative_experiments,
     run_interconnection,
     run_interconnections,
     slope_fit,

@@ -154,10 +154,13 @@ def check_sigma_scaling() -> CheckResult:
     gate = _Gate()
 
     def run():
+        cfg = sim_mod.SimConfig(t0=0.0, tf=30.0, h=1e-3)
         sups = {}
         for order in (1, 2):
-            for sigma in SWEEP_SIGMAS:
-                traj = _derivative_run(sigma, order, 30.0, 1e-3)
+            est_cfgs = [est_mod.DirtyDerivativeConfig(order, sigma, 1) for sigma in SWEEP_SIGMAS]
+            runs = sim_mod.run_derivative_experiments(sig_mod.sinusoid_5t_minus_2(),
+                                                      sig_mod.NoiseSpec(), est_cfgs, cfg)
+            for sigma, traj in zip(SWEEP_SIGMAS, runs):
                 for i in range(1, order + 1):
                     suffix = "" if i == 1 else str(i)
                     sups[(order, i, sigma)] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")

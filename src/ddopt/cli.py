@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks as checks_mod
 from . import estimator as est_mod
 from . import flows as flows_mod
 from . import signals as sig_mod
@@ -316,10 +315,10 @@ def cmd_sweep(spec: dict) -> int:
     if distinct < 3:
         raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {distinct}")
     _make_out_dir(out)
+    est_cfgs = [est_mod.DirtyDerivativeConfig(k, sigma, signal.dim) for sigma in sigmas]
     sups = np.empty((len(sigmas), k))
-    for row, sigma in enumerate(sigmas):
-        est_cfg = est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)
-        traj = sim_mod.run_derivative_experiment(signal, noise, est_cfg, cfg)
+    runs = sim_mod.run_derivative_experiments(signal, noise, est_cfgs, cfg)
+    for row, traj in enumerate(runs):
         for order in range(1, k + 1):
             suffix = "" if order == 1 else str(order)
             sups[row, order - 1] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
@@ -336,6 +335,9 @@ def cmd_sweep(spec: dict) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    # The battery is imported here, so the run commands do not load it.
+    from . import checks as checks_mod
+
     names = set(ns.only.split(",")) if ns.only else None
     try:
         results = checks_mod.run_checks(names)

@@ -5,7 +5,9 @@ matrices involved (n below ~30): an LU solve with per-column pivot
 thresholds, the matrix exponential, a Lyapunov solve by Kronecker
 vectorization, and symmetric eigenvalue extremes. Matrices and vectors are
 ordinary float64 (or complex128) numpy arrays; shape, finiteness and pivot
-size are validated at the operation boundary.
+size are validated at the operation boundary. ``scipy.linalg`` is imported
+by the functions that call it, not with the module: it takes most of the
+time of importing ddopt, and the run commands mostly do not need it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(Exception):
@@ -54,6 +55,7 @@ def solve_linear(A, b):
     # Pivot thresholds are per elimination column, relative to that column's
     # largest initial magnitude, so badly scaled but regular systems pass.
     tol = PIVOT_RTOL * np.max(np.abs(A), axis=0)
+    import scipy.linalg
     with warnings.catch_warnings():
         # An exactly zero pivot is reported below as SingularMatrixError.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -72,6 +74,7 @@ def expm(A):
     A = np.asarray(A, dtype=np.float64)
     _square_dim(A)
     _check_finite(A, "matrix")
+    import scipy.linalg
     return scipy.linalg.expm(A)
 
 

@@ -13,6 +13,13 @@ the states at the chunk starts are carried from chunk to chunk. The result
 equals stepping the estimator sample by sample up to roundoff, with no
 Python loop over the grid steps.
 
+The derivative experiments of several gains on one signal (a sweep) are
+run by :func:`run_derivative_experiments`: the stage grid is sampled once,
+from one noise generator, and the true derivatives up to the highest order
+are evaluated once, then shared by every gain. The gains are driven and
+their trajectories yielded one at a time, not stacked into one
+:func:`_drive_lti` call, so only one gain's outputs are in memory at once.
+
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
 estimate first and the flow loop then only reads it: the estimate at each
@@ -31,6 +38,7 @@ columns they have in common once.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,41 +364,66 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
     return cfg.times(), _drive_lti(realization, maps, u[:, None], x0)[:, :, 0]
 
 
-def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
-                              est_cfg: est_mod.DirtyDerivativeConfig, cfg: SimConfig) -> Trajectory:
-    """Feed (possibly noisy) signal samples to the estimator over one run.
+def run_derivative_experiments(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
+                               est_cfgs, cfg: SimConfig) -> Iterator[Trajectory]:
+    """Feed the same (possibly noisy) signal samples to one estimator per
+    config in ``est_cfgs``; yields one trajectory per config, in order.
 
-    Records the clean signal, the true derivatives, all k estimates, and the
-    per-order estimation error norms. The first derivative uses the standard
-    column names (thetadot_*, thetahat_*, est_error); higher orders get the
-    order suffix (thetadot2_*, thetahat2_*, est_error2, ...).
+    Every config is validated before anything runs. The samples come from
+    one ``noise.make_rng()`` generator, so each run sees the samples it
+    would draw alone. Runs are built and driven as they are consumed; one
+    that turns non-finite raises :class:`NonFiniteStateError` when reached.
+
+    Each trajectory records the clean signal, the true derivatives, all k
+    estimates, and the per-order estimation error norms. The first
+    derivative uses the standard column names (thetadot_*, thetahat_*,
+    est_error); higher orders get the order suffix (thetadot2_*, thetahat2_*,
+    est_error2, ...).
     """
-    if signal.dim != est_cfg.signal_dim:
-        raise ValueError(f"signal dim {signal.dim} does not match estimator "
-                         f"signal_dim {est_cfg.signal_dim}")
-    estimator = est_mod.build_estimator(est_cfg, cfg.h)
+    est_cfgs = list(est_cfgs)
+    if not est_cfgs:
+        raise ValueError("no estimator configs to run")
+    for est_cfg in est_cfgs:
+        if signal.dim != est_cfg.signal_dim:
+            raise ValueError(f"signal dim {signal.dim} does not match estimator "
+                             f"signal_dim {est_cfg.signal_dim}")
+    return _derivative_runs(signal, noise, est_cfgs, cfg)
+
+
+def _derivative_runs(signal, noise, est_cfgs, cfg) -> Iterator[Trajectory]:
     m = signal.dim
     W = sig_mod.sample_noisy_grid(signal, noise, cfg.stage_times(), noise.make_rng())
-    Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
-
     t_rec = cfg.times()
-    cols = {"t": t_rec}
-    clean = signal.eval_many(t_rec, 0)
-    for c in range(m):
-        cols[f"theta_{c}"] = clean[:, c]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in range(1, est_cfg.order + 1):
-            suffix = "" if order == 1 else str(order)
-            true = signal.eval_many(t_rec, order)
-            hat = Y[:, order - 1, :]
-            for c in range(m):
-                cols[f"thetadot{suffix}_{c}"] = true[:, c]
-            for c in range(m):
-                cols[f"thetahat{suffix}_{c}"] = hat[:, c]
-            cols[f"est_error{suffix}"] = np.linalg.norm(hat - true, axis=1)
-    traj = Trajectory(cols)
-    traj.check_finite()
-    return traj
+    # true[order]: the exact order-th derivative at the recorded times.
+    true = [signal.eval_many(t_rec, order)
+            for order in range(max(est_cfg.order for est_cfg in est_cfgs) + 1)]
+    for est_cfg in est_cfgs:
+        estimator = est_mod.build_estimator(est_cfg, cfg.h)
+        Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
+        cols = {"t": t_rec}
+        for c in range(m):
+            cols[f"theta_{c}"] = true[0][:, c]
+        # The error state is left before the yield, which hands control
+        # back to the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for order in range(1, est_cfg.order + 1):
+                suffix = "" if order == 1 else str(order)
+                hat = Y[:, order - 1, :]
+                for c in range(m):
+                    cols[f"thetadot{suffix}_{c}"] = true[order][:, c]
+                for c in range(m):
+                    cols[f"thetahat{suffix}_{c}"] = hat[:, c]
+                cols[f"est_error{suffix}"] = np.linalg.norm(hat - true[order], axis=1)
+        traj = Trajectory(cols)
+        traj.check_finite()
+        yield traj
+
+
+def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
+                              est_cfg: est_mod.DirtyDerivativeConfig, cfg: SimConfig) -> Trajectory:
+    """One run of :func:`run_derivative_experiments`: (possibly noisy) signal
+    samples fed to the estimator configured by ``est_cfg``."""
+    return next(run_derivative_experiments(signal, noise, [est_cfg], cfg))
 
 
 def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal, runs,

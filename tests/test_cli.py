@@ -87,6 +87,7 @@ def test_unusable_path_exits_two(tmp_path, capsys, monkeypatch, command, case):
         raise AssertionError("the run started before the output path was checked")
 
     monkeypatch.setattr(sim, "run_derivative_experiment", run_started)
+    monkeypatch.setattr(sim, "run_derivative_experiments", run_started)
     monkeypatch.setattr(sim, "run_interconnections", run_started)
     config, out = tmp_path / "run.cfg", tmp_path / "out"
     config.write_text("tf = 1\nh = 1e-2\n")
@@ -252,6 +253,31 @@ class TestSweepCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and "Traceback" not in err
+
+    def test_samples_the_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = signals.sample_noisy_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(signals, "sample_noisy_grid", counted)
+        rc = cli.main(["sweep", "--sigma", "40,80,160,320", "--noise-var", "0.01", "--tf", "2",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigmas", ["1e6,40,80", "40,80,1e6"])
+    def test_diverging_gain_is_a_run_failure(self, tmp_path, capsys, sigmas):
+        # sigma*h = 1000 overflows within a few steps, wherever it sits in
+        # the list; no sweep.csv is written.
+        out = tmp_path / "s"
+        with pytest.warns(UserWarning, match="sigma"):
+            rc = cli.main(["sweep", "--sigma", sigmas, "--tf", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "run failed: state became non-finite at t = 0.029\n"
+        assert not (out / "sweep.csv").exists()
 
 
 class TestVerifyCommand:

@@ -199,6 +199,92 @@ class TestDerivativeExperiment:
                                           sim.SimConfig())
 
 
+# Gains of different orders, so that one call shares true derivatives up to
+# order 3 between runs that need fewer.
+EXPERIMENT_POOL = ((1, 5.0), (2, 20.0), (3, 60.0), (1, 60.0), (3, 5.0))   # (k, sigma)
+EXPERIMENT_CFG = sim.SimConfig(tf=0.2, h=1e-3)
+EXPERIMENT_SIGNALS = {1: signals.sinusoid_5t_minus_2(), 3: signals.benchmark_parameter_path()}
+EXPERIMENT_NOISE = {False: signals.NoiseSpec(), True: signals.NoiseSpec(0.01, 11)}
+
+
+def _experiment_config(index, channels):
+    return est.DirtyDerivativeConfig(*EXPERIMENT_POOL[index], channels)
+
+
+@functools.lru_cache(maxsize=None)
+def _experiment_alone(index, channels, noisy):
+    return sim.run_derivative_experiment(EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[noisy],
+                                         _experiment_config(index, channels), EXPERIMENT_CFG)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDerivativeExperiments:
+    @settings(max_examples=30, deadline=None)
+    @given(channels=st.sampled_from([1, 3]), noisy=st.booleans(),
+           order=st.lists(st.integers(0, len(EXPERIMENT_POOL) - 1), min_size=1,
+                          max_size=len(EXPERIMENT_POOL), unique=True))
+    def test_each_run_equals_the_run_alone(self, channels, noisy, order):
+        runs = sim.run_derivative_experiments(
+            EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[noisy],
+            [_experiment_config(i, channels) for i in order], EXPERIMENT_CFG)
+        count = 0
+        for index, traj in zip(order, runs):
+            alone = _experiment_alone(index, channels, noisy)
+            assert list(traj.columns) == list(alone.columns)
+            for name in alone.columns:
+                assert np.array_equal(traj.column(name), alone.column(name)), name
+            count += 1
+        assert count == len(order)
+
+    def test_samples_and_evaluates_the_signal_once(self, monkeypatch):
+        sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
+        evaluated = _counting(monkeypatch, signals.AnalyticSignal, "eval_many")
+        cfgs = [_experiment_config(i, 3) for i in range(len(EXPERIMENT_POOL))]
+        runs = list(sim.run_derivative_experiments(
+            EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True], cfgs, EXPERIMENT_CFG))
+        assert len(runs) == len(cfgs)
+        assert len(sampled) == 1
+        # The sampled signal, then orders 0..3 at the recorded times.
+        assert [args[2] for args in evaluated] == [0, 0, 1, 2, 3]
+
+    def test_every_config_is_validated_before_anything_runs(self, monkeypatch):
+        sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
+        cfgs = [est.DirtyDerivativeConfig(1, 5.0, 1), est.DirtyDerivativeConfig(1, 5.0, 3)]
+        with pytest.raises(ValueError, match="signal_dim"):
+            sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(),
+                                           cfgs, EXPERIMENT_CFG)
+        assert sampled == []
+
+    def test_empty_config_list_rejected(self):
+        with pytest.raises(ValueError):
+            sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(),
+                                           [], EXPERIMENT_CFG)
+
+    def test_runs_are_yielded_one_at_a_time(self):
+        # The second gain diverges (sigma*h = 1000); the first run is
+        # yielded before the second is built.
+        cfgs = [est.DirtyDerivativeConfig(1, 40.0), est.DirtyDerivativeConfig(1, 1e6)]
+        runs = sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(),
+                                              signals.NoiseSpec(), cfgs, EXPERIMENT_CFG)
+        first = next(runs)
+        first.check_finite()
+        with pytest.warns(UserWarning, match="sigma"):
+            with pytest.raises(sim.NonFiniteStateError):
+                next(runs)
+
+
 def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
     """The per-step form of sim._drive_lti, in ``dtype``: per-step input
     terms, one matrix-vector recurrence step per grid step, and an einsum
