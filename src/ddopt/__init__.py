@@ -44,7 +44,6 @@ from .sim import (
     NonFiniteStateError,
     SimConfig,
     Trajectory,
-    integrate_rk4,
     run_derivative_experiment,
     run_derivative_experiments,
     run_interconnection,

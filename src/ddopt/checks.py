@@ -62,10 +62,9 @@ NOISE_SEED = 42
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_run(sigma: float, order: int, tf: float, h: float,
-                    variance: float = 0.0, seed: int = 0) -> sim_mod.Trajectory:
-    cfg = sim_mod.SimConfig(t0=0.0, tf=tf, h=h)
-    est_cfg = est_mod.DirtyDerivativeConfig(order, sigma, 1)
+def _derivative_run(sigma: float, variance: float = 0.0, seed: int = 0) -> sim_mod.Trajectory:
+    cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
+    est_cfg = est_mod.DirtyDerivativeConfig(1, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
     return sim_mod.run_derivative_experiment(sig_mod.sinusoid_5t_minus_2(), noise, est_cfg, cfg)
 
@@ -93,11 +92,6 @@ def _ordering_runs():
     return dict(zip(names, sim_mod.run_interconnections(cost, signal, specs, cfg)))
 
 
-def _window_mean(traj: sim_mod.Trajectory, column: str) -> float:
-    mask = traj.window_mask()
-    return float(np.mean(traj.column(column)[mask]))
-
-
 # ---------------------------------------------------------------------------
 # Checks.
 
@@ -109,7 +103,7 @@ def check_sinusoid_error() -> CheckResult:
     expected = []
     total_runtime = 0.0
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
-        (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s, 1, 10.0, 1e-3))
+        (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s))
         total_runtime += runtime
         sup = sim_mod.steady_state_sup(traj, "est_error")
         oracle = est_mod.steady_state_sinusoid_error(
@@ -162,8 +156,8 @@ def check_sigma_scaling() -> CheckResult:
                                                       sig_mod.NoiseSpec(), est_cfgs, cfg)
             for sigma, traj in zip(SWEEP_SIGMAS, runs):
                 for i in range(1, order + 1):
-                    suffix = "" if i == 1 else str(i)
-                    sups[(order, i, sigma)] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
+                    sups[(order, i, sigma)] = sim_mod.steady_state_sup(
+                        traj, sim_mod.column_name("est_error", i))
         return sups
 
     sups, runtime = _timed(run)
@@ -289,7 +283,7 @@ def check_loss_ordering() -> CheckResult:
     estimated(sigma=5) < uncorrected, each pair separated by a factor 2."""
     gate = _Gate()
     runs, runtime = _timed(_ordering_runs)
-    losses = {name: _window_mean(traj, "loss") for name, traj in runs.items()}
+    losses = {name: sim_mod.steady_state_mean(traj, "loss") for name, traj in runs.items()}
     chain = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
     for a, b in zip(chain, chain[1:]):
         gate.require(losses[a] < losses[b], f"{a} loss {losses[a]:.4g} < {b} loss {losses[b]:.4g}")
@@ -331,9 +325,8 @@ def check_noise_robustness() -> CheckResult:
     gate = _Gate()
 
     def run():
-        clean_est = _derivative_run(BENCH_SIGMA_HIGH, 1, 10.0, 1e-3)
-        noisy_est = _derivative_run(BENCH_SIGMA_HIGH, 1, 10.0, 1e-3,
-                                    variance=NOISE_VARIANCE, seed=NOISE_SEED)
+        clean_est = _derivative_run(BENCH_SIGMA_HIGH)
+        noisy_est = _derivative_run(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
         sup_clean = sim_mod.steady_state_sup(clean_est, "est_error")
         sup_noisy = sim_mod.steady_state_sup(noisy_est, "est_error")
 

@@ -99,16 +99,18 @@ def parse_signal(text: str) -> sig_mod.AnalyticSignal:
         seg = segments[i]
         if not seg:
             raise SignalParseError(seg, "empty component")
-        if seg.startswith("poly:"):
-            coeffs = [_parse_number(seg[5:], "polynomial coefficient")]
-            i += 1
-            while i < len(segments) and _is_number(segments[i]):
-                coeffs.append(float(segments[i]))
-                i += 1
-            components.append(sig_mod.Polynomial(tuple(coeffs)))
-        else:
-            components.append(_parse_sinusoid(seg))
-            i += 1
+        j = i + 1
+        while seg.startswith("poly:") and j < len(segments) and _is_number(segments[j]):
+            j += 1
+        term, i = ",".join(segments[i:j]), j
+        try:
+            if seg.startswith("poly:"):
+                coeffs = [_parse_number(c, "polynomial coefficient") for c in term[5:].split(",")]
+                components.append(sig_mod.Polynomial(tuple(coeffs)))
+            else:
+                components.append(_parse_sinusoid(term))
+        except ValueError as exc:   # the component's own checks, such as finiteness
+            raise SignalParseError(term, str(exc)) from None
     return sig_mod.AnalyticSignal(tuple(components))
 
 
@@ -244,10 +246,8 @@ def _oracle_parameters(signal: sig_mod.AnalyticSignal):
     a single sinusoid component; None otherwise."""
     if signal.dim != 1 or not isinstance(signal.components[0], sig_mod.Sinusoid):
         return None
-    comp = signal.components[0]
-    if comp.kind == "cos2":
-        return abs(comp.amplitude) / 2.0, 2.0 * abs(comp.omega)
-    return abs(comp.amplitude), abs(comp.omega)
+    _, amplitude, omega, _ = signal.components[0].canonical()
+    return abs(amplitude), abs(omega)
 
 
 def cmd_estimate(spec: dict) -> int:
@@ -262,17 +262,16 @@ def cmd_estimate(spec: dict) -> int:
 
     series = []
     for order in range(1, k + 1):
-        suffix = "" if order == 1 else str(order)
-        series.append((f"d{order} true", traj.t, traj.column(f"thetadot{suffix}_0")))
-        series.append((f"d{order} estimate", traj.t, traj.column(f"thetahat{suffix}_0")))
+        for what, prefix in (("true", "thetadot"), ("estimate", "thetahat")):
+            series.append((f"d{order} {what}", traj.t,
+                           traj.column(sim_mod.column_name(prefix, order, 0))))
     svg_mod.line_plot(out / "estimate.svg", series,
                       title=f"derivative estimates, sigma={sigma:g}, k={k}",
                       ylabel="derivative")
 
     oracle_params = _oracle_parameters(signal)
     for order in range(1, k + 1):
-        suffix = "" if order == 1 else str(order)
-        sup = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
+        sup = sim_mod.steady_state_sup(traj, sim_mod.column_name("est_error", order))
         line = f"order {order}: steady-state sup error {sup:.6g}"
         if oracle_params is not None:
             amp, omega = oracle_params
@@ -285,7 +284,6 @@ def cmd_estimate(spec: dict) -> int:
 
 def cmd_optimize(spec: dict) -> int:
     signal, cost, k, sigmas, modes, noise, cfg, out = _parse_run_spec(spec)
-    _make_out_dir(out)
     labels, specs = [], []
     for mode in modes:
         if mode is flows_mod.CorrectionMode.ESTIMATED:
@@ -295,15 +293,17 @@ def cmd_optimize(spec: dict) -> int:
         else:
             labels.append(mode.value)
             specs.append((mode, None))
+    if len(set(labels)) != len(labels):   # runs under one label would share a file
+        field = "mode" if len(set(modes)) < len(modes) else "sigma"
+        raise SpecError(field, f"each run needs its own label, got {', '.join(labels)}")
+    _make_out_dir(out)
     runs = list(zip(labels, sim_mod.run_interconnections(cost, signal, specs, cfg, noise=noise)))
-    sim_mod.write_csvs((traj, out / f"trajectory_{label}.csv") for label, traj in runs)
+    sim_mod.write_csvs((traj.columns, out / f"trajectory_{label}.csv") for label, traj in runs)
     series = []
     for label, traj in runs:
         series.append((label, traj.t, traj.column("loss")))
-        mask = traj.window_mask()
-        mean_loss = float(np.mean(traj.column("loss")[mask]))
-        print(f"{label}: final-window mean loss {mean_loss:.6g}, "
-              f"tracking error sup {float(np.max(traj.column('tracking_error')[mask])):.6g}")
+        print(f"{label}: final-window mean loss {sim_mod.steady_state_mean(traj, 'loss'):.6g}, "
+              f"tracking error sup {sim_mod.steady_state_sup(traj, 'tracking_error'):.6g}")
     svg_mod.line_plot(out / "loss.svg", series, title="loss over time", ylabel="loss")
     print(f"wrote {len(runs)} trajectory CSVs and {out / 'loss.svg'}")
     return 0
@@ -316,16 +316,12 @@ def cmd_sweep(spec: dict) -> int:
         raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {distinct}")
     _make_out_dir(out)
     est_cfgs = [est_mod.DirtyDerivativeConfig(k, sigma, signal.dim) for sigma in sigmas]
-    sups = np.empty((len(sigmas), k))
     runs = sim_mod.run_derivative_experiments(signal, noise, est_cfgs, cfg)
-    for row, traj in enumerate(runs):
-        for order in range(1, k + 1):
-            suffix = "" if order == 1 else str(order)
-            sups[row, order - 1] = sim_mod.steady_state_sup(traj, f"est_error{suffix}")
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        fh.write("sigma," + ",".join(f"est_error_sup_{i}" for i in range(1, k + 1)) + "\n")
-        for row, sigma in enumerate(sigmas):
-            fh.write(f"{sigma:.17g}," + ",".join(f"{v:.17g}" for v in sups[row]) + "\n")
+    sups = np.array([[sim_mod.steady_state_sup(traj, sim_mod.column_name("est_error", order))
+                      for order in range(1, k + 1)] for traj in runs])
+    table = {"sigma": np.array(sigmas)}
+    table.update((f"est_error_sup_{order}", sups[:, order - 1]) for order in range(1, k + 1))
+    sim_mod.write_csvs([(table, out / "sweep.csv")])
     for order in range(1, k + 1):
         slope = sim_mod.slope_fit(list(zip(sigmas, sups[:, order - 1])))
         print(f"order {order}: fitted log-log slope {slope:.4f} "

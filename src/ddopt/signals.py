@@ -6,6 +6,7 @@ polynomial). Keeping the set closed means every component has closed-form
 derivatives of any order, which the runners and the verification checks use
 as ground truth, and an exact supremum bound for each order
 (:meth:`AnalyticSignal.sup_derivative_bound`), which no check uses.
+Parameters are finite; :func:`sample_noisy_grid` adds noise to given values.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ class Sinusoid:
     def __post_init__(self):
         if self.kind not in ("sin", "cos", "cos2"):
             raise ValueError(f"unknown sinusoid kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.amplitude, self.omega, self.phase))):
+            raise ValueError(f"sinusoid parameters must be finite, got {self}")
 
-    def _atom(self):
-        # Canonical form: offset + a*cos(w t + phi).
+    def canonical(self):
+        """The same signal as ``(offset, a, w, phi)``: offset + a*cos(w t + phi)."""
         if self.kind == "sin":
             return 0.0, self.amplitude, self.omega, self.phase - _HALF_PI
         if self.kind == "cos":
@@ -44,14 +47,15 @@ class Sinusoid:
         return 0.5 * self.amplitude, 0.5 * self.amplitude, 2.0 * self.omega, 2.0 * self.phase
 
     def eval(self, t, order: int):
-        offset, a, w, phi = self._atom()
+        offset, a, w, phi = self.canonical()
+        w = np.float64(w)   # its power overflows to inf, where a float power raises
         value = a * (w ** order) * np.cos(w * np.asarray(t, dtype=np.float64) + phi + order * _HALF_PI)
         if order == 0:
             value = value + offset
         return value
 
     def sup_derivative(self, order: int) -> float:
-        offset, a, w, phi = self._atom()
+        offset, a, w, phi = self.canonical()
         if order == 0:
             return abs(a) + abs(offset)
         return abs(a) * (w ** order)
@@ -67,6 +71,8 @@ class Polynomial:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(f"polynomial coefficients must be finite, got {self.coefficients}")
 
     def _derivative_coefficients(self, order: int):
         coeffs = list(self.coefficients)
@@ -160,20 +166,17 @@ class NoiseSpec:
         return np.random.default_rng(self.seed)
 
 
-def sample_noisy_grid(signal: AnalyticSignal, noise: NoiseSpec, ts: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Signal values at the times ``ts`` plus one i.i.d. Gaussian draw per
-    component and sample, shape (len(ts), dim).
+def sample_noisy_grid(values: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Signal ``values`` sampled on a grid, shape (samples, dim), plus one
+    i.i.d. Gaussian draw per entry from a fresh ``noise.make_rng()``.
 
-    Draws are taken in sample order, so splitting a grid over consecutive
-    calls on one generator gives the same values; noise is per sample, not
-    per time point. With variance 0 the generator is left untouched, so
-    noise-free runs do not depend on it.
+    Draws are taken in sample order, so noise is per sample, not per time
+    point, and every call with one spec adds the same draws. With variance
+    0 the values are returned as they are.
     """
-    values = signal.eval_many(ts, 0)
     if not noise.enabled:
         return values
-    return values + rng.normal(0.0, math.sqrt(noise.variance), size=values.shape)
+    return values + noise.make_rng().normal(0.0, math.sqrt(noise.variance), size=values.shape)
 
 
 # Canonical experiment signals.

@@ -13,12 +13,11 @@ the states at the chunk starts are carried from chunk to chunk. The result
 equals stepping the estimator sample by sample up to roundoff, with no
 Python loop over the grid steps.
 
-The derivative experiments of several gains on one signal (a sweep) are
-run by :func:`run_derivative_experiments`: the stage grid is sampled once,
-from one noise generator, and the true derivatives up to the highest order
-are evaluated once, then shared by every gain. The gains are driven and
-their trajectories yielded one at a time, not stacked into one
-:func:`_drive_lti` call, so only one gain's outputs are in memory at once.
+Each run evaluates its clean signal once, on the stage grid, records every
+other stage, and measures it with noise added. A sweep's gains share the
+measurement and the true derivatives (:func:`run_derivative_experiments`),
+and their trajectories are yielded one at a time, so only one gain's
+outputs are in memory at once.
 
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
@@ -31,8 +30,8 @@ estimated at each gain) are integrated together by
 (runs, n), stores only them and checks them for non-finite values a block
 of steps at a time; the other columns are computed after the loop on blocks
 of rows, through the same ``flows`` functions.
-:func:`write_csvs` writes the runs' trajectories together, formatting the
-columns they have in common once.
+:func:`write_csvs` writes every CSV file, the runs' trajectories together,
+formatting the columns they have in common once.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write all columns, 17 significant digits, LF line endings."""
-        write_csvs([(self, path)])
+        write_csvs([(self.columns, path)])
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -161,26 +160,27 @@ class Trajectory:
 
 
 def write_csvs(pairs) -> None:
-    """Write each ``(trajectory, path)`` pair as :meth:`Trajectory.to_csv` does.
+    """Write each ``(columns, path)`` pair as :meth:`Trajectory.to_csv` does;
+    ``columns`` maps names to equal-length float arrays, as that attribute.
 
     The files are written together, block of rows by block of rows. In each
     block every distinct column (by its bytes) is formatted once, so the
     columns that runs integrated together share, such as the time, the
     parameter path and a minimizer equal to it, cost one formatting pass.
-    Trajectories may differ in length.
+    Files may differ in length.
     """
     with contextlib.ExitStack() as stack:
         files = []
-        for traj, path in pairs:
+        for columns, path in pairs:
             fh = stack.enter_context(open(path, "w", newline="\n"))
-            fh.write(",".join(traj.columns) + "\n")
-            files.append((fh, len(traj), list(traj.columns.values())))
-        for start in range(0, max((length for _, length, _ in files), default=0),
+            fh.write(",".join(columns) + "\n")
+            files.append((fh, list(columns.values())))
+        for start in range(0, max((len(columns[0]) for _, columns in files), default=0),
                            _RECORD_BLOCK_ROWS):
             stop = start + _RECORD_BLOCK_ROWS
             cells = {}
-            for fh, length, columns in files:
-                if start >= length:
+            for fh, columns in files:
+                if start >= len(columns[0]):
                     continue
                 keys = []
                 for col in columns:
@@ -200,6 +200,22 @@ def steady_state_sup(traj: Trajectory, column: str) -> float:
     return float(np.max(np.abs(traj.column(column))[traj.window_mask()]))
 
 
+def steady_state_mean(traj: Trajectory, column: str) -> float:
+    """Mean of column over the steady-state window."""
+    return float(np.mean(traj.column(column)[traj.window_mask()]))
+
+
+def column_name(prefix: str, order: int = 1, channel: int | None = None) -> str:
+    """Recorded column name: order i >= 2 appends i, a channel _c (thetahat2_0)."""
+    name = prefix if order == 1 else f"{prefix}{order}"
+    return name if channel is None else f"{name}_{channel}"
+
+
+def _add_channels(cols: dict, prefix: str, values: np.ndarray, order: int = 1) -> None:
+    for c in range(values.shape[1]):
+        cols[column_name(prefix, order, c)] = values[:, c]
+
+
 def slope_fit(points) -> float:
     """Least-squares slope of log(error) versus log(sigma).
 
@@ -217,35 +233,6 @@ def slope_fit(points) -> float:
     y = np.log(err)
     x = x - x.mean()
     return float(np.dot(x, y) / np.dot(x, x))
-
-
-def integrate_rk4(rhs, x0, cfg: SimConfig) -> Trajectory:
-    """Classical fixed-step RK4 for x' = rhs(t, x); records x columns only.
-
-    Raises :class:`NonFiniteStateError` (with the failing time) instead of
-    propagating NaNs.
-    """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    n = x.shape[0]
-    h = cfg.h
-    times = cfg.times()
-    recorded = np.empty((cfg.num_steps + 1, n))
-    recorded[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(cfg.num_steps):
-            t = times[j]
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError(float(times[j + 1]))
-            recorded[j + 1] = x
-    cols = {"t": times}
-    for i in range(n):
-        cols[f"x_{i}"] = recorded[:, i]
-    return Trajectory(cols)
 
 
 def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -369,16 +356,11 @@ def run_derivative_experiments(signal: sig_mod.AnalyticSignal, noise: sig_mod.No
     """Feed the same (possibly noisy) signal samples to one estimator per
     config in ``est_cfgs``; yields one trajectory per config, in order.
 
-    Every config is validated before anything runs. The samples come from
-    one ``noise.make_rng()`` generator, so each run sees the samples it
-    would draw alone. Runs are built and driven as they are consumed; one
-    that turns non-finite raises :class:`NonFiniteStateError` when reached.
-
-    Each trajectory records the clean signal, the true derivatives, all k
-    estimates, and the per-order estimation error norms. The first
-    derivative uses the standard column names (thetadot_*, thetahat_*,
-    est_error); higher orders get the order suffix (thetadot2_*, thetahat2_*,
-    est_error2, ...).
+    Every config is validated before anything runs, and each run sees the
+    samples it would draw alone. Runs are built and driven as they are
+    consumed; one that turns non-finite raises :class:`NonFiniteStateError`
+    when reached. Each trajectory records the clean signal, the true
+    derivatives, all k estimates and the per-order estimation error norms.
     """
     est_cfgs = list(est_cfgs)
     if not est_cfgs:
@@ -391,29 +373,25 @@ def run_derivative_experiments(signal: sig_mod.AnalyticSignal, noise: sig_mod.No
 
 
 def _derivative_runs(signal, noise, est_cfgs, cfg) -> Iterator[Trajectory]:
-    m = signal.dim
-    W = sig_mod.sample_noisy_grid(signal, noise, cfg.stage_times(), noise.make_rng())
     t_rec = cfg.times()
-    # true[order]: the exact order-th derivative at the recorded times.
-    true = [signal.eval_many(t_rec, order)
-            for order in range(max(est_cfg.order for est_cfg in est_cfgs) + 1)]
+    # Overflow is reported by the finiteness check; the error state is left before each yield.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = signal.eval_many(cfg.stage_times(), 0)
+        W = sig_mod.sample_noisy_grid(clean, noise)
+        # true[order]: the exact order-th derivative at the recorded times.
+        true = [clean[::2]] + [signal.eval_many(t_rec, order)
+                               for order in range(1, max(c.order for c in est_cfgs) + 1)]
     for est_cfg in est_cfgs:
         estimator = est_mod.build_estimator(est_cfg, cfg.h)
         Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
         cols = {"t": t_rec}
-        for c in range(m):
-            cols[f"theta_{c}"] = true[0][:, c]
-        # The error state is left before the yield, which hands control
-        # back to the caller.
+        _add_channels(cols, "theta", true[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for order in range(1, est_cfg.order + 1):
-                suffix = "" if order == 1 else str(order)
                 hat = Y[:, order - 1, :]
-                for c in range(m):
-                    cols[f"thetadot{suffix}_{c}"] = true[order][:, c]
-                for c in range(m):
-                    cols[f"thetahat{suffix}_{c}"] = hat[:, c]
-                cols[f"est_error{suffix}"] = np.linalg.norm(hat - true[order], axis=1)
+                _add_channels(cols, "thetadot", true[order], order)
+                _add_channels(cols, "thetahat", hat, order)
+                cols[column_name("est_error", order)] = np.linalg.norm(hat - true[order], axis=1)
         traj = Trajectory(cols)
         traj.check_finite()
         yield traj
@@ -470,9 +448,11 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     x = np.tile(x0, (B, 1))
 
     ts_all = cfg.stage_times()
-    theta_all = signal.eval_many(ts_all, 0)        # exact path at stage times
-    theta_dot_all = signal.eval_many(ts_all, 1)
-    meas_all = None
+    with np.errstate(over="ignore", invalid="ignore"):   # see check_finite below
+        theta_all = signal.eval_many(ts_all, 0)    # exact path at stage times
+        theta_dot_all = signal.eval_many(ts_all, 1)
+    if any(mode is Mode.ESTIMATED for mode, _ in runs):   # only estimates read it
+        meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
 
     # Velocity fed to the correction at the grid points (RK4 stage 1), at
     # the midpoint stages 2-3 and at stage 4 of each step: zero, the exact
@@ -481,8 +461,6 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     vm, v1 = np.zeros((2, N, B, p))
     for b, (mode, est_cfg) in enumerate(runs):
         if mode is Mode.ESTIMATED:
-            if meas_all is None:
-                meas_all = sig_mod.sample_noisy_grid(signal, noise, ts_all, noise.make_rng())
             estimator = est_mod.build_estimator(est_cfg, h)
             v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
                                   estimator.state)[:, 0, :]
@@ -552,17 +530,12 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     for b, (mode, _) in enumerate(runs):
         estimated = mode is Mode.ESTIMATED
         cols = {"t": t_rec}
-        for c in range(p):
-            cols[f"theta_{c}"] = theta[:, c]
-        for c in range(p):
-            cols[f"thetadot_{c}"] = theta_dot[:, c]
+        _add_channels(cols, "theta", theta)
+        _add_channels(cols, "thetadot", theta_dot)
         if estimated:
-            for c in range(p):
-                cols[f"thetahat_{c}"] = v0[:, b, c]
-        for c in range(n):
-            cols[f"x_{c}"] = X[:, b, c]
-        for c in range(n):
-            cols[f"xstar_{c}"] = xstar[:, c]
+            _add_channels(cols, "thetahat", v0[:, b])
+        _add_channels(cols, "x", X[:, b])
+        _add_channels(cols, "xstar", xstar)
         cols["loss"] = loss[:, b]
         cols["tracking_error"] = tracking[:, b]
         if estimated:

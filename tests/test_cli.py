@@ -152,6 +152,14 @@ class TestEstimateCommand:
         assert cli.main([command, "--out", str(tmp_path / "x")] + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("signal", ["inf*sin(t)", "nan*sin(t)", "sin(nan*t)", "sin(t+nan)",
+                                        "-inf*cos2(t)", "poly:inf", "poly:1,inf",
+                                        "cos(t),poly:0,-inf,1"])
+    def test_non_finite_signal_parameter_exits_two(self, tmp_path, capsys, signal):
+        argv = ["estimate", f"--signal={signal}", "--tf", "1", "--h", "1e-2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: signal: ")
+
     def test_unstable_gain_step_combination_exits_one(self, tmp_path, capsys):
         # sigma*h far past the stability limit: warned, then aborted cleanly
         # at the step where the state first overflows.
@@ -160,6 +168,18 @@ class TestEstimateCommand:
                            "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "non-finite at t = 0.029\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--signal", "poly:1e308,1e308"],
+    ["estimate", "--signal", "sin(1e308*t)", "--k", "2"],
+    ["sweep", "--signal", "poly:1e308,1e308", "--sigma", "5,10,20"],
+    ["optimize", "--signal", "poly:1e308,1e308", "--mode", "none,ideal,estimated"]])
+def test_overflowing_signal_is_a_run_failure(tmp_path, capsys, argv):
+    # Finite parameters whose values overflow on the grid: exit 1 with no
+    # traceback and no numpy warning (which pytest turns into an error).
+    assert cli.main(argv + ["--tf", "1", "--h", "1e-2", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("run failed: state became non-finite at t = ")
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -206,6 +226,26 @@ class TestOptimizeCommand:
                        "--tf", "1", "--h", "1e-2", "--out", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--mode", "ideal,ideal"], "mode"), (["--mode", "none,ideal,NONE"], "mode"),
+        (["--mode", "estimated,ideal,estimated"], "mode"),
+        (["--mode", "estimated", "--sigma", "5,5"], "sigma"),
+        (["--sigma", "20,5,20"], "sigma"),
+        (["--sigma", "5,5.000001"], "sigma")])   # both would be labelled estimated-s5
+    def test_repeated_runs_are_a_spec_error(self, tmp_path, capsys, flags, field):
+        # Runs under one label would write the same trajectory file.
+        out = tmp_path / "opt"
+        assert cli.main(["optimize", "--tf", "1", "--h", "1e-2", "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    def test_repeated_gain_without_estimated_runs_is_accepted(self, tmp_path):
+        out = tmp_path / "opt"
+        rc = cli.main(["optimize", "--mode", "none,ideal", "--sigma", "5,5",
+                       "--tf", "1", "--h", "1e-2", "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "loss.svg", "trajectory_ideal.csv", "trajectory_none.csv"]
 
     def test_track_rerun_is_byte_identical(self, tmp_path, capsys):
         # The benchmark's track argv shape at a short horizon, run twice.
@@ -235,6 +275,25 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "sigma,est_error_sup_1"
         assert len(lines) == 4
+
+    def test_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
+        # Every cell is its value formatted alone with %.17g.
+        sups = []
+        original = sim.steady_state_sup
+
+        def recorded(traj, column):
+            sups.append(original(traj, column))
+            return sups[-1]
+
+        monkeypatch.setattr(sim, "steady_state_sup", recorded)
+        out = tmp_path / "s"
+        rc = cli.main(["sweep", "--k", "2", "--sigma", "0.1,40,333.3", "--tf", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        rows = [[sigma] + sups[2 * i:2 * i + 2] for i, sigma in enumerate([0.1, 40.0, 333.3])]
+        expected = "sigma,est_error_sup_1,est_error_sup_2\n" + "".join(
+            ",".join("%.17g" % value for value in row) + "\n" for row in rows)
+        assert (out / "sweep.csv").read_bytes() == expected.encode()
 
     def test_two_sigmas_is_a_spec_error(self, tmp_path):
         assert cli.main(["sweep", "--sigma", "40,80", "--out", str(tmp_path / "s")]) == 2

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference
 from ddopt import flows, numerics, signals, sim
 
 
@@ -282,7 +283,7 @@ class TestContraction:
         def rhs(t, x):
             return flows.corrected_newton_rhs(cost, x, signal.eval(t, 0), signal.eval(t, 1))
 
-        traj = sim.integrate_rk4(rhs, np.zeros(3), cfg)
+        traj = reference.integrate_rk4(rhs, np.zeros(3), cfg)
         x = np.column_stack([traj.column(f"x_{i}") for i in range(3)])
         theta = signal.eval_many(traj.t, 0)
         err = np.linalg.norm(x - theta, axis=1)

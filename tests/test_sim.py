@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ddopt import estimator as est
 from ddopt import flows, signals, sim
 
@@ -30,23 +31,31 @@ class TestSimConfig:
         assert cfg.num_steps == 10
         assert np.allclose(cfg.times(), np.arange(11) * 0.1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.floats(-1e3, 1e3), h=st.floats(1e-6, 1.0), steps=st.integers(20, 5000))
+    def test_every_other_stage_time_is_a_grid_time(self, t0, h, steps):
+        # Runs evaluate their signal once, on the stage grid, and record
+        # every other stage as the value at the grid times, bit for bit.
+        cfg = sim.SimConfig(t0=t0, tf=t0 + steps * h, h=h)
+        assert np.array_equal(cfg.stage_times()[::2], cfg.times())
+
 
 class TestIntegrateRk4:
     def test_zero_field_stays_constant(self):
         cfg = sim.SimConfig(tf=1.0, h=0.05)
-        traj = sim.integrate_rk4(lambda t, x: np.zeros(2), np.array([3.0, -1.0]), cfg)
+        traj = reference.integrate_rk4(lambda t, x: np.zeros(2), np.array([3.0, -1.0]), cfg)
         assert np.all(traj.column("x_0") == 3.0)
         assert np.all(traj.column("x_1") == -1.0)
 
     def test_exponential_decay_accuracy(self):
         cfg = sim.SimConfig(tf=1.0, h=1e-3)
-        traj = sim.integrate_rk4(lambda t, x: -x, np.array([1.0]), cfg)
+        traj = reference.integrate_rk4(lambda t, x: -x, np.array([1.0]), cfg)
         assert abs(traj.column("x_0")[-1] - math.exp(-1.0)) <= 1e-9
 
     def test_blowup_raises_with_time(self):
         cfg = sim.SimConfig(tf=1.0, h=1e-3)
         with pytest.raises(sim.NonFiniteStateError) as info:
-            sim.integrate_rk4(lambda t, x: 3000.0 * x, np.array([1.0]), cfg)
+            reference.integrate_rk4(lambda t, x: 3000.0 * x, np.array([1.0]), cfg)
         assert 0.0 < info.value.t <= 1.0
 
 
@@ -115,7 +124,7 @@ class TestTrajectoryCsv:
         trajs = [sim.Trajectory({"t": t, "v": v, "w": w}) for w in own]
         assert all(traj.column("v") is v for traj in trajs)
         paths = [tmp_path / f"traj{i}.csv" for i in range(len(own))]
-        sim.write_csvs(zip(trajs, paths))
+        sim.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
         for w, path in zip(own, paths):
             expected = "t,v,w\n" + "".join(
                 ",".join(format(value, ".17g") for value in row) + "\n"
@@ -128,7 +137,7 @@ class TestTrajectoryCsv:
         trajs = [sim.Trajectory({"t": np.arange(float(n)), "v": values[:n]})
                  for n in (1, block, block + 1, 3 * block)]
         paths = [tmp_path / f"traj{i}.csv" for i in range(len(trajs))]
-        sim.write_csvs(zip(trajs, paths))
+        sim.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
         for traj, path in zip(trajs, paths):
             expected = "t,v\n" + "".join(
                 ",".join(format(value, ".17g") for value in row) + "\n"
@@ -256,8 +265,9 @@ class TestDerivativeExperiments:
             EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True], cfgs, EXPERIMENT_CFG))
         assert len(runs) == len(cfgs)
         assert len(sampled) == 1
-        # The sampled signal, then orders 0..3 at the recorded times.
-        assert [args[2] for args in evaluated] == [0, 0, 1, 2, 3]
+        # The clean signal on the stage grid, then orders 1..3 at the
+        # recorded times.
+        assert [args[2] for args in evaluated] == [0, 1, 2, 3]
 
     def test_every_config_is_validated_before_anything_runs(self, monkeypatch):
         sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
@@ -359,7 +369,7 @@ class TestSimulateRealization:
         def rhs(t, x):
             return block.A @ x + block.B[:, 0] * math.sin(t)
 
-        ref = sim.integrate_rk4(rhs, x0, cfg)
+        ref = reference.integrate_rk4(rhs, x0, cfg)
         y_ref = np.column_stack([ref.column("x_0"), ref.column("x_1")]) @ block.C[0]
         assert np.max(np.abs(y[:, 0] - y_ref)) <= 1e-12
 
@@ -420,7 +430,7 @@ class TestInterconnection:
         traj = sim.run_interconnection(flows.QuadraticTrackingCost(3), signal,
                                        flows.CorrectionMode.ESTIMATED, cfg,
                                        est_cfg=est_cfg, noise=noise)
-        w = signals.sample_noisy_grid(signal, noise, cfg.stage_times(), noise.make_rng())
+        w = signals.sample_noisy_grid(signal.eval_many(cfg.stage_times(), 0), noise)
         dd = est.build_estimator(est_cfg, cfg.h)
         hat = np.column_stack([traj.column(f"thetahat_{c}") for c in range(3)])
         for j in range(cfg.num_steps + 1):
@@ -542,7 +552,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
     estimated = mode is ESTIMATED
     if estimated:
         dd = est.build_estimator(est_cfg, h)
-        meas = signals.sample_noisy_grid(signal, noise, ts, noise.make_rng())
+        meas = signals.sample_noisy_grid(theta_all, noise)
         hat = sim._drive_lti(dd.continuous, dd.rk4_maps, meas, dd.state)[:, 0, :]
     x = np.zeros(n)
     rows = []
