@@ -311,9 +311,11 @@ def cmd_optimize(spec: dict) -> int:
 
 def cmd_sweep(spec: dict) -> int:
     signal, _, k, sigmas, _, noise, cfg, out = _parse_run_spec(spec)
-    distinct = len(set(sigmas))
-    if distinct < 3:
-        raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {distinct}")
+    if len(set(sigmas)) != len(sigmas):   # a repeat would enter the slope fit twice
+        raise SpecError("sigma", "each gain must appear once, got "
+                        + ", ".join(f"{sigma:g}" for sigma in sigmas))
+    if len(sigmas) < 3:
+        raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {len(sigmas)}")
     _make_out_dir(out)
     est_cfgs = [est_mod.DirtyDerivativeConfig(k, sigma, signal.dim) for sigma in sigmas]
     runs = sim_mod.run_derivative_experiments(signal, noise, est_cfgs, cfg)

@@ -4,9 +4,9 @@ The central flow is the continuous-time Newton method
 
     x' = -hess(x, theta)^{-1} grad(x, theta) + u,
 
-optionally augmented with a correction u = -hess^{-1} cross @ v that
-compensates the motion of the minimizer, where v is either the exact
-parameter velocity (ideal) or an online estimate of it. The redesign
+with the correction u = -hess^{-1} cross @ v that compensates the motion
+of the minimizer, where v is the exact parameter velocity (ideal), an
+online estimate of it, or zero for the uncorrected flow. The redesign
 condition checker evaluates the scalar certificate
 
     <grad_x V, u> + <grad_theta V, v>  <=  0,      V = 0.5 ||grad f||^2,
@@ -105,12 +105,9 @@ class CostModel:
             out[i] = numerics.solve_linear(H[i], rhs[i])
         return out
 
-    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
-        """-hess^{-1} (grad + cross @ velocity); ``velocity`` None drops the
-        cross term. See :func:`corrected_newton_rhs`."""
-        g = self.gradient(x, theta)
-        if velocity is not None:
-            g = g + _matvec(self.cross_hessian(x, theta), velocity)
+    def newton_field(self, x, theta, velocity) -> np.ndarray:
+        """-hess^{-1} (grad + cross @ velocity). See :func:`corrected_newton_rhs`."""
+        g = self.gradient(x, theta) + _matvec(self.cross_hessian(x, theta), velocity)
         return -self.solve_hessian(x, theta, g)
 
 
@@ -146,12 +143,10 @@ class QuadraticTrackingCost(CostModel):
         # Identity Hessian: elimination returns the rhs unchanged.
         return np.asarray(rhs, dtype=np.float64).copy()
 
-    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
+    def newton_field(self, x, theta, velocity) -> np.ndarray:
         # Identity Hessian, cross-Hessian -I: -(d - v), elementwise.
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        if velocity is not None:
-            d = d - np.asarray(velocity, dtype=np.float64)
-        return -d
+        return -(d - np.asarray(velocity, dtype=np.float64))
 
 
 class LogCoshTrackingCost(CostModel):
@@ -188,12 +183,9 @@ class LogCoshTrackingCost(CostModel):
         # which gives mu exactly.
         return 1.0 / np.cosh(d) ** 2 + self.mu
 
-    def _hessian_diagonal(self, x, theta) -> np.ndarray:
-        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        return self._curvature(d)
-
     def hessian(self, x, theta) -> np.ndarray:
-        return self._hessian_diagonal(x, theta)[..., None] * self._eye
+        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        return self._curvature(d)[..., None] * self._eye
 
     def cross_hessian(self, x, theta) -> np.ndarray:
         return -self.hessian(x, theta)
@@ -203,16 +195,15 @@ class LogCoshTrackingCost(CostModel):
 
     def solve_hessian(self, x, theta, rhs) -> np.ndarray:
         # Diagonal Hessian: elimination reduces to elementwise division.
-        return np.asarray(rhs, dtype=np.float64) / self._hessian_diagonal(x, theta)
+        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        return np.asarray(rhs, dtype=np.float64) / self._curvature(d)
 
-    def newton_field(self, x, theta, velocity=None) -> np.ndarray:
+    def newton_field(self, x, theta, velocity) -> np.ndarray:
         # Diagonal Hessian phi''(d), cross-Hessian its negative:
         # -(phi'(d) - phi''(d) v) / phi''(d), elementwise, phi'' computed once.
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
         curvature = self._curvature(d)
-        g = np.tanh(d) + self.mu * d
-        if velocity is not None:
-            g = g - curvature * np.asarray(velocity, dtype=np.float64)
+        g = np.tanh(d) + self.mu * d - curvature * np.asarray(velocity, dtype=np.float64)
         return -(g / curvature)
 
 
@@ -242,15 +233,14 @@ def ideal_correction(cost: CostModel, x, theta, theta_dot) -> np.ndarray:
     return -cost.solve_hessian(x, theta, rhs)
 
 
-def corrected_newton_rhs(cost: CostModel, x, theta, velocity=None) -> np.ndarray:
+def corrected_newton_rhs(cost: CostModel, x, theta, velocity) -> np.ndarray:
     """Newton field plus correction in a single Hessian solve.
 
     ``velocity`` is the parameter-rate vector the correction should cancel
-    (exact or estimated); None gives the correction-free Newton field
-    -hess^{-1} grad. Equal to that field plus :func:`ideal_correction` by
-    linearity of the solve. A zero velocity gives the same values as None.
-    Delegates to :meth:`CostModel.newton_field`, which the shipped costs
-    evaluate elementwise.
+    (exact or estimated); a zero velocity gives the correction-free Newton
+    field -hess^{-1} grad. Equal to that field plus :func:`ideal_correction`
+    by linearity of the solve. Delegates to :meth:`CostModel.newton_field`,
+    which the shipped costs evaluate elementwise.
     """
     return cost.newton_field(x, theta, velocity)
 

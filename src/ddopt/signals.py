@@ -4,7 +4,8 @@ A signal is a vector of scalar components, each one of a small closed set of
 descriptors: sinusoids and polynomials (a constant is a degree-0
 polynomial). Keeping the set closed means every component has closed-form
 derivatives of any order, which the runners and the verification checks use
-as ground truth, and an exact supremum bound for each order
+as ground truth (:meth:`AnalyticSignal.eval_many` evaluates them on a time
+grid), and an exact supremum bound for each order
 (:meth:`AnalyticSignal.sup_derivative_bound`), which no check uses.
 Parameters are finite; :func:`sample_noisy_grid` adds noise to given values.
 """
@@ -58,7 +59,10 @@ class Sinusoid:
         offset, a, w, phi = self.canonical()
         if order == 0:
             return abs(a) + abs(offset)
-        return abs(a) * (w ** order)
+        if a == 0.0:
+            return 0.0
+        with np.errstate(over="ignore"):   # overflows to inf
+            return float(abs(a) * np.abs(np.float64(w)) ** order)
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,9 @@ class AnalyticSignal:
     def dim(self) -> int:
         return len(self.components)
 
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """Exact order-th time derivative at scalar time t (order 0 = value)."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        return np.array([float(c.eval(t, order)) for c in self.components])
-
     def eval_many(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized :meth:`eval` over a time grid; returns shape (len(ts), dim)."""
+        """Exact order-th time derivative (order 0 = value) at each time of
+        the grid ``ts``; returns shape (len(ts), dim)."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         ts = np.asarray(ts, dtype=np.float64)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from ddopt import checks, cli, signals, sim
+from ddopt import checks, cli, estimator, signals, sim
 
 
 class TestSignalGrammar:
@@ -41,8 +43,8 @@ class TestSignalGrammar:
     def test_benchmark_default_parses(self):
         sig = cli.parse_signal("cos(5*t-2),sin(5*t-2),cos2(5*t-2)")
         ref = signals.benchmark_parameter_path()
-        for t in (0.0, 0.7):
-            assert np.allclose(sig.eval(t, 1), ref.eval(t, 1))
+        ts = np.array([0.0, 0.7])
+        assert np.allclose(sig.eval_many(ts, 1), ref.eval_many(ts, 1))
 
     @pytest.mark.parametrize("bad", ["tan(3t)", "sin(5x-2)", "poly:abc", "sin(5t*2)",
                                      "", "sin(5t-2),,cos(t)", "2**sin(t)"])
@@ -298,9 +300,9 @@ class TestSweepCommand:
     def test_two_sigmas_is_a_spec_error(self, tmp_path):
         assert cli.main(["sweep", "--sigma", "40,80", "--out", str(tmp_path / "s")]) == 2
 
-    @pytest.mark.parametrize("sigmas", ["40,40,40", "40,80,40"])
+    @pytest.mark.parametrize("sigmas", ["40,40,40", "40,80,40", "40,80,160,40"])
     def test_repeated_sigmas_are_a_spec_error(self, tmp_path, capsys, sigmas):
-        # A power law needs three distinct gains; repeats would fit a nan slope.
+        # Each gain is one point of the slope fit: a repeat would count twice.
         assert cli.main(["sweep", "--sigma", sigmas, "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err.startswith("error: sigma: ")
         assert not (tmp_path / "s").exists()
@@ -348,12 +350,18 @@ class TestVerifyCommand:
         assert "verification PASSED" in printed
 
     def test_perturbed_transfer_fails(self, capsys, monkeypatch):
-        def perturbed():
-            return checks.check_transfer_equivalence(1e-3)
+        # One state-matrix entry off by 1e-3*sigma must fail the check.
+        compose = estimator.compose_cascade
 
-        assert not perturbed().passed
-        monkeypatch.setattr(checks, "CHECKS", [("transfer-equivalence", perturbed)])
-        assert cli.main(["verify"]) == 1
+        def perturbed(order, sigma):
+            casc = compose(order, sigma)
+            A = casc.A.copy()
+            A[-1, -1] += 1e-3 * sigma
+            return estimator.LtiRealization(A, casc.B, casc.C, casc.D)
+
+        monkeypatch.setattr(estimator, "compose_cascade", perturbed)
+        assert not checks.check_transfer_equivalence().passed
+        assert cli.main(["verify", "--only", "transfer-equivalence"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_unknown_check_name(self):
@@ -367,3 +375,56 @@ class TestParser:
     def test_unknown_flag_exits_two(self):
         assert cli.main(["estimate", "--banana", "1"]) == 2
         assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2
+
+
+# sha256 of stdout and of every file each command writes, with a relative
+# --out. A change that moves any of these bytes, such as a new arithmetic
+# order, records the new hashes and says so in CHANGES.md.
+_GOLDEN = {
+    "estimate": (
+        ["estimate", "--k", "2", "--sigma", "20", "--noise-var", "0.01", "--seed", "7",
+         "--tf", "2"],
+        {"stdout": "404bc0ccb01abb4ff58f810311aba60b9939507de58473ff7777634e523f4d8d",
+         "estimate.svg": "b1f5e216daa9bd5c5211b4ac8d5363d4d323cca31671f3dac520eec56e5a76c2",
+         "trajectory.csv": "1c69d16ec228749c5ea50a531112eadce8c22760a67b10e465c98353afd4d56c"}),
+    "optimize": (
+        ["optimize", "--tf", "1"],
+        {"stdout": "44cddc6e2dd3ccd37c94e607b00f48f48315dc838a354584d2d5206e6ff09a72",
+         "loss.svg": "6a8e7bcce00783076aa2fa0de80e1969ad64989fb16b6fa928931ce3842e65e3",
+         "trajectory_estimated-s20.csv":
+             "f7baf69d3855cfdf8538157d6db088d39c3c0067a0cfa8b56a76701e1a2130a9",
+         "trajectory_estimated-s5.csv":
+             "d19090956d615dc18a3ea067304e3e40c6a20e58e3dad371589f9cce3683af47",
+         "trajectory_ideal.csv":
+             "628bc4effe5fdaf816b5a2c6e00546dca62325c73829091ce77d41e0b40117fe"}),
+    "optimize-logcosh": (
+        ["optimize", "--cost", "logcosh", "--mode", "none,ideal,estimated", "--sigma", "5,20",
+         "--noise-var", "0.01", "--seed", "3", "--tf", "1"],
+        {"stdout": "4b6efe44342b1ac50794cdffde880939b6b3bd0b874e26b5227980110da31f6f",
+         "loss.svg": "ef0bf8339d09ee1c1f3c3fef9f7dbdc756cce396e7713487d98d0c0e95b04df6",
+         "trajectory_estimated-s20.csv":
+             "9128154de84fa5cc94d1c25ae75f7318103155d90e529bd7423d0421dbb74b76",
+         "trajectory_estimated-s5.csv":
+             "769c057f99f0a986b67d2cdb1f8b9dce5603ce0067b3a0593105543d84c1876e",
+         "trajectory_ideal.csv":
+             "601b9c06137f6a1e964585160e6936f9a88ede3dc23a37d1717e0be8efdef712",
+         "trajectory_none.csv":
+             "2a6dc6287b23fcf45772a58629923008f25e53c8c538749a481fac05db1c108f"}),
+    "sweep": (
+        ["sweep", "--k", "3", "--signal", "cos(5*t-2),sin(5*t-2),cos2(5*t-2)", "--tf", "3"],
+        {"stdout": "e626c85c41448ff9ebbd29c41b2231de9f4ae51f74a4d4aac145c74cdf349e37",
+         "sweep.csv": "13541904fc1dd7390256311108e215b4bff446939d1b9cc8696258b5fc6e7cd5"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
+    argv, expected = _GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out"]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    digests = {"stdout": hashlib.sha256(printed.out.encode()).hexdigest()}
+    digests.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                   for path in (tmp_path / "out").iterdir())
+    assert digests == expected

@@ -59,20 +59,21 @@ class TestNewtonRhs:
     def test_zero_at_minimizer(self):
         cost = flows.QuadraticTrackingCost(3)
         theta = np.array([1.0, -2.0, 0.5])
-        rhs = flows.corrected_newton_rhs(cost, theta.copy(), theta, None)
+        rhs = flows.corrected_newton_rhs(cost, theta.copy(), theta, np.zeros(3))
         assert np.array_equal(rhs, np.zeros(3))
 
     def test_quadratic_displacement(self):
         cost = flows.QuadraticTrackingCost(3)
         theta = np.zeros(3)
         x = np.array([1.0, -2.0, 0.5])
-        rhs = flows.corrected_newton_rhs(cost, x, theta, None)
+        rhs = flows.corrected_newton_rhs(cost, x, theta, np.zeros(3))
         assert np.allclose(rhs, [-1.0, 2.0, -0.5], atol=1e-15)
 
     def test_diagonal_cost_scaling_invariance(self):
         # -diag(2,4)^{-1} (2, 4) = (-1, -1): Newton normalizes the curvature.
         cost = FixedDiagonalCost()
-        rhs = flows.corrected_newton_rhs(cost, np.array([1.0, 1.0]), np.zeros(1), None)
+        rhs = flows.corrected_newton_rhs(cost, np.array([1.0, 1.0]), np.zeros(1),
+                                         np.zeros(1))
         assert np.allclose(rhs, [-1.0, -1.0], atol=1e-15)
 
     def test_matches_explicit_solve(self):
@@ -95,13 +96,13 @@ _COORD = st.floats(-1e3, 1e3)
 
 @st.composite
 def _field_inputs(draw):
-    """Batched x (B, n); theta (n,) shared or (B, n); velocity None, zero or
-    drawn, (B, n)."""
+    """Batched x (B, n); theta (n,) shared or (B, n); velocity zero or drawn,
+    (B, n)."""
     B, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     x = draw(hnp.arrays(np.float64, (B, n), elements=_COORD))
     theta = draw(hnp.arrays(np.float64, draw(st.sampled_from([(n,), (B, n)])),
                             elements=_COORD))
-    velocity = draw(st.one_of(st.none(), st.just(np.zeros((B, n))),
+    velocity = draw(st.one_of(st.just(np.zeros((B, n))),
                               hnp.arrays(np.float64, (B, n), elements=_COORD)))
     return x, theta, velocity
 
@@ -151,7 +152,7 @@ class TestCorrections:
             for _ in range(10):
                 x, theta, v = rng.standard_normal((3, 2))
                 combined = flows.corrected_newton_rhs(cost, x, theta, v)
-                parts = (flows.corrected_newton_rhs(cost, x, theta, None)
+                parts = (flows.corrected_newton_rhs(cost, x, theta, np.zeros(2))
                          + flows.ideal_correction(cost, x, theta, v))
                 assert np.allclose(combined, parts, atol=1e-14)
 
@@ -159,7 +160,7 @@ class TestCorrections:
         cost = flows.QuadraticTrackingCost(2)
         x, theta = np.array([1.0, 0.0]), np.zeros(2)
         newton = -cost.solve_hessian(x, theta, cost.gradient(x, theta))
-        assert np.array_equal(flows.corrected_newton_rhs(cost, x, theta, None), newton)
+        assert np.array_equal(flows.corrected_newton_rhs(cost, x, theta, np.zeros(2)), newton)
 
 
 class TestLyapunovGradients:
@@ -281,13 +282,14 @@ class TestContraction:
         cfg = sim.SimConfig(t0=0.0, tf=10.0, h=1e-3)
 
         def rhs(t, x):
-            return flows.corrected_newton_rhs(cost, x, signal.eval(t, 0), signal.eval(t, 1))
+            theta, theta_dot = (signal.eval_many([t], order)[0] for order in (0, 1))
+            return flows.corrected_newton_rhs(cost, x, theta, theta_dot)
 
         traj = reference.integrate_rk4(rhs, np.zeros(3), cfg)
         x = np.column_stack([traj.column(f"x_{i}") for i in range(3)])
         theta = signal.eval_many(traj.t, 0)
         err = np.linalg.norm(x - theta, axis=1)
-        e0 = np.linalg.norm(signal.eval(0.0, 0))
+        e0 = np.linalg.norm(theta[0])
         assert np.max(np.abs(err - e0 * np.exp(-traj.t))) <= 1e-8
 
 

@@ -13,37 +13,31 @@ def scalar(descriptor):
 class TestEval:
     def test_polynomial_derivative(self):
         sig = scalar(signals.Polynomial((0.0, 0.0, 1.0)))  # t^2
-        assert sig.eval(3.0, 1)[0] == pytest.approx(6.0, abs=1e-15)
+        assert sig.eval_many([3.0], 1)[0, 0] == pytest.approx(6.0, abs=1e-15)
 
     def test_sinusoid_first_derivative_at_zero_argument(self):
         sig = signals.sinusoid_5t_minus_2()
         # argument 5t-2 vanishes at t = 0.4, derivative is 5 cos(0) = 5
-        assert sig.eval(0.4, 1)[0] == pytest.approx(5.0, abs=1e-12)
+        assert sig.eval_many([0.4], 1)[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_sinusoid_value(self):
         sig = signals.sinusoid_5t_minus_2()
-        assert sig.eval(0.0, 0)[0] == pytest.approx(math.sin(-2.0), abs=1e-15)
+        assert sig.eval_many([0.0], 0)[0, 0] == pytest.approx(math.sin(-2.0), abs=1e-15)
 
     def test_cos2_matches_square_of_cos(self):
         sig = scalar(signals.Sinusoid(2.0, 5.0, -2.0, "cos2"))
-        for t in (0.0, 0.3, 1.7):
-            assert sig.eval(t, 0)[0] == pytest.approx(2.0 * math.cos(5 * t - 2) ** 2, abs=1e-12)
+        ts = [0.0, 0.3, 1.7]
+        for t, value in zip(ts, sig.eval_many(ts, 0)[:, 0]):
+            assert value == pytest.approx(2.0 * math.cos(5 * t - 2) ** 2, abs=1e-12)
 
     def test_constant(self):
         sig = scalar(signals.Polynomial((7.0,)))
-        assert sig.eval(1.0, 0)[0] == 7.0
-        assert sig.eval(1.0, 1)[0] == 0.0
-
-    def test_eval_many_matches_eval(self):
-        sig = signals.benchmark_parameter_path()
-        ts = np.array([0.0, 0.25, 1.5])
-        grid = sig.eval_many(ts, 2)
-        for i, t in enumerate(ts):
-            assert np.array_equal(grid[i], sig.eval(t, 2))
+        assert sig.eval_many([1.0], 0)[0, 0] == 7.0
+        assert sig.eval_many([1.0], 1)[0, 0] == 0.0
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            signals.sinusoid_5t_minus_2().eval(0.0, -1)
+            signals.sinusoid_5t_minus_2().eval_many([0.0], -1)
 
     def test_finite_difference_consistency(self):
         # Central differences of order-i curves match order i+1 at 100 random t.
@@ -90,6 +84,18 @@ class TestSupBound:
             for order in range(4):
                 values = np.linalg.norm(sig.eval_many(ts, order), axis=1)
                 assert np.max(values) <= sig.sup_derivative_bound(order) + 1e-9
+
+    def test_sinusoid_bound_is_a_magnitude(self):
+        # The sign of omega does not carry into the supremum.
+        assert signals.Sinusoid(2.0, -5.0).sup_derivative(1) == 10.0
+        assert signals.Sinusoid(2.0, -5.0, kind="cos2").sup_derivative(3) == 1000.0
+        assert signals.Sinusoid(-2.0, -5.0).sup_derivative(2) == 50.0
+
+    def test_sinusoid_bound_overflows_to_inf(self):
+        # No OverflowError and no warning (warnings fail the run).
+        assert scalar(signals.Sinusoid(1.0, 1e308)).sup_derivative_bound(2) == math.inf
+        assert signals.Sinusoid(1e300, -1e10).sup_derivative(1) == math.inf
+        assert signals.Sinusoid(0.0, 1e308).sup_derivative(2) == 0.0
 
 
 class TestNoise:

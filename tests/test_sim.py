@@ -168,7 +168,7 @@ class TestDerivativeExperiment:
         est_cfg = est.DirtyDerivativeConfig(1, 5.0, 1)
         traj = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
         dd = est.build_estimator(est_cfg, cfg.h)
-        w = lambda t: signal.eval(t, 0)
+        w = lambda t: signal.eval_many([t], 0)[0]
         for row, t in enumerate(traj.t):
             out = dd.output(w(t))
             assert abs(out[0, 0] - traj.column("thetahat_0")[row]) <= 1e-13
@@ -506,7 +506,7 @@ class TestInterconnection:
         cfg = sim.SimConfig(tf=1.0, h=1e-3)
         cost = flows.QuadraticTrackingCost(3)
         signal = signals.benchmark_parameter_path()
-        x0 = signal.eval(0.0, 0)
+        x0 = signal.eval_many([0.0], 0)[0]
         traj = sim.run_interconnection(cost, signal, flows.CorrectionMode.IDEAL, cfg, x0=x0)
         assert traj.column("tracking_error")[0] == 0.0
         # starting on the minimizer with the exact correction keeps the error
@@ -534,9 +534,7 @@ def _general_rhs(cost, x, theta, velocity):
     cross-Hessian matvec, solved by elimination on the full Hessian
     (``CostModel.solve_hessian`` calls ``numerics.solve_linear``), whatever
     closed form the cost's own ``newton_field`` uses."""
-    g = cost.gradient(x, theta)
-    if velocity is not None:
-        g = g + cost.cross_hessian(x, theta) @ velocity
+    g = cost.gradient(x, theta) + cost.cross_hessian(x, theta) @ velocity
     return -flows.CostModel.solve_hessian(cost, x, theta, g)
 
 
@@ -583,7 +581,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
         elif estimated:
             v0 = vm = v1 = hat[j]
         else:
-            v0 = vm = v1 = None
+            v0 = vm = v1 = np.zeros(signal.dim)
         rhs = _general_rhs
         th_m, th_1 = theta_all[2 * j + 1], theta_all[2 * j + 2]
         k1 = rhs(cost, x, theta, v0)
@@ -602,7 +600,7 @@ class _FieldBlowsUpAt(flows.QuadraticTrackingCost):
         super().__init__(1)
         self.t_bad = t_bad
 
-    def newton_field(self, x, theta, velocity=None):
+    def newton_field(self, x, theta, velocity):
         field = super().newton_field(x, theta, velocity)
         blown = (np.asarray(theta) >= self.t_bad) & (np.asarray(velocity) != 0.0)
         return np.where(blown, np.inf, field)
@@ -612,7 +610,7 @@ class _RejectsNonFiniteState(_FieldBlowsUpAt):
     """The same field, which raises on a non-finite state the way
     ``numerics.solve_linear`` raises on a non-finite Hessian."""
 
-    def newton_field(self, x, theta, velocity=None):
+    def newton_field(self, x, theta, velocity):
         if not np.all(np.isfinite(x)):
             raise ValueError("state contains non-finite entries")
         return super().newton_field(x, theta, velocity)
