@@ -59,6 +59,11 @@ class CostModel:
     through ``gradient``, ``cross_hessian`` and ``solve_hessian``; a subclass
     may replace it with a closed form, provided the result is bit-identical
     to that general path (the sign of an exact zero aside).
+
+    :meth:`affine_field` declares a field that is affine in the state, the
+    parameter and the velocity alike, elementwise; ``sim`` then steps the
+    flow as an LTI system and never calls :meth:`newton_field`. The default,
+    None, keeps the flow in the RK4 loop.
     """
 
     name = "abstract"
@@ -105,6 +110,11 @@ class CostModel:
             out[i] = numerics.solve_linear(H[i], rhs[i])
         return out
 
+    def affine_field(self) -> tuple[float, float] | None:
+        """Scalars (a, b) such that :meth:`newton_field` is
+        a x + b (theta + velocity), elementwise (n = p); None if it is not."""
+        return None
+
     def newton_field(self, x, theta, velocity) -> np.ndarray:
         """-hess^{-1} (grad + cross @ velocity). See :func:`corrected_newton_rhs`."""
         g = self.gradient(x, theta) + _matvec(self.cross_hessian(x, theta), velocity)
@@ -142,6 +152,9 @@ class QuadraticTrackingCost(CostModel):
     def solve_hessian(self, x, theta, rhs) -> np.ndarray:
         # Identity Hessian: elimination returns the rhs unchanged.
         return np.asarray(rhs, dtype=np.float64).copy()
+
+    def affine_field(self) -> tuple[float, float]:
+        return -1.0, 1.0
 
     def newton_field(self, x, theta, velocity) -> np.ndarray:
         # Identity Hessian, cross-Hessian -I: -(d - v), elementwise.

@@ -103,7 +103,10 @@ class Polynomial:
             return math.inf
         if degree < order:
             return 0.0
-        return abs(coeffs[degree]) * math.factorial(degree)
+        try:
+            return abs(coeffs[degree]) * math.factorial(degree)
+        except OverflowError:   # degree > 170: the factorial is past the float range
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 
 Two kinds of dynamics are stepped here:
 
-* the nonlinear optimizer flow, integrated by classical RK4;
+* the optimizer flow, integrated by classical RK4;
 * the linear estimator cascade, advanced by its precomputed RK4 step maps,
   which sample the continuous input at every RK4 stage (t, t+h/2, t+h).
 
-Every LTI run goes through one batch path, :func:`_drive_lti`: the sampled
-input grid is cut into chunks of 64 steps, each chunk's outputs come from
-matrix products with kernels built from powers of the step map, and only
-the states at the chunk starts are carried from chunk to chunk. The result
-equals stepping the estimator sample by sample up to roundoff, with no
-Python loop over the grid steps.
+Every estimator run goes through one batch path, :func:`_drive_lti`: the
+sampled input grid is cut into chunks of 64 steps, each chunk's outputs
+come from matrix products with kernels built from powers of the step map,
+and only the states at the chunk starts are carried from chunk to chunk.
+The result equals stepping the estimator sample by sample up to roundoff,
+with no Python loop over the grid steps.
 
 Each run evaluates its clean signal once, on the stage grid, records every
 other stage, and measures it with noise added. A sweep's gains share the
@@ -21,15 +21,20 @@ outputs are in memory at once.
 
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
-estimate first and the flow loop then only reads it: the estimate at each
+estimate first and the flow then only reads it: the estimate at each
 grid point is held constant over the optimizer's RK4 step.
 
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
-:func:`run_interconnections`: one RK4 loop advances the stacked states
-(runs, n), stores only them and checks them for non-finite values a block
-of steps at a time; the other columns are computed after the loop on blocks
-of rows, through the same ``flows`` functions.
+:func:`run_interconnections`. A cost whose Newton field is affine (the
+quadratic tracker, see :meth:`flows.CostModel.affine_field`) makes the flow
+an LTI system too: its RK4 steps are evaluated in chunks like the
+estimator's, by :func:`_step_affine`, and the RK4 loop does not run. For
+other costs, and for an affine batch whose states turn non-finite, one RK4
+loop advances the stacked states (runs, n), stores only them and checks
+them for non-finite values a block of steps at a time. Either way the other
+columns are computed from the states on blocks of rows, through the same
+``flows`` functions.
 :func:`write_csvs` writes every CSV file, the runs' trajectories together,
 formatting the columns they have in common once.
 """
@@ -417,9 +422,13 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     (ideal), or the run's estimate (estimated). The estimator is open loop,
     so each estimate is computed for the whole grid first, and a flow step
     holds the estimate at its start constant over the optimizer's RK4 step.
-    The stacked state (runs, n) advances in one RK4 loop that stores only
-    the state; the other columns are computed from the stored states after
-    the loop. Each run comes out bit-identical to the same run alone.
+    When the cost declares an affine field (:meth:`flows.CostModel.affine_field`),
+    each run's RK4 steps are evaluated as an LTI recurrence
+    (:func:`_affine_states`) and ``newton_field`` is never called; otherwise,
+    or if those states are not all finite, the stacked state (runs, n)
+    advances in one RK4 loop (:func:`_rk4_states`), which reports the step
+    that failed. The other columns are computed from the stored states
+    afterwards. Each run comes out bit-identical to the same run alone.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -445,65 +454,35 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
-    x = np.tile(x0, (B, 1))
 
     ts_all = cfg.stage_times()
-    with np.errstate(over="ignore", invalid="ignore"):   # see check_finite below
+    # Overflow is reported as NonFiniteStateError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
         theta_all = signal.eval_many(ts_all, 0)    # exact path at stage times
         theta_dot_all = signal.eval_many(ts_all, 1)
     if any(mode is Mode.ESTIMATED for mode, _ in runs):   # only estimates read it
         meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
 
-    # Velocity fed to the correction at the grid points (RK4 stage 1), at
-    # the midpoint stages 2-3 and at stage 4 of each step: zero, the exact
-    # velocity, or the estimate held over the step.
+    # Velocity fed to the correction at the grid points: zero, the exact
+    # velocity, or the estimate, which a flow step holds over the step.
     v0 = np.zeros((N + 1, B, p))
-    vm, v1 = np.zeros((2, N, B, p))
     for b, (mode, est_cfg) in enumerate(runs):
         if mode is Mode.ESTIMATED:
             estimator = est_mod.build_estimator(est_cfg, h)
             v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
                                   estimator.state)[:, 0, :]
-            vm[:, b] = v1[:, b] = v0[:-1, b]
         elif mode is Mode.IDEAL:
             v0[:, b] = theta_dot_all[0::2]
-            vm[:, b] = theta_dot_all[1::2]
-            v1[:, b] = theta_dot_all[2::2]
 
-    X = np.empty((N + 1, B, n))
-    X[0] = x
+    field = cost.affine_field()
+    X = None if field is None else _affine_states(field, runs, theta_all, theta_dot_all, v0,
+                                                  x0, h)
+    if X is None or not np.isfinite(X).all():
+        # Non-finite inputs spread over whole chunks of the LTI kernel; the
+        # RK4 loop finds the step at which the state failed.
+        X = _rk4_states(cost, runs, theta_all, theta_dot_all, v0, x0, cfg)
 
-    def check_finite(start, stop):
-        # The states after steps start .. stop-1. A non-finite state
-        # component stays non-finite (x + dx is inf or nan whenever x is), so
-        # the first non-finite row is the step at which the run failed.
-        finite = np.isfinite(X[start + 1:stop + 1]).all(axis=(1, 2))
-        if not finite.all():
-            j = start + int(np.argmin(finite))
-            raise NonFiniteStateError(cfg.t0 + j * h + h)
-
-    rhs = flows_mod.corrected_newton_rhs
-    # Overflow from unstable gain/step combinations is surfaced as
-    # NonFiniteStateError, not as numpy warnings mid-loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, N, _RECORD_BLOCK_ROWS):
-            stop = min(start + _RECORD_BLOCK_ROWS, N)
-            try:
-                for j in range(start, stop):
-                    th_m = theta_all[2 * j + 1]
-                    k1 = rhs(cost, x, theta_all[2 * j], v0[j])
-                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
-                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
-                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
-                    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    X[j + 1] = x
-            except Exception:
-                # A cost may reject a non-finite state (numerics.solve_linear
-                # does); report the step that produced it instead.
-                check_finite(start, j)
-                raise
-            check_finite(start, stop)
-
         # The grid points are every other stage.
         theta = theta_all[::2]
         theta_dot = theta_dot_all[::2]
@@ -545,6 +524,129 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         traj.check_finite()
         trajectories.append(traj)
     return trajectories
+
+
+def _affine_states(field, runs, theta_all, theta_dot_all, v0, x0, h) -> np.ndarray:
+    """States (N+1, runs, n) of the flows x' = a x + b (theta + v) of an
+    affine field ``(a, b)`` (:meth:`flows.CostModel.affine_field`), by RK4.
+
+    Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and the
+    stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, b, h)`` applied
+    to the samples of theta + v (the held estimate weighs M0 + M1 + M2).
+    Each run gets its own :func:`_step_affine` call, so it comes out the
+    same whichever runs are integrated with it.
+    """
+    a, b = field
+    _, M0, M1, M2 = (float(M[0, 0]) for M in
+                     est_mod.rk4_step_maps(np.array([[a]]), np.array([[b]]), h))
+    ha = h * a
+    # q = Phi - 1 = ha + ha^2/2 + ha^3/6 + ha^4/24, summed without the 1.
+    # Phi rounded to float64 is off by up to eps/2, which the slow decay
+    # (about 1/|ha| steps) would amplify to eps/(2|ha|) in the state: 20 to
+    # 65 times the RK4 loop's own error at h = 1e-3.
+    q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
+
+    def inputs(u):
+        return M0 * u[0:-2:2] + M1 * u[1::2] + M2 * u[2::2]
+
+    X = np.empty((len(v0), len(runs), len(x0)))
+    Mode = flows_mod.CorrectionMode
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = inputs(theta_all)
+        for r, (mode, _) in enumerate(runs):
+            if mode is Mode.IDEAL:
+                V = inputs(theta_all + theta_dot_all)
+            elif mode is Mode.ESTIMATED:
+                V = path + (M0 + M1 + M2) * v0[:-1, r]
+            else:
+                V = path
+            X[:, r] = _step_affine(q, V, x0)
+    return X
+
+
+def _step_affine(q: float, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """States (N+1, m) of x[j+1] = x[j] + q x[j] + V[j] from x0; V is (N, m).
+
+    Evaluated in chunks of ``_CHUNK`` steps, as :func:`_drive_lti` does, but
+    with the powers of the step map kept as their offsets from 1,
+    Q[d] = (1 + q)^d - 1: step l of a chunk that starts at s is
+    s + (Q[l] s + (K @ V)[l-1]), with K[r, i] = (1 + q)^(r-i) for i <= r.
+    The state is rounded once per output and once per chunk, and the
+    rounding of 1 + q is never amplified by the slow decay.
+    """
+    L = _CHUNK
+    N, m = V.shape
+    chunks = -(-N // L)
+    Q = np.expm1(np.arange(L + 1) * np.log1p(q))         # (1 + q)^d - 1
+    K = np.tril(1.0 + Q[np.abs(np.subtract.outer(np.arange(L), np.arange(L)))])
+    Vp = np.zeros((chunks * L, m))
+    Vp[:N] = V
+    inc = K @ Vp.reshape(chunks, L, m).transpose(1, 0, 2).reshape(L, chunks * m)
+    inc = inc.reshape(L, chunks, m)                      # response from a zero start
+    starts = np.empty((chunks, m))
+    s = x0
+    for c in range(chunks):
+        starts[c] = s
+        s = s + (Q[L] * s + inc[L - 1, c])
+    steps = starts + (Q[1:, None, None] * starts + inc)   # (L, chunks, m)
+    out = np.empty((N + 1, m))
+    out[0] = x0
+    out[1:] = steps.transpose(1, 0, 2).reshape(chunks * L, m)[:N]
+    return out
+
+
+def _rk4_states(cost, runs, theta_all, theta_dot_all, v0, x0, cfg) -> np.ndarray:
+    """States (N+1, runs, n) of the corrected Newton flows, stepped together
+    by one RK4 loop through :meth:`flows.CostModel.newton_field`; the state
+    is checked for non-finite values a block of steps at a time, and a
+    failure raises :class:`NonFiniteStateError` at the step that made it."""
+    N, B, p = v0.shape[0] - 1, len(runs), v0.shape[2]
+    h = cfg.h
+    Mode = flows_mod.CorrectionMode
+    # The velocity at the midpoint stages 2-3 and at stage 4 of each step.
+    vm, v1 = np.zeros((2, N, B, p))
+    for b, (mode, _) in enumerate(runs):
+        if mode is Mode.ESTIMATED:
+            vm[:, b] = v1[:, b] = v0[:-1, b]
+        elif mode is Mode.IDEAL:
+            vm[:, b] = theta_dot_all[1::2]
+            v1[:, b] = theta_dot_all[2::2]
+
+    x = np.tile(x0, (B, 1))
+    X = np.empty((N + 1, B, len(x0)))
+    X[0] = x
+
+    def check_finite(start, stop):
+        # The states after steps start .. stop-1. A non-finite state
+        # component stays non-finite (x + dx is inf or nan whenever x is), so
+        # the first non-finite row is the step at which the run failed.
+        finite = np.isfinite(X[start + 1:stop + 1]).all(axis=(1, 2))
+        if not finite.all():
+            j = start + int(np.argmin(finite))
+            raise NonFiniteStateError(cfg.t0 + j * h + h)
+
+    rhs = flows_mod.corrected_newton_rhs
+    # Overflow from unstable gain/step combinations is surfaced as
+    # NonFiniteStateError, not as numpy warnings mid-loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, N, _RECORD_BLOCK_ROWS):
+            stop = min(start + _RECORD_BLOCK_ROWS, N)
+            try:
+                for j in range(start, stop):
+                    th_m = theta_all[2 * j + 1]
+                    k1 = rhs(cost, x, theta_all[2 * j], v0[j])
+                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
+                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
+                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
+                    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    X[j + 1] = x
+            except Exception:
+                # A cost may reject a non-finite state (numerics.solve_linear
+                # does); report the step that produced it instead.
+                check_finite(start, j)
+                raise
+            check_finite(start, stop)
+    return X
 
 
 def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal,

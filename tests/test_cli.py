@@ -392,11 +392,11 @@ _GOLDEN = {
         {"stdout": "44cddc6e2dd3ccd37c94e607b00f48f48315dc838a354584d2d5206e6ff09a72",
          "loss.svg": "6a8e7bcce00783076aa2fa0de80e1969ad64989fb16b6fa928931ce3842e65e3",
          "trajectory_estimated-s20.csv":
-             "f7baf69d3855cfdf8538157d6db088d39c3c0067a0cfa8b56a76701e1a2130a9",
+             "4204aeded166496972f2a82e5f52f2b5e64a41e7b2baa54cb7cf78a56fca0516",
          "trajectory_estimated-s5.csv":
-             "d19090956d615dc18a3ea067304e3e40c6a20e58e3dad371589f9cce3683af47",
+             "03cd38102c2d3cbefa159d877cd8b1f60a25eefd28a49467938970a3511917bf",
          "trajectory_ideal.csv":
-             "628bc4effe5fdaf816b5a2c6e00546dca62325c73829091ce77d41e0b40117fe"}),
+             "694c0be305be79b1d0191046199a3fc1e1dd84e7b3a834a57fbc262ba4ae69f6"}),
     "optimize-logcosh": (
         ["optimize", "--cost", "logcosh", "--mode", "none,ideal,estimated", "--sigma", "5,20",
          "--noise-var", "0.01", "--seed", "3", "--tf", "1"],

@@ -97,6 +97,13 @@ class TestSupBound:
         assert signals.Sinusoid(1e300, -1e10).sup_derivative(1) == math.inf
         assert signals.Sinusoid(0.0, 1e308).sup_derivative(2) == 0.0
 
+    def test_polynomial_bound_overflows_to_inf(self):
+        # 171! is past the float range; 170! is not.
+        assert signals.Polynomial((0.0,) * 171 + (1.0,)).sup_derivative(171) == math.inf
+        assert signals.Polynomial((0.0,) * 171 + (1.0,)).sup_derivative(172) == 0.0
+        assert (signals.Polynomial((0.0,) * 170 + (2.0,)).sup_derivative(170)
+                == 2.0 * math.factorial(170))
+
 
 class TestNoise:
     def test_zero_variance_is_exact_and_leaves_rng_alone(self, monkeypatch):
