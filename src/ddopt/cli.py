@@ -296,6 +296,9 @@ def cmd_optimize(spec: dict) -> int:
     if len(set(labels)) != len(labels):   # runs under one label would share a file
         field = "mode" if len(set(modes)) < len(modes) else "sigma"
         raise SpecError(field, f"each run needs its own label, got {', '.join(labels)}")
+    if len(specs) * cfg.num_steps > sim_mod.MAX_STEPS:   # the runs are integrated together
+        raise SpecError("tf/h", f"{len(specs)} runs of {cfg.num_steps} steps exceed the "
+                                f"budget of {sim_mod.MAX_STEPS} steps summed over runs")
     _make_out_dir(out)
     runs = list(zip(labels, sim_mod.run_interconnections(cost, signal, specs, cfg, noise=noise)))
     sim_mod.write_csvs((traj.columns, out / f"trajectory_{label}.csv") for label, traj in runs)
@@ -324,6 +327,10 @@ def cmd_sweep(spec: dict) -> int:
     table = {"sigma": np.array(sigmas)}
     table.update((f"est_error_sup_{order}", sups[:, order - 1]) for order in range(1, k + 1))
     sim_mod.write_csvs([(table, out / "sweep.csv")])
+    if signal.sup_derivative_bound(k + 1) == 0.0:
+        raise sim_mod.InsufficientDataError(
+            f"the signal's derivative of order {k + 1} is identically zero, so the estimates "
+            "have no truncation error and the errors hold no power law to fit")
     for order in range(1, k + 1):
         slope = sim_mod.slope_fit(list(zip(sigmas, sups[:, order - 1])))
         print(f"order {order}: fitted log-log slope {slope:.4f} "

@@ -60,9 +60,10 @@ class CostModel:
     may replace it with a closed form, provided the result is bit-identical
     to that general path (the sign of an exact zero aside).
 
-    :meth:`affine_field` declares a field that is affine in the state, the
-    parameter and the velocity alike, elementwise; ``sim`` then steps the
-    flow as an LTI system and never calls :meth:`newton_field`. The default,
+    :meth:`affine_field` declares instead a field that is affine in the
+    state, the parameter and the velocity alike, elementwise; ``sim`` then
+    steps the flow as an LTI system, and reaches :meth:`newton_field` only
+    to locate the step at which such a flow turned non-finite. The default,
     None, keeps the flow in the RK4 loop.
     """
 
@@ -155,11 +156,6 @@ class QuadraticTrackingCost(CostModel):
 
     def affine_field(self) -> tuple[float, float]:
         return -1.0, 1.0
-
-    def newton_field(self, x, theta, velocity) -> np.ndarray:
-        # Identity Hessian, cross-Hessian -I: -(d - v), elementwise.
-        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        return -(d - np.asarray(velocity, dtype=np.float64))
 
 
 class LogCoshTrackingCost(CostModel):

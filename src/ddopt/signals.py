@@ -6,7 +6,8 @@ polynomial). Keeping the set closed means every component has closed-form
 derivatives of any order, which the runners and the verification checks use
 as ground truth (:meth:`AnalyticSignal.eval_many` evaluates them on a time
 grid), and an exact supremum bound for each order
-(:meth:`AnalyticSignal.sup_derivative_bound`), which no check uses.
+(:meth:`AnalyticSignal.sup_derivative_bound`), which ``sweep`` uses to refuse
+a fit when the order past the estimator's is identically zero.
 Parameters are finite; :func:`sample_noisy_grid` adds noise to given values.
 """
 
@@ -135,13 +136,11 @@ class AnalyticSignal:
     def sup_derivative_bound(self, order: int) -> float:
         """Supremum over t >= 0 of the 2-norm of the order-th derivative.
 
-        Per-component suprema combined by root-sum-of-squares; returns +inf
-        when any component is an unbounded polynomial at that order.
+        Per-component suprema combined by root-sum-of-squares, without
+        squaring (a tiny nonzero supremum stays nonzero); returns +inf when
+        any component is an unbounded polynomial at that order.
         """
-        sups = [c.sup_derivative(order) for c in self.components]
-        if any(math.isinf(s) for s in sups):
-            return math.inf
-        return math.sqrt(sum(s * s for s in sups))
+        return math.hypot(*(c.sup_derivative(order) for c in self.components))
 
 
 @dataclass(frozen=True)

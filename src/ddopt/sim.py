@@ -26,10 +26,11 @@ grid point is held constant over the optimizer's RK4 step.
 
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
-:func:`run_interconnections`. A cost whose Newton field is affine (the
-quadratic tracker, see :meth:`flows.CostModel.affine_field`) makes the flow
-an LTI system too: its RK4 steps are evaluated in chunks like the
-estimator's, by :func:`_step_affine`, and the RK4 loop does not run. For
+:func:`run_interconnections`, the one place that turns a run's correction
+mode into the velocities its flow steps are fed. A cost whose Newton field
+is affine (the quadratic tracker, see :meth:`flows.CostModel.affine_field`)
+makes the flow an LTI system too: its RK4 steps are evaluated in chunks like
+the estimator's, by :func:`_step_affine`, and the RK4 loop does not run. For
 other costs, and for an affine batch whose states turn non-finite, one RK4
 loop advances the stacked states (runs, n), stores only them and checks
 them for non-finite values a block of steps at a time. Either way the other
@@ -52,9 +53,10 @@ from . import flows as flows_mod
 from . import signals as sig_mod
 
 STEADY_STATE_FRACTION = 0.2  # metrics use the final 20% of a run
-# Step budget: the grids of a run grow with the step count (and with the
-# number of runs integrated together), so a run past it is refused before
-# anything is allocated. About 67 times the longest shipped run (30k steps).
+# Step budget, summed over the runs integrated together: their grids grow
+# with that sum, so a run (SimConfig) or an optimize batch (the CLI) past it
+# is refused before anything is allocated. About 67 times the longest
+# shipped run (30k steps).
 MAX_STEPS = 2_000_000
 # Rows handled per block by the flow loop's finiteness check, when deriving
 # the other columns and when writing CSVs, so that buffers and temporaries
@@ -418,17 +420,18 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
 
     The runs share the parameter path, the initial state and the (noisy when
     configured) parameter samples. They differ only in the velocity the
-    correction is fed: zero (none), the exact velocity at the stage times
-    (ideal), or the run's estimate (estimated). The estimator is open loop,
-    so each estimate is computed for the whole grid first, and a flow step
-    holds the estimate at its start constant over the optimizer's RK4 step.
-    When the cost declares an affine field (:meth:`flows.CostModel.affine_field`),
-    each run's RK4 steps are evaluated as an LTI recurrence
-    (:func:`_affine_states`) and ``newton_field`` is never called; otherwise,
-    or if those states are not all finite, the stacked state (runs, n)
-    advances in one RK4 loop (:func:`_rk4_states`), which reports the step
-    that failed. The other columns are computed from the stored states
-    afterwards. Each run comes out bit-identical to the same run alone.
+    correction is fed, decided here once per run for the integrators: zero
+    (none), the exact velocity at the stage times (ideal), or the run's
+    estimate (estimated). The estimator is open loop, so each estimate is
+    computed for the whole grid first, and a flow step holds the estimate at
+    its start constant over the optimizer's RK4 step. When the cost declares
+    an affine field (:meth:`flows.CostModel.affine_field`), each run's RK4
+    steps are evaluated as an LTI recurrence (:func:`_affine_states`) and
+    ``newton_field`` is not called; otherwise, or if those states are not all
+    finite, the stacked state (runs, n) advances in one RK4 loop
+    (:func:`_rk4_states`), which reports the step that failed. The other
+    columns are computed from the stored states afterwards. Each run comes
+    out bit-identical to the same run alone.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -460,27 +463,33 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     with np.errstate(over="ignore", invalid="ignore"):
         theta_all = signal.eval_many(ts_all, 0)    # exact path at stage times
         theta_dot_all = signal.eval_many(ts_all, 1)
-    if any(mode is Mode.ESTIMATED for mode, _ in runs):   # only estimates read it
-        meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
 
-    # Velocity fed to the correction at the grid points: zero, the exact
-    # velocity, or the estimate, which a flow step holds over the step.
+    # The velocity each correction is fed at the grid points (recorded), and
+    # per run, as views, at the start, middle and end stage of each step; a
+    # step holds the estimate (or zero) at its start.
     v0 = np.zeros((N + 1, B, p))
+    stage_velocities = []
+    meas_all = None
     for b, (mode, est_cfg) in enumerate(runs):
+        if mode is Mode.IDEAL:
+            v0[:, b] = theta_dot_all[0::2]
+            stage_velocities.append((theta_dot_all[0:-2:2], theta_dot_all[1::2],
+                                     theta_dot_all[2::2]))
+            continue
         if mode is Mode.ESTIMATED:
+            if meas_all is None:
+                meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
             estimator = est_mod.build_estimator(est_cfg, h)
             v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
                                   estimator.state)[:, 0, :]
-        elif mode is Mode.IDEAL:
-            v0[:, b] = theta_dot_all[0::2]
+        stage_velocities.append((v0[:-1, b],) * 3)
 
     field = cost.affine_field()
-    X = None if field is None else _affine_states(field, runs, theta_all, theta_dot_all, v0,
-                                                  x0, h)
+    X = None if field is None else _affine_states(field, theta_all, stage_velocities, x0, h)
     if X is None or not np.isfinite(X).all():
         # Non-finite inputs spread over whole chunks of the LTI kernel; the
         # RK4 loop finds the step at which the state failed.
-        X = _rk4_states(cost, runs, theta_all, theta_dot_all, v0, x0, cfg)
+        X = _rk4_states(cost, theta_all, stage_velocities, x0, cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
@@ -526,15 +535,15 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     return trajectories
 
 
-def _affine_states(field, runs, theta_all, theta_dot_all, v0, x0, h) -> np.ndarray:
+def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
     """States (N+1, runs, n) of the flows x' = a x + b (theta + v) of an
     affine field ``(a, b)`` (:meth:`flows.CostModel.affine_field`), by RK4.
 
-    Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and the
+    Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
     stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, b, h)`` applied
-    to the samples of theta + v (the held estimate weighs M0 + M1 + M2).
-    Each run gets its own :func:`_step_affine` call, so it comes out the
-    same whichever runs are integrated with it.
+    to theta + v at the start, middle and end stage (v from the run's entry
+    of ``stage_velocities``). Each run gets its own :func:`_step_affine`
+    call, so it comes out the same whichever runs are integrated with it.
     """
     a, b = field
     _, M0, M1, M2 = (float(M[0, 0]) for M in
@@ -546,20 +555,11 @@ def _affine_states(field, runs, theta_all, theta_dot_all, v0, x0, h) -> np.ndarr
     # 65 times the RK4 loop's own error at h = 1e-3.
     q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
 
-    def inputs(u):
-        return M0 * u[0:-2:2] + M1 * u[1::2] + M2 * u[2::2]
-
-    X = np.empty((len(v0), len(runs), len(x0)))
-    Mode = flows_mod.CorrectionMode
+    X = np.empty((len(theta_all) // 2 + 1, len(stage_velocities), len(x0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        path = inputs(theta_all)
-        for r, (mode, _) in enumerate(runs):
-            if mode is Mode.IDEAL:
-                V = inputs(theta_all + theta_dot_all)
-            elif mode is Mode.ESTIMATED:
-                V = path + (M0 + M1 + M2) * v0[:-1, r]
-            else:
-                V = path
+        for r, (v0, vm, v1) in enumerate(stage_velocities):
+            V = (M0 * (theta_all[0:-2:2] + v0) + M1 * (theta_all[1::2] + vm)
+                 + M2 * (theta_all[2::2] + v1))
             X[:, r] = _step_affine(q, V, x0)
     return X
 
@@ -595,23 +595,13 @@ def _step_affine(q: float, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_states(cost, runs, theta_all, theta_dot_all, v0, x0, cfg) -> np.ndarray:
+def _rk4_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
     """States (N+1, runs, n) of the corrected Newton flows, stepped together
-    by one RK4 loop through :meth:`flows.CostModel.newton_field`; the state
-    is checked for non-finite values a block of steps at a time, and a
-    failure raises :class:`NonFiniteStateError` at the step that made it."""
-    N, B, p = v0.shape[0] - 1, len(runs), v0.shape[2]
-    h = cfg.h
-    Mode = flows_mod.CorrectionMode
-    # The velocity at the midpoint stages 2-3 and at stage 4 of each step.
-    vm, v1 = np.zeros((2, N, B, p))
-    for b, (mode, _) in enumerate(runs):
-        if mode is Mode.ESTIMATED:
-            vm[:, b] = v1[:, b] = v0[:-1, b]
-        elif mode is Mode.IDEAL:
-            vm[:, b] = theta_dot_all[1::2]
-            v1[:, b] = theta_dot_all[2::2]
-
+    by one RK4 loop through :meth:`flows.CostModel.newton_field`, fed each
+    run's ``stage_velocities``; the state is checked for non-finite values a
+    block of steps at a time, and a failure raises
+    :class:`NonFiniteStateError` at the step that made it."""
+    N, B, h = len(theta_all) // 2, len(stage_velocities), cfg.h
     x = np.tile(x0, (B, 1))
     X = np.empty((N + 1, B, len(x0)))
     X[0] = x
@@ -631,13 +621,17 @@ def _rk4_states(cost, runs, theta_all, theta_dot_all, v0, x0, cfg) -> np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
+            # The block's velocities at the start, middle and end stage,
+            # (steps, runs, p) each; no stacked copy spans the whole run.
+            v0, vm, v1 = (np.stack([v[start:stop] for v in stage], axis=1)
+                          for stage in zip(*stage_velocities))
             try:
-                for j in range(start, stop):
+                for i, j in enumerate(range(start, stop)):
                     th_m = theta_all[2 * j + 1]
-                    k1 = rhs(cost, x, theta_all[2 * j], v0[j])
-                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[j])
-                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[j])
-                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[j])
+                    k1 = rhs(cost, x, theta_all[2 * j], v0[i])
+                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[i])
+                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[i])
+                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[i])
                     x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     X[j + 1] = x
             except Exception:

@@ -241,6 +241,16 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
+    def test_batch_past_the_step_budget_is_a_spec_error(self, tmp_path, capsys):
+        # Four runs of 600k steps, each under the budget on its own, are
+        # integrated together: refused before the output directory exists.
+        out = tmp_path / "opt"
+        rc = cli.main(["optimize", "--mode", "none,ideal,estimated", "--sigma", "5,20",
+                       "--tf", "600", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: tf/h: ")
+        assert not out.exists()
+
     def test_repeated_gain_without_estimated_runs_is_accepted(self, tmp_path):
         out = tmp_path / "opt"
         rc = cli.main(["optimize", "--mode", "none,ideal", "--sigma", "5,5",
@@ -314,6 +324,17 @@ class TestSweepCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--signal", "poly:1,1"],
+                                       ["--signal", "poly:0,0,1", "--k", "2"]])
+    def test_exact_estimates_are_a_run_failure(self, tmp_path, capsys, flags):
+        # An input whose order k+1 derivative is zero is differentiated
+        # exactly; its errors are roundoff, with no power law to fit.
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--tf", "2", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "Traceback" not in err
+        assert (out / "sweep.csv").exists()
 
     def test_samples_the_grid_once(self, tmp_path, monkeypatch):
         calls = []
@@ -392,9 +413,9 @@ _GOLDEN = {
         {"stdout": "44cddc6e2dd3ccd37c94e607b00f48f48315dc838a354584d2d5206e6ff09a72",
          "loss.svg": "6a8e7bcce00783076aa2fa0de80e1969ad64989fb16b6fa928931ce3842e65e3",
          "trajectory_estimated-s20.csv":
-             "4204aeded166496972f2a82e5f52f2b5e64a41e7b2baa54cb7cf78a56fca0516",
+             "353584cd48e30b227ca6f4d2e6b788f9f500738ad0e86faae8460b4e11ab667d",
          "trajectory_estimated-s5.csv":
-             "03cd38102c2d3cbefa159d877cd8b1f60a25eefd28a49467938970a3511917bf",
+             "6f852d079f68abc77ce1254c466b74c1695da01cfedc7c0ac7400fdb135dfcd2",
          "trajectory_ideal.csv":
              "694c0be305be79b1d0191046199a3fc1e1dd84e7b3a834a57fbc262ba4ae69f6"}),
     "optimize-logcosh": (

@@ -97,6 +97,10 @@ class TestSupBound:
         assert signals.Sinusoid(1e300, -1e10).sup_derivative(1) == math.inf
         assert signals.Sinusoid(0.0, 1e308).sup_derivative(2) == 0.0
 
+    def test_bound_of_a_tiny_signal_is_nonzero(self):
+        # Squaring 25e-165 underflows to zero; the bound must not.
+        assert scalar(signals.Sinusoid(1e-165, 5.0)).sup_derivative_bound(2) > 0.0
+
     def test_polynomial_bound_overflows_to_inf(self):
         # 171! is past the float range; 170! is not.
         assert signals.Polynomial((0.0,) * 171 + (1.0,)).sup_derivative(171) == math.inf
