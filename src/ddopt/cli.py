@@ -6,14 +6,16 @@ power laws), ``verify`` (the full check battery). Runs write CSV trajectories
 and small self-contained SVG plots into the output directory.
 
 Flags override keys from an optional ``key = value`` config file; every key
-mirrors a flag name. Exit codes: 0 success, 1 runtime or check failure,
-2 invalid run specification.
+mirrors a flag name. Exit codes: 0 success, 1 runtime or check failure
+(a standard output that cannot be written included), 2 invalid run
+specification.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -33,6 +35,20 @@ class SpecError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class StdoutError(Exception):
+    """Standard output cannot be written: the device is full, or the reader
+    of a pipe has closed it."""
+
+
+def _say(line: str) -> None:
+    """Print one line of a command's report, flushed, so that a standard
+    output that cannot be written fails here and as :class:`StdoutError`."""
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        raise StdoutError(exc.strerror) from None
 
 
 class SignalParseError(SpecError):
@@ -277,8 +293,8 @@ def cmd_estimate(spec: dict) -> int:
             amp, omega = oracle_params
             oracle = est_mod.steady_state_sinusoid_error(est_cfg, order, amp, omega)
             line += f" (analytic oracle {oracle:.6g})"
-        print(line)
-    print(f"wrote {out / 'trajectory.csv'} and {out / 'estimate.svg'}")
+        _say(line)
+    _say(f"wrote {out / 'trajectory.csv'} and {out / 'estimate.svg'}")
     return 0
 
 
@@ -305,10 +321,10 @@ def cmd_optimize(spec: dict) -> int:
     series = []
     for label, traj in runs:
         series.append((label, traj.t, traj.column("loss")))
-        print(f"{label}: final-window mean loss {sim_mod.steady_state_mean(traj, 'loss'):.6g}, "
-              f"tracking error sup {sim_mod.steady_state_sup(traj, 'tracking_error'):.6g}")
+        _say(f"{label}: final-window mean loss {sim_mod.steady_state_mean(traj, 'loss'):.6g}, "
+             f"tracking error sup {sim_mod.steady_state_sup(traj, 'tracking_error'):.6g}")
     svg_mod.line_plot(out / "loss.svg", series, title="loss over time", ylabel="loss")
-    print(f"wrote {len(runs)} trajectory CSVs and {out / 'loss.svg'}")
+    _say(f"wrote {len(runs)} trajectory CSVs and {out / 'loss.svg'}")
     return 0
 
 
@@ -333,9 +349,9 @@ def cmd_sweep(spec: dict) -> int:
             "have no truncation error and the errors hold no power law to fit")
     for order in range(1, k + 1):
         slope = sim_mod.slope_fit(list(zip(sigmas, sups[:, order - 1])))
-        print(f"order {order}: fitted log-log slope {slope:.4f} "
-              f"(power law exponent -(k+1-i) = {-(k + 1 - order)})")
-    print(f"wrote {out / 'sweep.csv'}")
+        _say(f"order {order}: fitted log-log slope {slope:.4f} "
+             f"(power law exponent -(k+1-i) = {-(k + 1 - order)})")
+    _say(f"wrote {out / 'sweep.csv'}")
     return 0
 
 
@@ -353,12 +369,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         all_passed = all_passed and r.passed
-        print(f"{status}  {r.name:<{width}}  measured: {r.measured}  expected: {r.expected}")
+        _say(f"{status}  {r.name:<{width}}  measured: {r.measured}  expected: {r.expected}")
         if not r.passed:
             for line in r.details:
                 if line.startswith("FAIL"):
-                    print(f"      {line}")
-    print("verification " + ("PASSED" if all_passed else "FAILED"))
+                    _say(f"      {line}")
+    _say("verification " + ("PASSED" if all_passed else "FAILED"))
     return 0 if all_passed else 1
 
 
@@ -397,6 +413,14 @@ def main(argv=None) -> int:
         return 2
     except (sim_mod.NonFiniteStateError, sim_mod.InsufficientDataError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    except StdoutError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        # The interpreter flushes stdout once more at exit; what is still
+        # buffered goes to the null device instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

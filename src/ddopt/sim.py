@@ -9,9 +9,10 @@ Two kinds of dynamics are stepped here:
 Every estimator run goes through one batch path, :func:`_drive_lti`: the
 sampled input grid is cut into chunks of 64 steps, each chunk's outputs
 come from matrix products with kernels built from powers of the step map,
-and only the states at the chunk starts are carried from chunk to chunk.
-The result equals stepping the estimator sample by sample up to roundoff,
-with no Python loop over the grid steps.
+and the states at the chunk starts, themselves a linear recurrence, come
+from a log-depth scan (:func:`_scan_linear`). The result equals stepping
+the estimator sample by sample up to roundoff, with no Python loop over
+the grid steps or the chunks.
 
 Each run evaluates its clean signal once, on the stage grid, records every
 other stage, and measures it with noise added. A sweep's gains share the
@@ -246,19 +247,38 @@ def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States of x[j+1] = T x[j] + V[j]; returns (N+1, n, m).
 
     :func:`_drive_lti` calls it on the chunk start states, with T the step
-    map to the power of the chunk length and one step per chunk. Overflow
-    is tolerated here (unstable gain/step combinations); callers surface it
-    through the trajectory finiteness check.
+    map to the power of the chunk length and one step per chunk. The
+    recurrence is a prefix sum over the terms S[0] = x0, S[j+1] = V[j],
+    x[j] = sum_i T^(j-i) S[i], evaluated by Hillis-Steele doubling: the pass
+    for k = 1, 2, 4, ... adds T^k S[j-k] to every S[j] with j >= k, from the
+    sums of the previous pass, and squares the power. After ceil(log2(N+1))
+    passes S[j] = x[j]. The terms are kept time-major, (N+1, m, n), so each
+    pass is one matrix product.
+
+    Overflow is tolerated here (unstable gain/step combinations); callers
+    surface it through the trajectory finiteness check. A power that
+    overflows would also turn terms the recurrence never amplifies, such as
+    a zero state, into NaN (inf * 0), so when one does the states are
+    stepped one at a time instead.
     """
-    N = V.shape[0]
-    X = np.empty((N + 1,) + x0.shape)
-    X[0] = x0
-    x = x0
+    N, n, m = V.shape[0], T.shape[0], x0.shape[1]
+    S = np.empty((N + 1, m, n))
+    S[0] = x0.T
+    S[1:] = V.transpose(0, 2, 1)
+    rows = S.reshape((N + 1) * m, n)
+    P, k = T, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N):
-            x = T @ x + V[j]
-            X[j + 1] = x
-    return X
+        while k <= N:
+            if not np.isfinite(P).all():
+                X = np.empty((N + 1, n, m))
+                X[0] = x0
+                for j in range(N):
+                    X[j + 1] = T @ X[j] + V[j]
+                return X
+            rows[k * m:] += rows[:-k * m] @ P.T
+            P = P @ P
+            k *= 2
+    return S.transpose(0, 2, 1)
 
 
 def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -267,30 +287,39 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     ``maps`` is the RK4 tuple (Phi, M0, M1, M2) of
     :func:`estimator.rk4_step_maps`, ``W`` the inputs sampled on
     :meth:`SimConfig.stage_times`, shape (2N+1, m), and ``x0`` the (n, m)
-    initial state. Outputs are at the integer sample times.
+    initial state. Outputs are at the integer sample times; the result is a
+    transposed view of an (m, N+1, q) array.
 
-    The recurrence x[j+1] = T x[j] + taps u[j], with T = Phi, is evaluated in
-    chunks of L = ``_CHUNK`` steps. ``taps`` holds the S = 3 input columns of
-    one step, the first columns of M0, M1 and M2, with u[j] = W[2j], W[2j+1],
-    W[2j+2]. The samples are laid out as ``Wf``, shape (L*S, chunks*m): row
-    l*S + s holds tap s of step l of a chunk, column c*m + i chunk c of
-    channel i, and the last chunk is padded with zeros. Three kernels, built
-    once per call from powers of T, then map whole chunks with matrix
-    products:
+    The recurrence x[j+1] = T x[j] + b0 W[2j] + b1 W[2j+1] + b2 W[2j+2], with
+    T = Phi and b0, b1, b2 the first columns of M0, M1, M2, is evaluated in
+    chunks of L = ``_CHUNK`` steps. Chunk c reads the R = 2L+1 samples
+    W[2cL] .. W[2cL+2L] (neighbouring chunks share one). They are copied
+    from W once, into ``Wr``, shape (m, chunks, R + n): row (i, c) holds
+    those samples of channel i, zero past the end of the run, and then the
+    chunk's start state. Three kernels, built once per call from powers of
+    T, then map whole chunks with matrix products:
 
-    * ``G``, block (i, l) = C T^(i-l) taps for l <= i, zero above: the
-      output after step i of a chunk that starts from zero;
-    * ``E``, block l = T^(L-1-l) taps: the state at the end of such a chunk;
-    * ``H``, block i = C T^(i+1): the response after step i to the chunk's
-      start state.
+    * ``G``, (R, L, q): G[r, i] is the weight of sample r in the output after
+      step i of a chunk that starts from zero, the sum of C T^(i-l) b_s over
+      the steps l <= i and taps s with 2l + s = r, plus D on the output's own
+      sample r = 2i + 2. Save for sample 0, which ends no step, it depends
+      only on the lag 2(i+1) - r, so it is gathered from one kernel of lags;
+    * ``E``, (R, n): the weights of the state at the end of such a chunk, the
+      same sums of T^(L-1-l) b_s;
+    * ``H``, (n, L, q): H[:, i] = (C T^(i+1))^T, the response after step i to
+      the chunk's start state.
 
-    The start states follow their own linear recurrence,
-    s[c+1] = T^L s[c] + (E @ Wf)[c], one step per chunk through
-    :func:`_scan_linear`, and the outputs are G @ Wf + H @ starts + D w.
-    ``L`` is one constant, not a per-size tuning: with the outputs fused
-    into these products, 64 was the fastest of 16, 32, 64 and 128, or within
-    20% of it, at every shipped state size (1, 4, 9 and 16), and a fixed
-    chunk keeps each run's rounding independent of any tuning.
+    Summing the two taps that share a sample in the kernel, rather than in
+    each step, makes the product a third smaller than one column per tap
+    and rounds closer to an extended-precision reference (checked in
+    tests/test_sim.py). The start states follow their own linear
+    recurrence, s[c+1] = T^L s[c] + (samples of chunk c) @ E, which
+    :func:`_scan_linear` evaluates in log-depth, and the outputs are
+    Wr @ [G; H], one product per channel written straight into the output
+    buffer. ``L`` is one constant, not a per-size tuning: with the outputs
+    fused into these products, 64 was the fastest of 16, 32, 64 and 128, or
+    within 20% of it, at every shipped state size (1, 4, 9 and 16), and a
+    fixed chunk keeps each run's rounding independent of any tuning.
     """
     C, D = realization.C, realization.D
     T, M0, M1, M2 = maps
@@ -298,14 +327,18 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     L, n, q, S = _CHUNK, T.shape[0], C.shape[0], taps.shape[1]
     N, m = (len(W) - 1) // 2, W.shape[1]
     chunks = -(-N // L)
+    R = 2 * L + 1
 
-    # Tap s of step l of chunk c is Wp[2 (c L + l) + s].
-    Wp = np.zeros((2 * chunks * L + 1, m))
-    Wp[:len(W)] = W
-    row, col = Wp.strides
-    Wf = np.lib.stride_tricks.as_strided(
-        Wp, (L, S, chunks, m), (2 * row, row, 2 * L * row, col),
-        writeable=False).reshape(L * S, chunks * m)
+    # The chunks that end inside the run are strided views of W; a last one
+    # that ends past it is padded with zeros.
+    full = N // L
+    row, col = W.strides
+    Wr = np.empty((m, chunks, R + n))
+    Wr[:, :full, :R] = np.lib.stride_tricks.as_strided(W, (m, full, R), (col, 2 * L * row, row),
+                                                       writeable=False)
+    if full < chunks:
+        Wr[:, full, :R] = 0.0
+        Wr[:, full, :len(W) - 2 * full * L] = W[2 * full * L:].T
 
     with np.errstate(over="ignore", invalid="ignore"):
         # Powers T^0 .. T^L and columns T^d taps, by doubling. The columns
@@ -321,21 +354,32 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
             PB[k:2 * k] = P[k] @ PB[:k]
             k *= 2
         CPB = C @ PB                                        # C T^d taps, (L, q, S)
-        i, l = np.tril_indices(L)
-        G = np.zeros((L, q, L, S))
-        G[i, :, l, :] = CPB[i - l]
-        G = G.reshape(L * q, L * S)
-        E = PB[::-1].transpose(1, 0, 2).reshape(n, L * S)
-        H = (C @ P[1:]).reshape(L * q, n)
+        # The sample d half-steps before the end of step i of a chunk reaches
+        # the state after that step with weight lag[d, :n] and the output
+        # with lag[d, n:]: tap s of step i - (d - 2 + s)/2, summed over the
+        # taps that share the sample. Row R holds the zero weight of later
+        # samples.
+        reach = np.concatenate([PB, CPB], axis=1)           # (L, n + q, S)
+        lag = np.zeros((R + 1, n + q))
+        lag[:R - 1:2] = reach[:, :, 2]
+        lag[1:R:2] = reach[:, :, 1]
+        lag[2:R:2] += reach[:, :, 0]
+        lag[0, n:] += D[:, 0]
+        E = lag[R - 1::-1, :n].copy()                      # a BLAS operand
+        d = 2 * np.arange(1, L + 1) - np.arange(R)[:, None]    # (R, L)
+        GH = np.empty((R + n, L * q))
+        G = GH[:R].reshape(R, L, q)
+        G[...] = np.take(lag[:, n:], np.where(d < 0, R, d), axis=0)
+        G[0] = CPB[:, :, 0]                                 # sample 0 ends no step
+        GH[R:] = (C @ P[1:]).transpose(2, 0, 1).reshape(n, L * q)
 
-        V = (E @ Wf).reshape(n, chunks, m).transpose(1, 0, 2)
-        starts = _scan_linear(P[L], V[:-1], x0)             # (chunks, n, m)
-        Y = G @ Wf + H @ starts.transpose(1, 0, 2).reshape(n, chunks * m)
-        out = np.empty((N + 1, q, m))
-        out[0] = C @ x0
-        out[1:] = Y.reshape(L, q, chunks, m).transpose(2, 0, 1, 3).reshape(chunks * L, q, m)[:N]
-        out += D[:, 0][None, :, None] * W[::2, None, :]
-        return out
+        V = Wr[:, :, :R] @ E                                # (m, chunks, n)
+        starts = _scan_linear(P[L], V[:, :-1].transpose(1, 2, 0), x0)    # (chunks, n, m)
+        Wr[:, :, R:] = starts.transpose(2, 0, 1)
+        out = np.empty((m, chunks * L + 1, q))
+        out[:, 0] = (C @ x0 + D @ W[:1]).T
+        np.matmul(Wr, GH, out=out[:, 1:].reshape(m, chunks, L * q))
+        return out[:, :N + 1].transpose(1, 2, 0)
 
 
 def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,19 @@ class TestEstimateCommand:
                            "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "non-finite at t = 0.029\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signal,failure", [
+        # A zero input keeps every state at zero, which stepping keeps
+        # finite however unstable the map; powers of the map still overflow.
+        ("poly:0", None),
+        ("sin(5*t)", "run failed: state became non-finite at t = 0.705\n")])
+    def test_unstable_map_fails_only_where_the_state_grows(self, tmp_path, capsys, signal,
+                                                           failure):
+        with pytest.warns(UserWarning, match="sigma"):
+            rc = cli.main(["estimate", "--k", "1", "--sigma", "3500", "--signal", signal,
+                           "--tf", "5", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert (rc, err) == ((0, "") if failure is None else (1, failure))
 
 
 @pytest.mark.parametrize("argv", [
@@ -398,6 +415,33 @@ class TestParser:
         assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2
 
 
+def _cli_process(tmp_path, stdout):
+    """``python -m ddopt.cli sweep`` in a subprocess, its stdout given."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    return subprocess.Popen([sys.executable, "-m", "ddopt.cli", "sweep", "--tf", "2",
+                             "--out", str(tmp_path / "out")],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+class TestUnwritableStdout:
+    # One stderr line and exit 1: no traceback, and no "Exception ignored"
+    # line when the interpreter flushes stdout at exit.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self, tmp_path):
+        with open("/dev/full", "w") as full, _cli_process(tmp_path, full) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, "error: cannot write to stdout: "
+                                             "No space left on device\n")
+
+    def test_reader_closed_the_pipe(self, tmp_path):
+        with _cli_process(tmp_path, subprocess.PIPE) as proc:
+            proc.stdout.close()     # before the command prints anything
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, "error: cannot write to stdout: Broken pipe\n")
+
+
 # sha256 of stdout and of every file each command writes, with a relative
 # --out. A change that moves any of these bytes, such as a new arithmetic
 # order, records the new hashes and says so in CHANGES.md.
@@ -407,15 +451,15 @@ _GOLDEN = {
          "--tf", "2"],
         {"stdout": "404bc0ccb01abb4ff58f810311aba60b9939507de58473ff7777634e523f4d8d",
          "estimate.svg": "b1f5e216daa9bd5c5211b4ac8d5363d4d323cca31671f3dac520eec56e5a76c2",
-         "trajectory.csv": "1c69d16ec228749c5ea50a531112eadce8c22760a67b10e465c98353afd4d56c"}),
+         "trajectory.csv": "cb053ac7f7a531e9fe9cc750ac2bbbc05d0569b8760ff56a6c9ba0e35e869538"}),
     "optimize": (
         ["optimize", "--tf", "1"],
         {"stdout": "44cddc6e2dd3ccd37c94e607b00f48f48315dc838a354584d2d5206e6ff09a72",
          "loss.svg": "6a8e7bcce00783076aa2fa0de80e1969ad64989fb16b6fa928931ce3842e65e3",
          "trajectory_estimated-s20.csv":
-             "353584cd48e30b227ca6f4d2e6b788f9f500738ad0e86faae8460b4e11ab667d",
+             "b1820fd99c826fae6f0046558c4e6b041939bee658fdeeaea35d8458ab358b30",
          "trajectory_estimated-s5.csv":
-             "6f852d079f68abc77ce1254c466b74c1695da01cfedc7c0ac7400fdb135dfcd2",
+             "bdbf26a02e4e8bc1b976882d2740a8ecbc06eaf11e038b52ed17a11cf9520fb0",
          "trajectory_ideal.csv":
              "694c0be305be79b1d0191046199a3fc1e1dd84e7b3a834a57fbc262ba4ae69f6"}),
     "optimize-logcosh": (
@@ -424,9 +468,9 @@ _GOLDEN = {
         {"stdout": "4b6efe44342b1ac50794cdffde880939b6b3bd0b874e26b5227980110da31f6f",
          "loss.svg": "ef0bf8339d09ee1c1f3c3fef9f7dbdc756cce396e7713487d98d0c0e95b04df6",
          "trajectory_estimated-s20.csv":
-             "9128154de84fa5cc94d1c25ae75f7318103155d90e529bd7423d0421dbb74b76",
+             "051dfa4cc4496b2a9346f7f2d69d985a299ed5fa7c04039511b4a5fb9ba2fdaf",
          "trajectory_estimated-s5.csv":
-             "769c057f99f0a986b67d2cdb1f8b9dce5603ce0067b3a0593105543d84c1876e",
+             "ef1b8162fee24e15c7ae2492dfd34564e51ca464424e462b961672cd2cb4f360",
          "trajectory_ideal.csv":
              "601b9c06137f6a1e964585160e6936f9a88ede3dc23a37d1717e0be8efdef712",
          "trajectory_none.csv":
@@ -434,7 +478,7 @@ _GOLDEN = {
     "sweep": (
         ["sweep", "--k", "3", "--signal", "cos(5*t-2),sin(5*t-2),cos2(5*t-2)", "--tf", "3"],
         {"stdout": "e626c85c41448ff9ebbd29c41b2231de9f4ae51f74a4d4aac145c74cdf349e37",
-         "sweep.csv": "13541904fc1dd7390256311108e215b4bff446939d1b9cc8696258b5fc6e7cd5"}),
+         "sweep.csv": "dee9e8a239a21f0e9258036ef95c55e67795690dc13b25d56d1dd60b258a42fb"}),
 }
 
 

@@ -295,6 +295,15 @@ class TestDerivativeExperiments:
                 next(runs)
 
 
+def _loop_scan(T, V, x0):
+    """x[j+1] = T x[j] + V[j] stepped one at a time, in the dtype of x0."""
+    X = np.empty((len(V) + 1,) + x0.shape, x0.dtype)
+    X[0] = x0
+    for j in range(len(V)):
+        X[j + 1] = T @ X[j] + V[j]
+    return X
+
+
 def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
     """The per-step form of sim._drive_lti, in ``dtype``: per-step input
     terms, one matrix-vector recurrence step per grid step, and an einsum
@@ -305,10 +314,7 @@ def _loop_drive_lti(realization, maps, W, x0, dtype=np.float64):
          + M1[:, 0][None, :, None] * W[1::2, None, :]
          + M2[:, 0][None, :, None] * W[2::2, None, :])
     W = W[0::2]
-    X = np.empty((len(W),) + x0.shape, dtype)
-    X[0] = x0
-    for j in range(len(V)):
-        X[j + 1] = T @ X[j] + V[j]
+    X = _loop_scan(T, V, np.asarray(x0, dtype))
     C, D = (np.asarray(M, dtype) for M in (realization.C, realization.D))
     return np.einsum("qn,jnm->jqm", C, X) + D[:, 0][None, :, None] * W[:, None, :]
 
@@ -357,6 +363,36 @@ class TestChunkedKernel:
             error = float(np.max(np.abs(got[:, i] - ref[:, i])))
             scale = float(np.max(np.abs(ref[:, i])))
             assert error <= max(4.0 * loop_error, 1e-12 * scale), i + 1
+
+
+class TestScanLinear:
+    # 0 to 3 steps are the shortest prefix scans; 63 to 65 straddle a power
+    # of two in the number of terms; 469 is the chunk count of a 30k-step run.
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 63, 64, 65, 469])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 16), m=st.integers(1, 3), radius=st.floats(0.0, 0.999),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_step_recurrence(self, steps, n, m, radius, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.standard_normal((n, n))
+        T *= radius / np.max(np.abs(np.linalg.eigvals(T)))
+        V = rng.standard_normal((steps, n, m))
+        x0 = rng.standard_normal((n, m))
+        got = sim._scan_linear(T, V, x0)
+        expected = _loop_scan(T, V, x0)
+        assert got.shape == expected.shape == (steps + 1, n, m)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    def test_overflowing_powers_keep_zero_states_finite(self):
+        # T^64 overflows, and inf * 0 would be NaN; stepping keeps the state
+        # component that T amplifies at zero, and the other one decays.
+        T = np.diag([1e5, 0.5])
+        V = np.zeros((100, 2, 1))
+        x0 = np.array([[0.0], [1.0]])
+        got = sim._scan_linear(T, V, x0)
+        assert np.array_equal(got, _loop_scan(T, V, x0))
+        assert np.isfinite(got).all()
 
 
 class TestSimulateRealization:
