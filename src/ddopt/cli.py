@@ -51,6 +51,14 @@ def _say(line: str) -> None:
         raise StdoutError(exc.strerror) from None
 
 
+def _flush_stdout() -> None:
+    """Flush what argparse printed (help, version), failing as :func:`_say`."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        raise StdoutError(exc.strerror) from None
+
+
 class SignalParseError(SpecError):
     def __init__(self, token: str, message: str):
         super().__init__("signal", f"bad token {token!r}: {message}")
@@ -399,10 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:
+            _flush_stdout()
+            return int(exc.code) if exc.code else 0
         if ns.command == "verify":
             return cmd_verify(ns)
         spec = _resolve(ns, ns.command)

@@ -63,8 +63,14 @@ class CostModel:
     :meth:`affine_field` declares instead a field that is affine in the
     state, the parameter and the velocity alike, elementwise; ``sim`` then
     steps the flow as an LTI system, and reaches :meth:`newton_field` only
-    to locate the step at which such a flow turned non-finite. The default,
-    None, keeps the flow in the RK4 loop.
+    to locate the step at which such a flow turned non-finite.
+
+    :meth:`newton_slope` declares a field that is elementwise but not affine
+    by its derivative in x, the diagonal of its Jacobian; ``sim`` then solves
+    the flow's RK4 steps a window at a time by Newton's method, still through
+    :meth:`newton_field`.
+
+    For both declarations the default, None, keeps the flow in the RK4 loop.
     """
 
     name = "abstract"
@@ -114,6 +120,13 @@ class CostModel:
     def affine_field(self) -> tuple[float, float] | None:
         """Scalars (a, b) such that :meth:`newton_field` is
         a x + b (theta + velocity), elementwise (n = p); None if it is not."""
+        return None
+
+    def newton_slope(self, x, theta, velocity) -> np.ndarray | None:
+        """The derivative of :meth:`newton_field` with respect to x, for a field
+        whose component i depends only on x_i, theta_i and velocity_i (n = p):
+        the diagonal of its Jacobian, shaped like ``x``. None if the field is
+        not elementwise."""
         return None
 
     def newton_field(self, x, theta, velocity) -> np.ndarray:
@@ -214,6 +227,14 @@ class LogCoshTrackingCost(CostModel):
         curvature = self._curvature(d)
         g = np.tanh(d) + self.mu * d - curvature * np.asarray(velocity, dtype=np.float64)
         return -(g / curvature)
+
+    def newton_slope(self, x, theta, velocity) -> np.ndarray:
+        # The field is -phi'(d) / phi''(d) + v, so its slope is
+        # -1 + phi'(d) phi'''(d) / phi''(d)^2, with phi''' = -2 sech^2 d tanh d.
+        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        curvature = self._curvature(d)
+        tanh = np.tanh(d)
+        return -1.0 - 2.0 * (tanh + self.mu * d) * (curvature - self.mu) * tanh / curvature ** 2
 
 
 _COSTS = {

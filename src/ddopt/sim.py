@@ -31,12 +31,16 @@ estimated at each gain) are integrated together by
 mode into the velocities its flow steps are fed. A cost whose Newton field
 is affine (the quadratic tracker, see :meth:`flows.CostModel.affine_field`)
 makes the flow an LTI system too: its RK4 steps are evaluated in chunks like
-the estimator's, by :func:`_step_affine`, and the RK4 loop does not run. For
-other costs, and for an affine batch whose states turn non-finite, one RK4
-loop advances the stacked states (runs, n), stores only them and checks
-them for non-finite values a block of steps at a time. Either way the other
-columns are computed from the states on blocks of rows, through the same
-``flows`` functions.
+the estimator's, by :func:`_step_affine`. A cost whose field is elementwise
+and declares its slope (the logcosh tracker, see
+:meth:`flows.CostModel.newton_slope`) has its RK4 steps solved a window of
+256 steps at a time by Newton's method over the whole window
+(:func:`_newton_states`). Runs of other costs, runs whose states turn
+non-finite and runs whose Newton solve does not settle go through one RK4
+loop, which advances their stacked states (runs, n), stores only them and
+checks them for non-finite values a block of steps at a time. Either way
+the other columns are computed from the states on blocks of rows, through
+the same ``flows`` functions.
 :func:`write_csvs` writes every CSV file, the runs' trajectories together,
 formatting the columns they have in common once.
 """
@@ -44,6 +48,7 @@ formatting the columns they have in common once.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -65,6 +70,9 @@ MAX_STEPS = 2_000_000
 _RECORD_BLOCK_ROWS = 256
 # Steps per chunk of the LTI kernel in _drive_lti.
 _CHUNK = 64
+# Newton iterations a window of _newton_states may take before its
+# unconverged runs are left to the RK4 loop.
+_NEWTON_ITERATIONS = 24
 
 
 class NonFiniteStateError(Exception):
@@ -471,8 +479,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     its start constant over the optimizer's RK4 step. When the cost declares
     an affine field (:meth:`flows.CostModel.affine_field`), each run's RK4
     steps are evaluated as an LTI recurrence (:func:`_affine_states`) and
-    ``newton_field`` is not called; otherwise, or if those states are not all
-    finite, the stacked state (runs, n) advances in one RK4 loop
+    ``newton_field`` is not called; otherwise they are solved window by
+    window by Newton's method (:func:`_newton_states`). The runs for which
+    that gives states that are not all finite (every run, when the cost
+    declares no field slope) advance, stacked (runs, n), in one RK4 loop
     (:func:`_rk4_states`), which reports the step that failed. The other
     columns are computed from the stored states afterwards. Each run comes
     out bit-identical to the same run alone.
@@ -529,11 +539,17 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         stage_velocities.append((v0[:-1, b],) * 3)
 
     field = cost.affine_field()
-    X = None if field is None else _affine_states(field, theta_all, stage_velocities, x0, h)
-    if X is None or not np.isfinite(X).all():
-        # Non-finite inputs spread over whole chunks of the LTI kernel; the
-        # RK4 loop finds the step at which the state failed.
-        X = _rk4_states(cost, theta_all, stage_velocities, x0, cfg)
+    if field is not None:
+        X = _affine_states(field, theta_all, stage_velocities, x0, h)
+    else:
+        X = _newton_states(cost, theta_all, stage_velocities, x0, h)
+    # Non-finite values spread over whole chunks or windows, and a Newton
+    # solve may not converge: such runs are stepped again by the RK4 loop,
+    # which finds the step at which a state failed.
+    if not np.isfinite(X).all():
+        loop = ~np.isfinite(X).all(axis=0).all(axis=1)
+        X[:, loop] = _rk4_states(cost, theta_all, list(itertools.compress(stage_velocities, loop)),
+                                 x0, cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
@@ -637,6 +653,87 @@ def _step_affine(q: float, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     out[0] = x0
     out[1:] = steps.transpose(1, 0, 2).reshape(chunks * L, m)[:N]
     return out
+
+
+def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
+    """States (N+1, runs, n) of the corrected Newton flows of a cost with an
+    elementwise field (:meth:`flows.CostModel.newton_slope`), solved a
+    window of ``_RECORD_BLOCK_ROWS`` RK4 steps at a time by Newton's method
+    on the whole window (parallel-in-time, as in DEER: Lim et al. 2024).
+
+    Each iteration evaluates the RK4 step x[j+1] = F_j(x[j]) on every guessed
+    state of the window at once, through :func:`flows.corrected_newton_rhs`
+    with the loop's arithmetic, and its derivative F_j' by chaining the stage
+    slopes; the update d of the guesses solves d[j+1] = F_j' d[j] + F_j(x[j]) -
+    x[j+1], d[0] = 0, an elementwise affine recurrence (:func:`_scan_affine`).
+    Where the guesses already satisfy the recurrence the update is exactly
+    zero, so the fixed point is the loop's. Each window starts from the
+    previous window's last state, held. A run stops iterating when its own
+    update is at most 4 eps max(1, max|x|); runs are decided one by one, so
+    each comes out the same whichever runs are solved with it. A run that
+    is still moving after ``_NEWTON_ITERATIONS`` or turns non-finite is
+    returned as NaN; so are all runs of a cost without a slope.
+    """
+    N, B, n = len(theta_all) // 2, len(stage_velocities), len(x0)
+    X = np.empty((N + 1, B, n))
+    X[0] = x0
+    failed = np.zeros(B, dtype=bool)
+    tol = 4.0 * np.finfo(np.float64).eps
+    rhs, slope = flows_mod.corrected_newton_rhs, cost.newton_slope
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, N, _RECORD_BLOCK_ROWS):
+            stop = min(start + _RECORD_BLOCK_ROWS, N)
+            th0, thm, th1 = (theta_all[2 * start + s:2 * stop + s:2, None, :] for s in range(3))
+            v0, vm, v1 = (np.stack([v[start:stop] for v in stage], axis=1)
+                          for stage in zip(*stage_velocities))
+            window = X[start:stop + 1]
+            window[1:] = window[0]
+            live = np.flatnonzero(~failed)
+            for _ in range(_NEWTON_ITERATIONS):
+                if not live.size:
+                    break
+                runs = slice(None) if live.size == B else live    # views while all are live
+                y = window[:, runs]
+                x, v_0, v_m, v_1 = y[:-1], v0[:, runs], vm[:, runs], v1[:, runs]
+                d1 = slope(x, th0, v_0)
+                if d1 is None:
+                    return np.full_like(X, np.nan)
+                k1 = rhs(cost, x, th0, v_0)
+                x2 = x + 0.5 * h * k1
+                k2 = rhs(cost, x2, thm, v_m)
+                x3 = x + 0.5 * h * k2
+                k3 = rhs(cost, x3, thm, v_m)
+                x4 = x + h * k3
+                k4 = rhs(cost, x4, th1, v_1)
+                d2 = slope(x2, thm, v_m) * (1.0 + 0.5 * h * d1)
+                d3 = slope(x3, thm, v_m) * (1.0 + 0.5 * h * d2)
+                d4 = slope(x4, th1, v_1) * (1.0 + h * d3)
+                residual = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - y[1:]
+                update = _scan_affine(1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), residual)
+                y[1:] += update
+                window[1:, runs] = y[1:]
+                # Per run maxima; a NaN propagates through them.
+                size = np.abs(y).max(axis=0).max(axis=1)
+                bad = ~np.isfinite(size)
+                moving = ~(np.abs(update).max(axis=0).max(axis=1) <= tol * np.maximum(1.0, size))
+                failed[live[bad]] = True
+                live = live[moving & ~bad]
+            failed[live] = True
+    X[:, failed] = np.nan
+    return X
+
+
+def _scan_affine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[1:] of the elementwise recurrence d[j+1] = a[j] d[j] + b[j] from
+    d[0] = 0, over the leading axis, by Hillis-Steele doubling as in
+    :func:`_scan_linear`. ``a`` and ``b`` are overwritten."""
+    k = 1
+    while k < len(b):
+        b[k:] += a[k:] * b[:-k]
+        if 2 * k < len(b):
+            a[k:] *= a[:-k]
+        k *= 2
+    return b
 
 
 def _rk4_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:

@@ -415,13 +415,17 @@ class TestParser:
         assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2
 
 
-def _cli_process(tmp_path, stdout):
-    """``python -m ddopt.cli sweep`` in a subprocess, its stdout given."""
+def _cli_process(tmp_path, stdout, args=None):
+    """``python -m ddopt.cli`` in a subprocess, its stdout given; ``args``
+    default to a short ``sweep``. Standard output is block-buffered, as in a
+    shell where ``PYTHONUNBUFFERED`` is not set."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])] + os.environ.get("PYTHONPATH", "").split(
             os.pathsep)))
-    return subprocess.Popen([sys.executable, "-m", "ddopt.cli", "sweep", "--tf", "2",
-                             "--out", str(tmp_path / "out")],
+    env.pop("PYTHONUNBUFFERED", None)
+    if args is None:
+        args = ["sweep", "--tf", "2", "--out", str(tmp_path / "out")]
+    return subprocess.Popen([sys.executable, "-m", "ddopt.cli", *args],
                             stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
 
 
@@ -431,6 +435,14 @@ class TestUnwritableStdout:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_full_device(self, tmp_path):
         with open("/dev/full", "w") as full, _cli_process(tmp_path, full) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, "error: cannot write to stdout: "
+                                             "No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_help_to_a_full_device(self, tmp_path):
+        # argparse prints the help itself, into the buffer, and exits.
+        with open("/dev/full", "w") as full, _cli_process(tmp_path, full, ["--help"]) as proc:
             _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (1, "error: cannot write to stdout: "
                                              "No space left on device\n")
@@ -468,13 +480,13 @@ _GOLDEN = {
         {"stdout": "4b6efe44342b1ac50794cdffde880939b6b3bd0b874e26b5227980110da31f6f",
          "loss.svg": "ef0bf8339d09ee1c1f3c3fef9f7dbdc756cce396e7713487d98d0c0e95b04df6",
          "trajectory_estimated-s20.csv":
-             "051dfa4cc4496b2a9346f7f2d69d985a299ed5fa7c04039511b4a5fb9ba2fdaf",
+             "bd4bd4a90879e1543799d8935a12a4e2dc72187d4c15b297f509485d357cc2ab",
          "trajectory_estimated-s5.csv":
-             "ef1b8162fee24e15c7ae2492dfd34564e51ca464424e462b961672cd2cb4f360",
+             "cdfb518eebd9a7ac06c37e87fbfc148d02bea237f75774f7da498fa95baeb1d6",
          "trajectory_ideal.csv":
-             "601b9c06137f6a1e964585160e6936f9a88ede3dc23a37d1717e0be8efdef712",
+             "4374b2c46853b6652b9664160d805e4ed129a00d10a1444e10402ae3ab3df760",
          "trajectory_none.csv":
-             "2a6dc6287b23fcf45772a58629923008f25e53c8c538749a481fac05db1c108f"}),
+             "8ab9cbf26f98b621a5b453bf39b93c342be8e87d0c0317019037c8e466b0f3f5"}),
     "sweep": (
         ["sweep", "--k", "3", "--signal", "cos(5*t-2),sin(5*t-2),cos2(5*t-2)", "--tf", "3"],
         {"stdout": "e626c85c41448ff9ebbd29c41b2231de9f4ae51f74a4d4aac145c74cdf349e37",

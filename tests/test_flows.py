@@ -125,6 +125,27 @@ class TestNewtonField:
         assert np.all(np.isfinite(fused))
         assert np.array_equal(fused, general)
 
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_field_inputs())
+    def test_slope_matches_finite_differences(self, inputs):
+        # The logcosh field is elementwise; its slope is the diagonal of the
+        # field's Jacobian, finite everywhere (the cosh overflow included).
+        x, theta, velocity = inputs
+        cost = flows.LogCoshTrackingCost(x.shape[-1])
+        step = 1e-6 * np.maximum(1.0, np.abs(x))
+        with np.errstate(over="ignore"):
+            slope = cost.newton_slope(x, theta, velocity)
+            fd = (cost.newton_field(x + step, theta, velocity)
+                  - cost.newton_field(x - step, theta, velocity)) / (2.0 * step)
+        assert slope.shape == np.broadcast_shapes(x.shape, np.shape(theta))
+        assert np.all(np.isfinite(slope))
+        assert np.all(np.abs(slope - fd) <= 1e-5 * np.maximum(1.0, np.abs(slope)))
+
+    def test_slope_default_is_none(self):
+        # A field that is not declared elementwise has no slope.
+        x = np.zeros(3)
+        assert flows.QuadraticTrackingCost(3).newton_slope(x, x, x) is None
+
 
 class TestCorrections:
     def test_quadratic_passes_velocity_through(self):

@@ -636,10 +636,9 @@ class _LoopQuadratic(flows.QuadraticTrackingCost):
         return None
 
 
-class _FieldBlowsUpAt(_LoopQuadratic):
-    """Scalar quadratic tracker whose field is infinite wherever theta has
-    reached ``t_bad`` and the velocity fed to the correction is nonzero.
-    It is not affine, so the RK4 loop's finiteness check is what it tests."""
+class _BlowsUpAt:
+    """Makes a scalar tracker's field infinite wherever theta has reached
+    ``t_bad`` and the velocity fed to the correction is nonzero."""
 
     def __init__(self, t_bad):
         super().__init__(1)
@@ -649,6 +648,16 @@ class _FieldBlowsUpAt(_LoopQuadratic):
         field = super().newton_field(x, theta, velocity)
         blown = (np.asarray(theta) >= self.t_bad) & (np.asarray(velocity) != 0.0)
         return np.where(blown, np.inf, field)
+
+
+class _FieldBlowsUpAt(_BlowsUpAt, _LoopQuadratic):
+    """The quadratic tracker, blown up. It is neither affine nor elementwise,
+    so the RK4 loop's finiteness check is what it tests."""
+
+
+class _LogCoshBlowsUpAt(_BlowsUpAt, flows.LogCoshTrackingCost):
+    """The logcosh tracker, blown up. Its failing run's Newton windows turn
+    non-finite, and that run alone is stepped again by the RK4 loop."""
 
 
 class _RejectsNonFiniteState(_FieldBlowsUpAt):
@@ -661,21 +670,62 @@ class _RejectsNonFiniteState(_FieldBlowsUpAt):
         return super().newton_field(x, theta, velocity)
 
 
-def _quadratic_rk4(theta, v0, vm, v1, h):
-    """The quadratic tracker's flow x' = theta + v - x from x = 0, one RK4
-    step at a time in extended precision, on float64 samples: theta at the
-    stage times, the velocity at the start, middle and end of each step."""
+def _quadratic_field(x, theta, v):
+    return theta + v - x
+
+
+_LOGCOSH_MU = np.longdouble(flows.LogCoshTrackingCost(1).mu)
+
+
+def _logcosh_field(x, theta, v):
+    # -(phi'(d) - phi''(d) v) / phi''(d), phi(d) = log cosh d + (mu/2) d^2.
+    mu = _LOGCOSH_MU
+    d = x - theta
+    curvature = 1 / np.cosh(d) ** 2 + mu
+    return -(np.tanh(d) + mu * d - curvature * v) / curvature
+
+
+def _extended_rk4(field, theta, v0, vm, v1, h):
+    """The flow x' = field(x, theta, v) from x = 0, one RK4 step at a time in
+    extended precision, on float64 samples: theta at the stage times, the
+    velocity at the start, middle and end of each step (shape (steps, runs,
+    n) or (steps, n))."""
     theta, v0, vm, v1 = (np.asarray(a, np.longdouble) for a in (theta, v0, vm, v1))
     h = np.longdouble(h)
-    X = np.zeros((len(v0) + 1, theta.shape[1]), np.longdouble)
+    X = np.zeros((len(v0) + 1,) + v0.shape[1:], np.longdouble)
     for j in range(len(v0)):
         x, th_m = X[j], theta[2 * j + 1]
-        k1 = theta[2 * j] + v0[j] - x
-        k2 = th_m + vm[j] - (x + h / 2 * k1)
-        k3 = th_m + vm[j] - (x + h / 2 * k2)
-        k4 = theta[2 * j + 2] + v1[j] - (x + h * k3)
+        k1 = field(x, theta[2 * j], v0[j])
+        k2 = field(x + h / 2 * k1, th_m, vm[j])
+        k3 = field(x + h / 2 * k2, th_m, vm[j])
+        k4 = field(x + h * k3, theta[2 * j + 2], v1[j])
         X[j + 1] = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return X
+
+
+def _stage_velocities(runs, trajectories, signal, cfg):
+    """The velocities each run's flow steps were fed, at the start, middle and
+    end stage of each step: the exact velocity (ideal), the recorded
+    estimate held over the step (estimated) or zero (none)."""
+    theta_dot = signal.eval_many(cfg.stage_times(), 1)
+    velocities = []
+    for (mode, _), traj in zip(runs, trajectories):
+        if mode is IDEAL:
+            velocities.append((theta_dot[0:-2:2], theta_dot[1::2], theta_dot[2::2]))
+        elif mode is ESTIMATED:
+            hat = np.column_stack([traj.column(f"thetahat_{c}") for c in range(signal.dim)])
+            velocities.append((hat[:-1],) * 3)
+        else:
+            velocities.append((np.zeros((cfg.num_steps, signal.dim)),) * 3)
+    return velocities
+
+
+def _no_loop(*args):
+    raise AssertionError("RK4 loop ran")
+
+
+def _states(traj, n):
+    return np.column_stack([traj.column(f"x_{c}") for c in range(n)])
 
 
 def _per_step_failure_time(cost, signal, cfg):
@@ -735,10 +785,11 @@ class TestInterconnections:
             assert list(traj.columns) == list(ref)
             for name, expected in ref.items():
                 got = traj.column(name)
-                # The quadratic flow's states come from sim._step_affine,
-                # which sums the RK4 recurrence in another order than the loop.
-                from_kernel = name.startswith("x_") and cost.affine_field() is not None
-                if (name == "t" or name.startswith(STATE_COLUMNS[1:])) and not from_kernel:
+                # The states come from sim._step_affine (quadratic), which
+                # sums the RK4 recurrence in another order than the loop, or
+                # from sim._newton_states (logcosh), which stops a few ulps
+                # from the loop's recurrence.
+                if (name == "t" or name.startswith(STATE_COLUMNS[1:])) and name[:2] != "x_":
                     assert np.array_equal(got, expected), name
                 else:
                     # Derived columns are reduced over whole arrays, in a
@@ -788,22 +839,87 @@ class TestInterconnections:
         loop = sim.run_interconnections(_LoopQuadratic(3), signal, MIXED_RUNS, cfg,
                                         noise=noise)
         theta = signal.eval_many(cfg.stage_times(), 0)
-        theta_dot = signal.eval_many(cfg.stage_times(), 1)
-        columns = [f"x_{c}" for c in range(3)]
-        for (mode, _), got, stepped in zip(MIXED_RUNS, fast, loop):
-            if mode is IDEAL:
-                velocities = theta_dot[0:-2:2], theta_dot[1::2], theta_dot[2::2]
-            elif mode is ESTIMATED:
-                hat = np.column_stack([got.column(f"thetahat_{c}") for c in range(3)])
-                velocities = (hat[:-1],) * 3
-            else:
-                velocities = (np.zeros((cfg.num_steps, 3)),) * 3
-            ref = _quadratic_rk4(theta, *velocities, cfg.h)
-            x = np.column_stack([got.column(name) for name in columns])
-            x_loop = np.column_stack([stepped.column(name) for name in columns])
-            error = float(np.max(np.abs(x - ref)))
-            loop_error = float(np.max(np.abs(x_loop - ref)))
+        velocities = _stage_velocities(MIXED_RUNS, fast, signal, cfg)
+        for (mode, _), got, stepped, v in zip(MIXED_RUNS, fast, loop, velocities):
+            ref = _extended_rk4(_quadratic_field, theta, *v, cfg.h)
+            error = float(np.max(np.abs(_states(got, 3) - ref)))
+            loop_error = float(np.max(np.abs(_states(stepped, 3) - ref)))
             assert error <= loop_error, mode
+
+    def test_logcosh_batch_never_steps_the_loop(self, monkeypatch):
+        # The logcosh field is elementwise, so the engine solves its windows
+        # by Newton's method and the RK4 loop does not run. The batch has the
+        # shape of the benchmark's logcosh optimize call.
+        monkeypatch.setattr(sim, "_rk4_states", _no_loop)
+        batch = sim.run_interconnections(flows.LogCoshTrackingCost(3),
+                                         signals.benchmark_parameter_path(), BATCH_POOL,
+                                         sim.SimConfig(tf=4.0, h=1e-3),
+                                         noise=signals.NoiseSpec(0.01, 3))
+        assert len(batch) == len(BATCH_POOL)
+
+    @settings(max_examples=20, deadline=None)
+    @given(modes=st.lists(st.sampled_from([NONE, IDEAL, ESTIMATED]), min_size=1, max_size=3,
+                          unique=True),
+           sigma=st.floats(2.0, 50.0), order=st.integers(1, 2),
+           h=st.sampled_from([1e-3, 5e-3, 1e-2]), tf=st.floats(0.2, 3.0),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_newton_path_matches_the_rk4_loop(self, modes, sigma, order, h, tf, seed):
+        cost = flows.LogCoshTrackingCost(3)
+        signal = signals.benchmark_parameter_path()
+        cfg = sim.SimConfig(tf=tf, h=h)
+        noise = signals.NoiseSpec(0.01, seed)
+        runs = [(mode, est.DirtyDerivativeConfig(order, sigma, 3)) for mode in modes]
+        loop = sim._rk4_states
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_rk4_states", _no_loop)    # every window converges
+            batch = sim.run_interconnections(cost, signal, runs, cfg, noise=noise)
+            again = sim.run_interconnections(cost, signal, runs, cfg, noise=noise)
+            alone = [sim.run_interconnection(cost, signal, mode, cfg, est_cfg=est_cfg,
+                                             noise=noise) for mode, est_cfg in runs]
+        stepped = loop(cost, signal.eval_many(cfg.stage_times(), 0),
+                       _stage_velocities(runs, batch, signal, cfg), np.zeros(3), cfg)
+        for b, traj in enumerate(batch):
+            x, x_loop = _states(traj, 3), stepped[:, b]
+            assert np.all(np.abs(x - x_loop) <= 1e-12 * np.maximum(1.0, np.abs(x_loop)))
+            for name in traj.columns:
+                assert np.array_equal(traj.column(name), alone[b].column(name)), name
+                assert np.array_equal(traj.column(name), again[b].column(name)), name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than float64 here")
+    def test_newton_path_close_to_extended_precision(self):
+        # Reference: the RK4 loop's steps on the same float64 samples and
+        # estimates, carried out in extended precision.
+        cfg = sim.SimConfig(tf=3.0, h=1e-3)
+        signal = signals.benchmark_parameter_path()
+        batch = sim.run_interconnections(flows.LogCoshTrackingCost(3), signal, MIXED_RUNS, cfg,
+                                         noise=signals.NoiseSpec(0.01, 4))
+        theta = signal.eval_many(cfg.stage_times(), 0)
+        velocities = [np.stack(stage, axis=1) for stage in
+                      zip(*_stage_velocities(MIXED_RUNS, batch, signal, cfg))]
+        ref = _extended_rk4(_logcosh_field, theta[:, None, :], *velocities, cfg.h)
+        x = np.stack([_states(traj, 3) for traj in batch], axis=1)
+        assert np.max(np.abs(x - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+
+    def test_unconverged_runs_are_stepped_by_the_loop(self, monkeypatch):
+        # At h = 1 a window of 256 steps spans 256 time constants of the
+        # flow, and Newton's method does not settle within the iteration cap:
+        # the run is stepped by the RK4 loop instead, bit for bit.
+        cost = flows.LogCoshTrackingCost(1)
+        signal = signals.AnalyticSignal((signals.Polynomial((3.0,)),))
+        cfg = sim.SimConfig(tf=256.0, h=1.0)
+        loop, looped = sim._rk4_states, []
+
+        def spy(cost, theta_all, stage_velocities, x0, cfg):
+            looped.append(len(stage_velocities))
+            return loop(cost, theta_all, stage_velocities, x0, cfg)
+
+        monkeypatch.setattr(sim, "_rk4_states", spy)
+        traj = sim.run_interconnection(cost, signal, NONE, cfg)
+        assert looped == [1]
+        stepped = loop(cost, signal.eval_many(cfg.stage_times(), 0),
+                       [(np.zeros((cfg.num_steps, 1)),) * 3], np.zeros(1), cfg)
+        assert np.array_equal(traj.column("x_0"), stepped[:, 0, 0])
 
     def test_diverging_batch_raises_at_the_failing_time(self):
         # sigma*h = 10 is far outside the RK4 stability interval: the estimate
@@ -816,7 +932,8 @@ class TestInterconnections:
                                          signals.benchmark_parameter_path(), runs, cfg)
         assert info.value.t == 12.6  # the time the run-by-run loop reported
 
-    @pytest.mark.parametrize("cost_class", [_FieldBlowsUpAt, _RejectsNonFiniteState])
+    @pytest.mark.parametrize("cost_class", [_FieldBlowsUpAt, _RejectsNonFiniteState,
+                                            _LogCoshBlowsUpAt])
     # finite_runs uncorrected runs, which stay finite, are integrated beside
     # the failing ideal run.
     @pytest.mark.parametrize("step,finite_runs", [
