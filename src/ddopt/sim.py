@@ -30,12 +30,12 @@ estimated at each gain) are integrated together by
 :func:`run_interconnections`, the one place that turns a run's correction
 mode into the velocities its flow steps are fed. A cost whose Newton field
 is affine (the quadratic tracker, see :meth:`flows.CostModel.affine_field`)
-makes the flow an LTI system too: its RK4 steps are evaluated in chunks like
-the estimator's, by :func:`_step_affine`. A cost whose field is elementwise
-and declares its slope (the logcosh tracker, see
-:meth:`flows.CostModel.newton_slope`) has its RK4 steps solved a window of
-256 steps at a time by Newton's method over the whole window
-(:func:`_newton_states`). Runs of other costs, runs whose states turn
+makes its RK4 steps an elementwise affine recurrence, evaluated over the
+whole run by a log-depth scan (:func:`_scan_affine`). A cost whose field is
+elementwise and declares its slope (the logcosh tracker, see
+:meth:`flows.CostModel.newton_slope`) has its RK4 steps solved 256 at a
+time by Newton's method over the whole window (:func:`_newton_states`),
+each update one such scan. Runs of other costs, runs whose states turn
 non-finite and runs whose Newton solve does not settle go through one RK4
 loop, which advances their stacked states (runs, n), stores only them and
 checks them for non-finite values a block of steps at a time. Either way
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -478,14 +479,15 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     computed for the whole grid first, and a flow step holds the estimate at
     its start constant over the optimizer's RK4 step. When the cost declares
     an affine field (:meth:`flows.CostModel.affine_field`), each run's RK4
-    steps are evaluated as an LTI recurrence (:func:`_affine_states`) and
-    ``newton_field`` is not called; otherwise they are solved window by
-    window by Newton's method (:func:`_newton_states`). The runs for which
-    that gives states that are not all finite (every run, when the cost
-    declares no field slope) advance, stacked (runs, n), in one RK4 loop
-    (:func:`_rk4_states`), which reports the step that failed. The other
-    columns are computed from the stored states afterwards. Each run comes
-    out bit-identical to the same run alone.
+    steps are evaluated as an elementwise affine recurrence
+    (:func:`_affine_states`) and ``newton_field`` is not called; otherwise
+    they are solved window by window by Newton's method
+    (:func:`_newton_states`). The runs for which that gives states that are
+    not all finite (every run, when the cost declares no field slope) advance,
+    stacked (runs, n), in one RK4 loop (:func:`_rk4_states`), which reports
+    the step that failed. The other columns are computed from the stored
+    states afterwards. Each run comes out bit-identical to the same run
+    alone. A step h at which RK4 is unstable at the minimizer is warned of.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -506,11 +508,15 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
                 raise ValueError("estimator signal_dim does not match signal dim")
 
     n, p, B = cost.n, cost.p, len(runs)
-    N = cfg.num_steps
-    h = cfg.h
+    N, h = cfg.num_steps, cfg.h
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
+    # The flow has Jacobian -I at its minimizer, where RK4 scales a deviation by R(-h).
+    growth = abs(est_mod.rk4_step_maps(-np.eye(1), np.zeros((1, 1)), h)[0].item())
+    if growth >= 1.0:
+        warnings.warn(f"|R(-h)| = {growth:.3g} >= 1 at h = {h:.3g}: the flow's RK4 step is "
+                      "unstable at its minimizer", stacklevel=2)
 
     ts_all = cfg.stage_times()
     # Overflow is reported as NonFiniteStateError, not as numpy warnings.
@@ -602,8 +608,9 @@ def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
     Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
     stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, b, h)`` applied
     to theta + v at the start, middle and end stage (v from the run's entry
-    of ``stage_velocities``). Each run gets its own :func:`_step_affine`
-    call, so it comes out the same whichever runs are integrated with it.
+    of ``stage_velocities``). All runs go through one :func:`_scan_affine`
+    call, with the first step from x0 folded into V[0]; the scan is
+    elementwise, so each run comes out the same whichever runs are with it.
     """
     a, b = field
     _, M0, M1, M2 = (float(M[0, 0]) for M in
@@ -616,43 +623,14 @@ def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
     q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
 
     X = np.empty((len(theta_all) // 2 + 1, len(stage_velocities), len(x0)))
+    X[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for r, (v0, vm, v1) in enumerate(stage_velocities):
-            V = (M0 * (theta_all[0:-2:2] + v0) + M1 * (theta_all[1::2] + vm)
-                 + M2 * (theta_all[2::2] + v1))
-            X[:, r] = _step_affine(q, V, x0)
+            X[1:, r] = (M0 * (theta_all[0:-2:2] + v0) + M1 * (theta_all[1::2] + vm)
+                        + M2 * (theta_all[2::2] + v1))
+        X[1] += x0 + q * x0
+        _scan_affine(np.full((len(X) - 1, 1, 1), q), X[1:])
     return X
-
-
-def _step_affine(q: float, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """States (N+1, m) of x[j+1] = x[j] + q x[j] + V[j] from x0; V is (N, m).
-
-    Evaluated in chunks of ``_CHUNK`` steps, as :func:`_drive_lti` does, but
-    with the powers of the step map kept as their offsets from 1,
-    Q[d] = (1 + q)^d - 1: step l of a chunk that starts at s is
-    s + (Q[l] s + (K @ V)[l-1]), with K[r, i] = (1 + q)^(r-i) for i <= r.
-    The state is rounded once per output and once per chunk, and the
-    rounding of 1 + q is never amplified by the slow decay.
-    """
-    L = _CHUNK
-    N, m = V.shape
-    chunks = -(-N // L)
-    Q = np.expm1(np.arange(L + 1) * np.log1p(q))         # (1 + q)^d - 1
-    K = np.tril(1.0 + Q[np.abs(np.subtract.outer(np.arange(L), np.arange(L)))])
-    Vp = np.zeros((chunks * L, m))
-    Vp[:N] = V
-    inc = K @ Vp.reshape(chunks, L, m).transpose(1, 0, 2).reshape(L, chunks * m)
-    inc = inc.reshape(L, chunks, m)                      # response from a zero start
-    starts = np.empty((chunks, m))
-    s = x0
-    for c in range(chunks):
-        starts[c] = s
-        s = s + (Q[L] * s + inc[L - 1, c])
-    steps = starts + (Q[1:, None, None] * starts + inc)   # (L, chunks, m)
-    out = np.empty((N + 1, m))
-    out[0] = x0
-    out[1:] = steps.transpose(1, 0, 2).reshape(chunks * L, m)[:N]
-    return out
 
 
 def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
@@ -709,7 +687,7 @@ def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
                 d3 = slope(x3, thm, v_m) * (1.0 + 0.5 * h * d2)
                 d4 = slope(x4, th1, v_1) * (1.0 + h * d3)
                 residual = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - y[1:]
-                update = _scan_affine(1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), residual)
+                update = _scan_affine((h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), residual)
                 y[1:] += update
                 window[1:, runs] = y[1:]
                 # Per run maxima; a NaN propagates through them.
@@ -723,15 +701,17 @@ def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
     return X
 
 
-def _scan_affine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d[1:] of the elementwise recurrence d[j+1] = a[j] d[j] + b[j] from
-    d[0] = 0, over the leading axis, by Hillis-Steele doubling as in
-    :func:`_scan_linear`. ``a`` and ``b`` are overwritten."""
+def _scan_affine(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[1:] of the elementwise recurrence d[j+1] = d[j] + q[j] d[j] + b[j]
+    from d[0] = 0, over the leading axis, by Hillis-Steele doubling as in
+    :func:`_scan_linear`. A step map is carried as its offset q from 1 (two
+    compose to q + q' + q q'), so 1 + q is never rounded. ``q`` broadcasts
+    against ``b``; both are overwritten, and ``b`` is returned."""
     k = 1
     while k < len(b):
-        b[k:] += a[k:] * b[:-k]
+        b[k:] += b[:-k] + q[k:] * b[:-k]
         if 2 * k < len(b):
-            a[k:] *= a[:-k]
+            q[k:] += q[:-k] + q[k:] * q[:-k]
         k *= 2
     return b
 

@@ -245,6 +245,15 @@ class TestOptimizeCommand:
                        "--tf", "1", "--h", "1e-2", "--out", str(out)])
         assert rc == 0
 
+    def test_unstable_flow_step_warns_and_still_runs(self, tmp_path, capsys):
+        # The RK4 step is unstable at the minimizer, yet the states stay
+        # finite over the run: the warning is the only sign of it.
+        with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
+            rc = cli.main(["optimize", "--mode", "none,ideal", "--h", "2.9", "--tf", "60",
+                           "--out", str(tmp_path / "opt")])
+        assert rc == 0
+        assert capsys.readouterr().out.count("final-window mean loss") == 2
+
     @pytest.mark.parametrize("flags,field", [
         (["--mode", "ideal,ideal"], "mode"), (["--mode", "none,ideal,NONE"], "mode"),
         (["--mode", "estimated,ideal,estimated"], "mode"),
@@ -469,24 +478,24 @@ _GOLDEN = {
         {"stdout": "44cddc6e2dd3ccd37c94e607b00f48f48315dc838a354584d2d5206e6ff09a72",
          "loss.svg": "6a8e7bcce00783076aa2fa0de80e1969ad64989fb16b6fa928931ce3842e65e3",
          "trajectory_estimated-s20.csv":
-             "b1820fd99c826fae6f0046558c4e6b041939bee658fdeeaea35d8458ab358b30",
+             "c6a8a2eb0e71765ab9068ffa95415ae60abbd1828e657197e5f34f9d152e7c94",
          "trajectory_estimated-s5.csv":
-             "bdbf26a02e4e8bc1b976882d2740a8ecbc06eaf11e038b52ed17a11cf9520fb0",
+             "02a8b73558610caa113473e7a02bfcba938215b27d1de6e718d78ed2c84a55d7",
          "trajectory_ideal.csv":
-             "694c0be305be79b1d0191046199a3fc1e1dd84e7b3a834a57fbc262ba4ae69f6"}),
+             "e7c08a77bb4948604ad703719ae5ff2fa4d641a5379e7486bc7479269ce397d8"}),
     "optimize-logcosh": (
         ["optimize", "--cost", "logcosh", "--mode", "none,ideal,estimated", "--sigma", "5,20",
          "--noise-var", "0.01", "--seed", "3", "--tf", "1"],
         {"stdout": "4b6efe44342b1ac50794cdffde880939b6b3bd0b874e26b5227980110da31f6f",
          "loss.svg": "ef0bf8339d09ee1c1f3c3fef9f7dbdc756cce396e7713487d98d0c0e95b04df6",
          "trajectory_estimated-s20.csv":
-             "bd4bd4a90879e1543799d8935a12a4e2dc72187d4c15b297f509485d357cc2ab",
+             "a9f860bca7ccf6d8082c5ccccd98b90936c37f305c7f98e8ab3334a846d92684",
          "trajectory_estimated-s5.csv":
-             "cdfb518eebd9a7ac06c37e87fbfc148d02bea237f75774f7da498fa95baeb1d6",
+             "b249ece02c5574515cce447e91b4da7bfeb3daea689f776fe50b37bd2fb29728",
          "trajectory_ideal.csv":
-             "4374b2c46853b6652b9664160d805e4ed129a00d10a1444e10402ae3ab3df760",
+             "7964cd74a5a779cb17fe284a237b49d2547db584aac2e62bbd74b4d53f9fa80c",
          "trajectory_none.csv":
-             "8ab9cbf26f98b621a5b453bf39b93c342be8e87d0c0317019037c8e466b0f3f5"}),
+             "d0db08dd38762cd2def725da42c08b3765140e3d147f9dfabe3412e0522400f6"}),
     "sweep": (
         ["sweep", "--k", "3", "--signal", "cos(5*t-2),sin(5*t-2),cos2(5*t-2)", "--tf", "3"],
         {"stdout": "e626c85c41448ff9ebbd29c41b2231de9f4ae51f74a4d4aac145c74cdf349e37",

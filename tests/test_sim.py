@@ -395,6 +395,51 @@ class TestScanLinear:
         assert np.isfinite(got).all()
 
 
+def _extended_affine_scan(q, b):
+    """d[1:] of d[j+1] = d[j] + q[j] d[j] + b[j] from d[0] = 0, one step at a
+    time in extended precision, and the same recurrence on |1 + q| and |b|,
+    the scale of the roundoff any summation order makes."""
+    q, b = np.broadcast_arrays(*(np.asarray(a, np.longdouble) for a in (q, b)))
+    d, scale = np.zeros((2, len(b) + 1) + b.shape[1:], np.longdouble)
+    for j in range(len(b)):
+        d[j + 1] = d[j] + q[j] * d[j] + b[j]
+        scale[j + 1] = np.abs(1 + q[j]) * scale[j] + np.abs(b[j])
+    return d[1:], scale[1:]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="longdouble is no wider than float64 here")
+class TestScanAffine:
+    BOUND = 24 * np.finfo(np.float64).eps
+
+    def _error(self, q, b):
+        expected, scale = _extended_affine_scan(q, b)
+        got = sim._scan_affine(q.copy(), b.copy())
+        assert got.shape == b.shape
+        return float(np.max(np.abs(got - expected) / np.maximum(1.0, scale)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(1, 700), constant=st.booleans(),
+           log_offset=st.floats(-13.0, math.log10(0.5)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_extended_precision_recurrence(self, steps, constant, log_offset, seed):
+        # Offsets in [-0.5, -1e-13]: one (steps, 1) column broadcast over the
+        # channels, as the affine flow passes it, or one per step and channel.
+        rng = np.random.default_rng(seed)
+        if constant:
+            q = np.full((steps, 1), -10.0 ** log_offset)
+        else:
+            q = -10.0 ** rng.uniform(-13.0, math.log10(0.5), (steps, 2))
+        b = rng.uniform(-1.0, 1.0, (steps, 2))
+        assert self._error(q, b) <= self.BOUND
+
+    def test_slow_decay_does_not_amplify_the_rounding_of_one_plus_q(self):
+        # 1 - 1e-13 rounded to float64 is off by 3 parts in 1e4 of the
+        # offset, and 600 slowly decaying steps compound that to about 40 eps
+        # of the state; carried as an offset, the step map is never so rounded.
+        q, b = np.full(600, -1e-13), np.ones(600)
+        assert self._error(q, b) <= self.BOUND
+
+
 class TestSimulateRealization:
     def test_matches_general_rk4_integrator(self):
         block = est.build_f_block(2, 2.0)
@@ -785,10 +830,10 @@ class TestInterconnections:
             assert list(traj.columns) == list(ref)
             for name, expected in ref.items():
                 got = traj.column(name)
-                # The states come from sim._step_affine (quadratic), which
-                # sums the RK4 recurrence in another order than the loop, or
-                # from sim._newton_states (logcosh), which stops a few ulps
-                # from the loop's recurrence.
+                # The states come from sim._affine_states (quadratic), which
+                # sums the RK4 recurrence by a log-depth scan, in another
+                # order than the loop, or from sim._newton_states (logcosh),
+                # which stops a few ulps from the loop's recurrence.
                 if (name == "t" or name.startswith(STATE_COLUMNS[1:])) and name[:2] != "x_":
                     assert np.array_equal(got, expected), name
                 else:
@@ -845,6 +890,25 @@ class TestInterconnections:
             error = float(np.max(np.abs(_states(got, 3) - ref)))
             loop_error = float(np.max(np.abs(_states(stepped, 3) - ref)))
             assert error <= loop_error, mode
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than float64 here")
+    # The flow's time constant spans 10,000 and 100 steps; the shipped step,
+    # 1e-3, is held to the loop's own error above.
+    @pytest.mark.parametrize("h,tf", [(1e-4, 1.0), (1e-2, 30.0)])
+    def test_affine_path_close_to_extended_precision(self, h, tf):
+        # Reference: the RK4 loop's steps on the same float64 samples and
+        # estimates, carried out in extended precision.
+        cfg = sim.SimConfig(tf=tf, h=h)
+        signal = signals.benchmark_parameter_path()
+        batch = sim.run_interconnections(flows.QuadraticTrackingCost(3), signal, MIXED_RUNS, cfg,
+                                         noise=signals.NoiseSpec(0.01, 4))
+        theta = signal.eval_many(cfg.stage_times(), 0)
+        velocities = [np.stack(stage, axis=1) for stage in
+                      zip(*_stage_velocities(MIXED_RUNS, batch, signal, cfg))]
+        ref = _extended_rk4(_quadratic_field, theta[:, None, :], *velocities, cfg.h)
+        x = np.stack([_states(traj, 3) for traj in batch], axis=1)
+        assert np.max(np.abs(x - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
     def test_logcosh_batch_never_steps_the_loop(self, monkeypatch):
         # The logcosh field is elementwise, so the engine solves its windows
@@ -954,6 +1018,20 @@ class TestInterconnections:
         with pytest.raises(sim.NonFiniteStateError) as info:
             sim.run_interconnections(cost, signal, runs, cfg)
         assert info.value.t == expected
+
+    @pytest.mark.parametrize("cost_name", ["quadratic-tracking", "logcosh"])
+    def test_unstable_flow_step_warns(self, cost_name):
+        # At its minimizer the flow is x' = -x, whose RK4 step map
+        # R(-h) = 1 - h + h^2/2 - h^3/6 + h^4/24 reaches 1 at h = 2.785.
+        def run(h):
+            return sim.run_interconnections(flows.cost_by_name(cost_name, 3),
+                                            signals.benchmark_parameter_path(),
+                                            [(NONE, None), (IDEAL, None)],
+                                            sim.SimConfig(tf=60.0, h=h))
+
+        run(2.5)                                   # R(-2.5) = 0.65; a warning fails the test
+        with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
+            run(2.9)
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ValueError):
