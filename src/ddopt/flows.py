@@ -62,15 +62,16 @@ class CostModel:
 
     :meth:`affine_field` declares instead a field that is affine in the
     state, the parameter and the velocity alike, elementwise; ``sim`` then
-    steps the flow as an LTI system, and reaches :meth:`newton_field` only
-    to locate the step at which such a flow turned non-finite.
+    evaluates the flow as an LTI system, and reaches :meth:`newton_field`
+    only to locate the step at which such a flow turned non-finite.
 
     :meth:`newton_slope` declares a field that is elementwise but not affine
     by its derivative in x, the diagonal of its Jacobian; ``sim`` then solves
     the flow's RK4 steps a window at a time by Newton's method, still through
     :meth:`newton_field`.
 
-    For both declarations the default, None, keeps the flow in the RK4 loop.
+    For both declarations the default, None, has ``sim`` take the flow's RK4
+    steps one after another, a window at a time.
     """
 
     name = "abstract"

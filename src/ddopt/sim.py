@@ -31,16 +31,15 @@ estimated at each gain) are integrated together by
 mode into the velocities its flow steps are fed. A cost whose Newton field
 is affine (the quadratic tracker, see :meth:`flows.CostModel.affine_field`)
 makes its RK4 steps an elementwise affine recurrence, evaluated over the
-whole run by a log-depth scan (:func:`_scan_affine`). A cost whose field is
-elementwise and declares its slope (the logcosh tracker, see
-:meth:`flows.CostModel.newton_slope`) has its RK4 steps solved 256 at a
-time by Newton's method over the whole window (:func:`_newton_states`),
-each update one such scan. Runs of other costs, runs whose states turn
-non-finite and runs whose Newton solve does not settle go through one RK4
-loop, which advances their stacked states (runs, n), stores only them and
-checks them for non-finite values a block of steps at a time. Either way
-the other columns are computed from the states on blocks of rows, through
-the same ``flows`` functions.
+whole run by a log-depth scan (:func:`_scan_affine`). Every other flow goes
+through one window driver (:func:`_flow_states`), 256 RK4 steps at a time:
+a cost whose field declares its slope (the logcosh tracker, see
+:meth:`flows.CostModel.newton_slope`) has each window solved by Newton's
+method, each update one such scan; the runs of other costs, and runs whose
+states turn non-finite or whose Newton solve does not settle, are stepped
+from then on, which finds the step at which a state failed. Either way the
+other columns are computed from the states on blocks of rows, through the
+same ``flows`` functions.
 :func:`write_csvs` writes every CSV file, the runs' trajectories together,
 formatting the columns they have in common once.
 """
@@ -65,14 +64,14 @@ STEADY_STATE_FRACTION = 0.2  # metrics use the final 20% of a run
 # is refused before anything is allocated. About 67 times the longest
 # shipped run (30k steps).
 MAX_STEPS = 2_000_000
-# Rows handled per block by the flow loop's finiteness check, when deriving
-# the other columns and when writing CSVs, so that buffers and temporaries
-# (such as stacked Hessians or formatted text) do not grow with run length.
+# Steps per window of _flow_states, and rows per block when deriving the
+# other columns and when writing CSVs, so that buffers and temporaries (such
+# as stacked Hessians or formatted text) do not grow with run length.
 _RECORD_BLOCK_ROWS = 256
 # Steps per chunk of the LTI kernel in _drive_lti.
 _CHUNK = 64
-# Newton iterations a window of _newton_states may take before its
-# unconverged runs are left to the RK4 loop.
+# Newton iterations a window of _flow_states may take before its unconverged
+# runs are stepped.
 _NEWTON_ITERATIONS = 24
 
 
@@ -480,14 +479,12 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     its start constant over the optimizer's RK4 step. When the cost declares
     an affine field (:meth:`flows.CostModel.affine_field`), each run's RK4
     steps are evaluated as an elementwise affine recurrence
-    (:func:`_affine_states`) and ``newton_field`` is not called; otherwise
-    they are solved window by window by Newton's method
-    (:func:`_newton_states`). The runs for which that gives states that are
-    not all finite (every run, when the cost declares no field slope) advance,
-    stacked (runs, n), in one RK4 loop (:func:`_rk4_states`), which reports
-    the step that failed. The other columns are computed from the stored
+    (:func:`_affine_states`), and only runs that turn non-finite are stepped,
+    to find the failing step; otherwise the runs go through
+    :func:`_flow_states`. The other columns are computed from the stored
     states afterwards. Each run comes out bit-identical to the same run
-    alone. A step h at which RK4 is unstable at the minimizer is warned of.
+    alone. A step h at which RK4 is unstable at the minimizer, or which spans
+    half a period of the path's fastest sinusoid, is warned of.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -517,6 +514,13 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     if growth >= 1.0:
         warnings.warn(f"|R(-h)| = {growth:.3g} >= 1 at h = {h:.3g}: the flow's RK4 step is "
                       "unstable at its minimizer", stacklevel=2)
+    # The fastest sinusoid of the path; a cos2 component's canonical w is 2 omega.
+    omega = max((abs(c.canonical()[2]) for c in signal.components
+                 if isinstance(c, sig_mod.Sinusoid) and c.amplitude != 0.0), default=0.0)
+    if omega * h >= np.pi:
+        warnings.warn(f"omega_max * h = {omega * h:.3g} >= pi at h = {h:.3g}, omega_max = "
+                      f"{omega:.3g}: the grid has fewer than two points per period of the "
+                      "parameter path", stacklevel=2)
 
     ts_all = cfg.stage_times()
     # Overflow is reported as NonFiniteStateError, not as numpy warnings.
@@ -545,17 +549,15 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         stage_velocities.append((v0[:-1, b],) * 3)
 
     field = cost.affine_field()
-    if field is not None:
-        X = _affine_states(field, theta_all, stage_velocities, x0, h)
+    if field is None:
+        X = _flow_states(cost, theta_all, stage_velocities, x0, cfg)
     else:
-        X = _newton_states(cost, theta_all, stage_velocities, x0, h)
-    # Non-finite values spread over whole chunks or windows, and a Newton
-    # solve may not converge: such runs are stepped again by the RK4 loop,
-    # which finds the step at which a state failed.
-    if not np.isfinite(X).all():
-        loop = ~np.isfinite(X).all(axis=0).all(axis=1)
-        X[:, loop] = _rk4_states(cost, theta_all, list(itertools.compress(stage_velocities, loop)),
-                                 x0, cfg)
+        X = _affine_states(field, theta_all, stage_velocities, x0, h)
+        # Non-finite values spread through the scan; stepping finds the step.
+        bad = ~np.isfinite(X).all(axis=(0, 2))
+        if bad.any():
+            X[:, bad] = _flow_states(cost, theta_all,
+                                     list(itertools.compress(stage_velocities, bad)), x0, cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
@@ -619,7 +621,7 @@ def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
     # q = Phi - 1 = ha + ha^2/2 + ha^3/6 + ha^4/24, summed without the 1.
     # Phi rounded to float64 is off by up to eps/2, which the slow decay
     # (about 1/|ha| steps) would amplify to eps/(2|ha|) in the state: 20 to
-    # 65 times the RK4 loop's own error at h = 1e-3.
+    # 65 times the stepped recurrence's own error at h = 1e-3.
     q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
 
     X = np.empty((len(theta_all) // 2 + 1, len(stage_velocities), len(x0)))
@@ -633,31 +635,35 @@ def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
     return X
 
 
-def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
-    """States (N+1, runs, n) of the corrected Newton flows of a cost with an
-    elementwise field (:meth:`flows.CostModel.newton_slope`), solved a
-    window of ``_RECORD_BLOCK_ROWS`` RK4 steps at a time by Newton's method
-    on the whole window (parallel-in-time, as in DEER: Lim et al. 2024).
+def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
+    """States (N+1, runs, n) of the corrected Newton flows, fed each run's
+    ``stage_velocities``, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
+    (:func:`_rk4_step`) at a time; each window starts from the previous
+    window's last state.
 
-    Each iteration evaluates the RK4 step x[j+1] = F_j(x[j]) on every guessed
-    state of the window at once, through :func:`flows.corrected_newton_rhs`
-    with the loop's arithmetic, and its derivative F_j' by chaining the stage
-    slopes; the update d of the guesses solves d[j+1] = F_j' d[j] + F_j(x[j]) -
-    x[j+1], d[0] = 0, an elementwise affine recurrence (:func:`_scan_affine`).
-    Where the guesses already satisfy the recurrence the update is exactly
-    zero, so the fixed point is the loop's. Each window starts from the
-    previous window's last state, held. A run stops iterating when its own
-    update is at most 4 eps max(1, max|x|); runs are decided one by one, so
-    each comes out the same whichever runs are solved with it. A run that
-    is still moving after ``_NEWTON_ITERATIONS`` or turns non-finite is
-    returned as NaN; so are all runs of a cost without a slope.
+    A cost whose field is elementwise (:meth:`flows.CostModel.newton_slope`)
+    has each window solved by Newton's method on the whole window
+    (parallel-in-time, as in DEER: Lim et al. 2024). An iteration evaluates
+    the RK4 step x[j+1] = F_j(x[j]) on every guessed state at once, and its
+    derivative F_j' by chaining the stage slopes; the update d of the
+    guesses solves d[j+1] = F_j' d[j] + F_j(x[j]) - x[j+1], d[0] = 0, an
+    elementwise affine recurrence (:func:`_scan_affine`). Where the guesses
+    already satisfy the recurrence the update is exactly zero, so the fixed
+    point is the stepped one. A run stops iterating when its own update is
+    at most 4 eps max(1, max|x|); runs are decided one by one, so each comes
+    out the same whichever runs are solved with it.
+
+    A run that turns non-finite or is still moving after
+    ``_NEWTON_ITERATIONS``, and every run of a cost without a slope, is
+    stepped by :func:`_step_window` from then on, which raises
+    :class:`NonFiniteStateError` at the step that failed.
     """
-    N, B, n = len(theta_all) // 2, len(stage_velocities), len(x0)
+    N, B, n, h = len(theta_all) // 2, len(stage_velocities), len(x0), cfg.h
     X = np.empty((N + 1, B, n))
     X[0] = x0
-    failed = np.zeros(B, dtype=bool)
+    stepped = np.zeros(B, dtype=bool)
     tol = 4.0 * np.finfo(np.float64).eps
-    rhs, slope = flows_mod.corrected_newton_rhs, cost.newton_slope
+    slope = cost.newton_slope
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
@@ -666,7 +672,7 @@ def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
                           for stage in zip(*stage_velocities))
             window = X[start:stop + 1]
             window[1:] = window[0]
-            live = np.flatnonzero(~failed)
+            live = np.flatnonzero(~stepped)
             for _ in range(_NEWTON_ITERATIONS):
                 if not live.size:
                     break
@@ -675,30 +681,63 @@ def _newton_states(cost, theta_all, stage_velocities, x0, h) -> np.ndarray:
                 x, v_0, v_m, v_1 = y[:-1], v0[:, runs], vm[:, runs], v1[:, runs]
                 d1 = slope(x, th0, v_0)
                 if d1 is None:
-                    return np.full_like(X, np.nan)
-                k1 = rhs(cost, x, th0, v_0)
-                x2 = x + 0.5 * h * k1
-                k2 = rhs(cost, x2, thm, v_m)
-                x3 = x + 0.5 * h * k2
-                k3 = rhs(cost, x3, thm, v_m)
-                x4 = x + h * k3
-                k4 = rhs(cost, x4, th1, v_1)
+                    break
+                x1, x2, x3, x4 = _rk4_step(cost, x, th0, thm, th1, v_0, v_m, v_1, h)
                 d2 = slope(x2, thm, v_m) * (1.0 + 0.5 * h * d1)
                 d3 = slope(x3, thm, v_m) * (1.0 + 0.5 * h * d2)
                 d4 = slope(x4, th1, v_1) * (1.0 + h * d3)
-                residual = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - y[1:]
-                update = _scan_affine((h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), residual)
+                update = _scan_affine((h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), x1 - y[1:])
                 y[1:] += update
                 window[1:, runs] = y[1:]
                 # Per run maxima; a NaN propagates through them.
                 size = np.abs(y).max(axis=0).max(axis=1)
                 bad = ~np.isfinite(size)
                 moving = ~(np.abs(update).max(axis=0).max(axis=1) <= tol * np.maximum(1.0, size))
-                failed[live[bad]] = True
+                stepped[live[bad]] = True
                 live = live[moving & ~bad]
-            failed[live] = True
-    X[:, failed] = np.nan
+            stepped[live] = True
+            if stepped.any():
+                runs = np.flatnonzero(stepped)
+                y = window[:, runs]
+                _step_window(cost, y, (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs]), h,
+                             cfg.t0 + np.arange(start, stop) * h + h)
+                window[1:, runs] = y[1:]
     return X
+
+
+def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
+    """One RK4 step of the corrected Newton flow from x, through
+    :func:`flows.corrected_newton_rhs` fed theta and the velocity at the
+    step's start, middle and end stage; returns the next state and the stage
+    states x2, x3, x4."""
+    rhs = flows_mod.corrected_newton_rhs
+    k1 = rhs(cost, x, th0, v0)
+    x2 = x + 0.5 * h * k1
+    k2 = rhs(cost, x2, thm, vm)
+    x3 = x + 0.5 * h * k2
+    k3 = rhs(cost, x3, thm, vm)
+    x4 = x + h * k3
+    k4 = rhs(cost, x4, th1, v1)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x2, x3, x4
+
+
+def _step_window(cost, y, stages, h, times) -> None:
+    """Fills y[1:] (steps, runs, n) by successive :func:`_rk4_step` calls
+    from y[0], fed the per-step ``stages`` (th0, thm, th1, v0, vm, v1).
+    ``times`` holds the time after each step; the first step whose state is
+    not finite raises :class:`NonFiniteStateError` with it, also when the
+    cost raised on such a state (as ``numerics.solve_linear`` does)."""
+    done = 0
+    try:
+        for stage in zip(*stages):
+            y[done + 1] = _rk4_step(cost, y[done], *stage, h)[0]
+            done += 1
+    finally:
+        # A non-finite state component stays non-finite (x + dx is inf or
+        # nan whenever x is), so the first non-finite row is the failing step.
+        finite = np.isfinite(y[1:done + 1]).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteStateError(float(times[np.argmin(finite)]))
 
 
 def _scan_affine(q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -714,54 +753,6 @@ def _scan_affine(q: np.ndarray, b: np.ndarray) -> np.ndarray:
             q[k:] += q[:-k] + q[k:] * q[:-k]
         k *= 2
     return b
-
-
-def _rk4_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
-    """States (N+1, runs, n) of the corrected Newton flows, stepped together
-    by one RK4 loop through :meth:`flows.CostModel.newton_field`, fed each
-    run's ``stage_velocities``; the state is checked for non-finite values a
-    block of steps at a time, and a failure raises
-    :class:`NonFiniteStateError` at the step that made it."""
-    N, B, h = len(theta_all) // 2, len(stage_velocities), cfg.h
-    x = np.tile(x0, (B, 1))
-    X = np.empty((N + 1, B, len(x0)))
-    X[0] = x
-
-    def check_finite(start, stop):
-        # The states after steps start .. stop-1. A non-finite state
-        # component stays non-finite (x + dx is inf or nan whenever x is), so
-        # the first non-finite row is the step at which the run failed.
-        finite = np.isfinite(X[start + 1:stop + 1]).all(axis=(1, 2))
-        if not finite.all():
-            j = start + int(np.argmin(finite))
-            raise NonFiniteStateError(cfg.t0 + j * h + h)
-
-    rhs = flows_mod.corrected_newton_rhs
-    # Overflow from unstable gain/step combinations is surfaced as
-    # NonFiniteStateError, not as numpy warnings mid-loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, N, _RECORD_BLOCK_ROWS):
-            stop = min(start + _RECORD_BLOCK_ROWS, N)
-            # The block's velocities at the start, middle and end stage,
-            # (steps, runs, p) each; no stacked copy spans the whole run.
-            v0, vm, v1 = (np.stack([v[start:stop] for v in stage], axis=1)
-                          for stage in zip(*stage_velocities))
-            try:
-                for i, j in enumerate(range(start, stop)):
-                    th_m = theta_all[2 * j + 1]
-                    k1 = rhs(cost, x, theta_all[2 * j], v0[i])
-                    k2 = rhs(cost, x + 0.5 * h * k1, th_m, vm[i])
-                    k3 = rhs(cost, x + 0.5 * h * k2, th_m, vm[i])
-                    k4 = rhs(cost, x + h * k3, theta_all[2 * j + 2], v1[i])
-                    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    X[j + 1] = x
-            except Exception:
-                # A cost may reject a non-finite state (numerics.solve_linear
-                # does); report the step that produced it instead.
-                check_finite(start, j)
-                raise
-            check_finite(start, stop)
-    return X
 
 
 def run_interconnection(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal,

@@ -247,9 +247,20 @@ class TestOptimizeCommand:
 
     def test_unstable_flow_step_warns_and_still_runs(self, tmp_path, capsys):
         # The RK4 step is unstable at the minimizer, yet the states stay
-        # finite over the run: the warning is the only sign of it.
+        # finite over the run: the warning is the only sign of it. The path
+        # has no sinusoid, so no step is too long for it.
         with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
-            rc = cli.main(["optimize", "--mode", "none,ideal", "--h", "2.9", "--tf", "60",
+            rc = cli.main(["optimize", "--signal", "poly:1,poly:0,0.1,poly:-1",
+                           "--mode", "none,ideal", "--h", "2.9", "--tf", "60",
+                           "--out", str(tmp_path / "opt")])
+        assert rc == 0
+        assert capsys.readouterr().out.count("final-window mean loss") == 2
+
+    def test_step_too_long_for_the_path_warns_and_still_runs(self, tmp_path, capsys):
+        # The step is stable, but spans more than half a period of the
+        # default path's fastest sinusoid (10 rad/s).
+        with pytest.warns(UserWarning, match=r"at h = 2\.5, omega_max = 10:"):
+            rc = cli.main(["optimize", "--mode", "none,ideal", "--h", "2.5", "--tf", "60",
                            "--out", str(tmp_path / "opt")])
         assert rc == 0
         assert capsys.readouterr().out.count("final-window mean loss") == 2

@@ -364,6 +364,21 @@ class TestChunkedKernel:
             scale = float(np.max(np.abs(ref[:, i])))
             assert error <= max(4.0 * loop_error, 1e-12 * scale), i + 1
 
+    @pytest.mark.parametrize("steps", [10, 64, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_broadcast_input_equals_single_channels(self, n, steps):
+        # One input broadcast to m channels (a zero stride), each from its own
+        # initial state, as the block-output-bound check drives its blocks.
+        m, h = 10, 1e-3
+        block = est.build_f_block(n, 10.0)
+        maps = est.rk4_step_maps(block.A, block.B, h)
+        u = np.sin(h * np.arange(2 * steps + 1))
+        x0 = np.random.default_rng(n).standard_normal((n, m))
+        got = sim._drive_lti(block, maps, np.broadcast_to(u[:, None], (len(u), m)), x0)
+        for i in range(m):
+            single = sim._drive_lti(block, maps, u[:, None], x0[:, i:i + 1])
+            assert np.array_equal(got[:, :, i], single[:, :, 0]), i
+
 
 class TestScanLinear:
     # 0 to 3 steps are the shortest prefix scans; 63 to 65 straddle a power
@@ -674,8 +689,9 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
 
 
 class _LoopQuadratic(flows.QuadraticTrackingCost):
-    """The quadratic tracker without its affine declaration, so that the
-    engine steps it through the RK4 loop and ``newton_field``."""
+    """The quadratic tracker without its affine declaration. It declares no
+    slope either, so the engine steps it in every window
+    (``sim._step_window``) through ``newton_field``."""
 
     def affine_field(self):
         return None
@@ -697,12 +713,12 @@ class _BlowsUpAt:
 
 class _FieldBlowsUpAt(_BlowsUpAt, _LoopQuadratic):
     """The quadratic tracker, blown up. It is neither affine nor elementwise,
-    so the RK4 loop's finiteness check is what it tests."""
+    so the stepped windows' finiteness check is what it tests."""
 
 
 class _LogCoshBlowsUpAt(_BlowsUpAt, flows.LogCoshTrackingCost):
-    """The logcosh tracker, blown up. Its failing run's Newton windows turn
-    non-finite, and that run alone is stepped again by the RK4 loop."""
+    """The logcosh tracker, blown up. Its failing run's Newton window turns
+    non-finite, and that run alone is stepped from the window's start."""
 
 
 class _RejectsNonFiniteState(_FieldBlowsUpAt):
@@ -765,8 +781,31 @@ def _stage_velocities(runs, trajectories, signal, cfg):
     return velocities
 
 
+class _SlopelessLogCosh(flows.LogCoshTrackingCost):
+    """The logcosh tracker without its slope, so that the engine steps it in
+    every window: the per-step RK4 recurrence Newton's method solves."""
+
+    def newton_slope(self, x, theta, velocity):
+        return None
+
+
+class _SlopeLostAt(flows.LogCoshTrackingCost):
+    """The scalar logcosh tracker, whose declared slope is zero wherever
+    theta has reached ``theta_lost`` and the velocity fed to the correction
+    is nonzero: there Newton's method does not settle within the cap."""
+
+    def __init__(self, theta_lost):
+        super().__init__(1)
+        self.theta_lost = theta_lost
+
+    def newton_slope(self, x, theta, velocity):
+        slope = super().newton_slope(x, theta, velocity)
+        lost = (np.asarray(theta) >= self.theta_lost) & (np.asarray(velocity) != 0.0)
+        return np.where(lost, 0.0, slope)
+
+
 def _no_loop(*args):
-    raise AssertionError("RK4 loop ran")
+    raise AssertionError("a window was stepped")
 
 
 def _states(traj, n):
@@ -832,8 +871,9 @@ class TestInterconnections:
                 got = traj.column(name)
                 # The states come from sim._affine_states (quadratic), which
                 # sums the RK4 recurrence by a log-depth scan, in another
-                # order than the loop, or from sim._newton_states (logcosh),
-                # which stops a few ulps from the loop's recurrence.
+                # order than the loop, or from the Newton windows of
+                # sim._flow_states (logcosh), which stop a few ulps from the
+                # loop's recurrence.
                 if (name == "t" or name.startswith(STATE_COLUMNS[1:])) and name[:2] != "x_":
                     assert np.array_equal(got, expected), name
                 else:
@@ -859,7 +899,7 @@ class TestInterconnections:
 
     def test_quadratic_batch_never_calls_the_field(self, monkeypatch):
         # The quadratic flow is affine, so the engine drives it as an LTI
-        # system and the RK4 loop, the field's only caller, does not run.
+        # system and no window is stepped through the field.
         def field(*args):
             raise AssertionError("newton_field called")
 
@@ -912,9 +952,9 @@ class TestInterconnections:
 
     def test_logcosh_batch_never_steps_the_loop(self, monkeypatch):
         # The logcosh field is elementwise, so the engine solves its windows
-        # by Newton's method and the RK4 loop does not run. The batch has the
-        # shape of the benchmark's logcosh optimize call.
-        monkeypatch.setattr(sim, "_rk4_states", _no_loop)
+        # by Newton's method and steps none. The batch has the shape of the
+        # benchmark's logcosh optimize call.
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
         batch = sim.run_interconnections(flows.LogCoshTrackingCost(3),
                                          signals.benchmark_parameter_path(), BATCH_POOL,
                                          sim.SimConfig(tf=4.0, h=1e-3),
@@ -933,17 +973,15 @@ class TestInterconnections:
         cfg = sim.SimConfig(tf=tf, h=h)
         noise = signals.NoiseSpec(0.01, seed)
         runs = [(mode, est.DirtyDerivativeConfig(order, sigma, 3)) for mode in modes]
-        loop = sim._rk4_states
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_rk4_states", _no_loop)    # every window converges
+            patch.setattr(sim, "_step_window", _no_loop)    # every window converges
             batch = sim.run_interconnections(cost, signal, runs, cfg, noise=noise)
             again = sim.run_interconnections(cost, signal, runs, cfg, noise=noise)
             alone = [sim.run_interconnection(cost, signal, mode, cfg, est_cfg=est_cfg,
                                              noise=noise) for mode, est_cfg in runs]
-        stepped = loop(cost, signal.eval_many(cfg.stage_times(), 0),
-                       _stage_velocities(runs, batch, signal, cfg), np.zeros(3), cfg)
+        stepped = sim.run_interconnections(_SlopelessLogCosh(3), signal, runs, cfg, noise=noise)
         for b, traj in enumerate(batch):
-            x, x_loop = _states(traj, 3), stepped[:, b]
+            x, x_loop = _states(traj, 3), _states(stepped[b], 3)
             assert np.all(np.abs(x - x_loop) <= 1e-12 * np.maximum(1.0, np.abs(x_loop)))
             for name in traj.columns:
                 assert np.array_equal(traj.column(name), alone[b].column(name)), name
@@ -968,22 +1006,51 @@ class TestInterconnections:
     def test_unconverged_runs_are_stepped_by_the_loop(self, monkeypatch):
         # At h = 1 a window of 256 steps spans 256 time constants of the
         # flow, and Newton's method does not settle within the iteration cap:
-        # the run is stepped by the RK4 loop instead, bit for bit.
-        cost = flows.LogCoshTrackingCost(1)
+        # the run's window is stepped instead, bit for bit as a cost without
+        # a slope is.
         signal = signals.AnalyticSignal((signals.Polynomial((3.0,)),))
         cfg = sim.SimConfig(tf=256.0, h=1.0)
-        loop, looped = sim._rk4_states, []
+        step_window, looped = sim._step_window, []
 
-        def spy(cost, theta_all, stage_velocities, x0, cfg):
-            looped.append(len(stage_velocities))
-            return loop(cost, theta_all, stage_velocities, x0, cfg)
+        def spy(cost, y, stages, h, times):
+            looped.append((y.shape[1], times[0] - h))    # runs, window start time
+            return step_window(cost, y, stages, h, times)
 
-        monkeypatch.setattr(sim, "_rk4_states", spy)
-        traj = sim.run_interconnection(cost, signal, NONE, cfg)
-        assert looped == [1]
-        stepped = loop(cost, signal.eval_many(cfg.stage_times(), 0),
-                       [(np.zeros((cfg.num_steps, 1)),) * 3], np.zeros(1), cfg)
-        assert np.array_equal(traj.column("x_0"), stepped[:, 0, 0])
+        monkeypatch.setattr(sim, "_step_window", spy)
+        traj = sim.run_interconnection(flows.LogCoshTrackingCost(1), signal, NONE, cfg)
+        assert looped == [(1, 0.0)]
+        stepped = sim.run_interconnection(_SlopelessLogCosh(1), signal, NONE, cfg)
+        assert np.array_equal(traj.column("x_0"), stepped.column("x_0"))
+
+    def test_runs_losing_the_slope_later_are_stepped_from_that_window(self, monkeypatch):
+        # theta = t/100 reaches 0.2 at t = 20, in the second window of 256
+        # steps; from there the ideal run's slope is lost, and it is stepped
+        # in that window and every later one. The none run is fed no
+        # velocity, keeps its slope and is solved by Newton's method
+        # throughout.
+        signal = signals.AnalyticSignal((signals.Polynomial((0.0, 0.01)),))
+        cfg = sim.SimConfig(tf=40.0, h=0.05)
+        runs = [(NONE, None), (IDEAL, None)]
+        step_window, looped = sim._step_window, []
+
+        def spy(cost, y, stages, h, times):
+            # The window's first step, its stepped runs and whether every
+            # one of them is fed a velocity.
+            looped.append((round((times[0] - h) / h), y.shape[1], bool(np.all(stages[3] != 0.0))))
+            return step_window(cost, y, stages, h, times)
+
+        monkeypatch.setattr(sim, "_step_window", spy)
+        batch = sim.run_interconnections(_SlopeLostAt(0.2), signal, runs, cfg)
+        block = sim._RECORD_BLOCK_ROWS
+        assert looped == [(start, 1, True) for start in range(block, cfg.num_steps, block)]
+        alone = [sim.run_interconnection(_SlopeLostAt(0.2), signal, mode, cfg)
+                 for mode, _ in runs]
+        stepped = sim.run_interconnections(_SlopelessLogCosh(1), signal, runs, cfg)
+        for traj, ref, single in zip(batch, stepped, alone):
+            x, x_ref = traj.column("x_0"), ref.column("x_0")
+            assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
+            for name in traj.columns:
+                assert np.array_equal(traj.column(name), single.column(name)), name
 
     def test_diverging_batch_raises_at_the_failing_time(self):
         # sigma*h = 10 is far outside the RK4 stability interval: the estimate
@@ -1022,16 +1089,45 @@ class TestInterconnections:
     @pytest.mark.parametrize("cost_name", ["quadratic-tracking", "logcosh"])
     def test_unstable_flow_step_warns(self, cost_name):
         # At its minimizer the flow is x' = -x, whose RK4 step map
-        # R(-h) = 1 - h + h^2/2 - h^3/6 + h^4/24 reaches 1 at h = 2.785.
+        # R(-h) = 1 - h + h^2/2 - h^3/6 + h^4/24 reaches 1 at h = 2.785. The
+        # path has no sinusoid, so no step is too long for it.
+        path = signals.AnalyticSignal((signals.Polynomial((1.0,)),
+                                       signals.Polynomial((0.0, 0.1)),
+                                       signals.Polynomial((-1.0,))))
+
         def run(h):
-            return sim.run_interconnections(flows.cost_by_name(cost_name, 3),
-                                            signals.benchmark_parameter_path(),
+            return sim.run_interconnections(flows.cost_by_name(cost_name, 3), path,
                                             [(NONE, None), (IDEAL, None)],
                                             sim.SimConfig(tf=60.0, h=h))
 
         run(2.5)                                   # R(-2.5) = 0.65; a warning fails the test
         with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
             run(2.9)
+
+    def test_step_past_half_the_path_period_warns(self):
+        # The benchmark path's fastest sinusoid is the cos2 component, at
+        # 2 * 5 = 10 rad/s: from h = pi/10 the grid has fewer than two points
+        # per period.
+        def run(h):
+            return sim.run_interconnections(flows.QuadraticTrackingCost(3),
+                                            signals.benchmark_parameter_path(),
+                                            [(NONE, None), (IDEAL, None)],
+                                            sim.SimConfig(tf=60.0, h=h))
+
+        run(0.3)                                   # a warning fails the test
+        with pytest.warns(UserWarning, match=r"omega_max \* h = 5 >= pi at h = 0\.5, "
+                                             r"omega_max = 10:"):
+            run(0.5)
+        with pytest.warns(UserWarning, match=r"omega_max \* h = 25 >= pi at h = 2\.5, "
+                                             r"omega_max = 10:"):
+            run(2.5)
+
+    def test_components_without_motion_set_no_bandwidth(self):
+        # A zero-amplitude sinusoid and a polynomial have no period.
+        path = signals.AnalyticSignal((signals.Sinusoid(0.0, 100.0),
+                                       signals.Polynomial((0.0, 1.0))))
+        sim.run_interconnections(flows.QuadraticTrackingCost(2), path, [(IDEAL, None)],
+                                 sim.SimConfig(tf=10.0, h=0.5))    # a warning fails the test
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ValueError):
