@@ -45,10 +45,10 @@ from .sim import (
     SimConfig,
     Trajectory,
     run_derivative_experiment,
-    run_derivative_experiments,
     run_interconnection,
     run_interconnections,
     slope_fit,
+    steady_state_errors,
     steady_state_sup,
     write_csvs,
 )

@@ -345,9 +345,7 @@ def cmd_sweep(spec: dict) -> int:
         raise SpecError("sigma", f"sweep needs at least 3 distinct values, got {len(sigmas)}")
     _make_out_dir(out)
     est_cfgs = [est_mod.DirtyDerivativeConfig(k, sigma, signal.dim) for sigma in sigmas]
-    runs = sim_mod.run_derivative_experiments(signal, noise, est_cfgs, cfg)
-    sups = np.array([[sim_mod.steady_state_sup(traj, sim_mod.column_name("est_error", order))
-                      for order in range(1, k + 1)] for traj in runs])
+    sups = np.array(sim_mod.steady_state_errors(signal, noise, est_cfgs, cfg))
     table = {"sigma": np.array(sigmas)}
     table.update((f"est_error_sup_{order}", sups[:, order - 1]) for order in range(1, k + 1))
     sim_mod.write_csvs([(table, out / "sweep.csv")])

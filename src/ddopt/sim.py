@@ -15,10 +15,10 @@ the estimator sample by sample up to roundoff, with no Python loop over
 the grid steps or the chunks.
 
 Each run evaluates its clean signal once, on the stage grid, records every
-other stage, and measures it with noise added. A sweep's gains share the
-measurement and the true derivatives (:func:`run_derivative_experiments`),
-and their trajectories are yielded one at a time, so only one gain's
-outputs are in memory at once.
+other stage, and measures it with noise added. A sweep reads only the
+steady-state window of each run (:func:`steady_state_errors`): its gains
+share the measurement and the true derivatives, and the estimates, the true
+derivatives and the error norms are computed on the window's rows only.
 
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +72,11 @@ _CHUNK = 64
 # Newton iterations a window of _flow_states may take before its unconverged
 # runs are stepped.
 _NEWTON_ITERATIONS = 24
+# Magnitude below which steady_state_errors vouches for the rows it does not
+# compute: the outputs _drive_lti skips and the true derivatives. Values
+# below it (with a rounding error of a few ulps) keep the squares in a norm of
+# their differences over any practical number of channels finite.
+_SAFE_MAGNITUDE = 2.0 ** 500
 
 
 class NonFiniteStateError(Exception):
@@ -289,7 +293,8 @@ def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1)
 
 
-def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray,
+               first: int = 0) -> np.ndarray | None:
     """Outputs (N+1, q, m) of a discretized realization driven by m channels.
 
     ``maps`` is the RK4 tuple (Phi, M0, M1, M2) of
@@ -328,6 +333,14 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
     fused into these products, 64 was the fastest of 16, 32, 64 and 128, or
     within 20% of it, at every shipped state size (1, 4, 9 and 16), and a
     fixed chunk keeps each run's rounding independent of any tuning.
+
+    With ``first`` > 0 only the rows ``first`` .. N are returned, equal bit
+    for bit to those rows of the whole result, and the product skips the
+    chunks that end before row ``first``; the scan still covers every chunk.
+    The skipped rows are vouched for instead: None is returned unless each
+    is finite and below ``_SAFE_MAGNITUDE``, as shown by a bound from the
+    skipped chunks' largest sample and start state and the kernels' column
+    sums, and by row 0 and the rows of the first kept chunk before ``first``.
     """
     C, D = realization.C, realization.D
     T, M0, M1, M2 = maps
@@ -384,10 +397,21 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray) -> np.ndarray:
         V = Wr[:, :, :R] @ E                                # (m, chunks, n)
         starts = _scan_linear(P[L], V[:, :-1].transpose(1, 2, 0), x0)    # (chunks, n, m)
         Wr[:, :, R:] = starts.transpose(2, 0, 1)
-        out = np.empty((m, chunks * L + 1, q))
+        # Chunk c holds rows cL+1 .. cL+L; out[:, 0] is row 0 either way.
+        # Two chunks are always kept: a one-row product goes to a
+        # matrix-vector kernel, which sums in another order.
+        skip = min(max(first - 1, 0) // L, max(chunks - 2, 0))
+        out = np.empty((m, (chunks - skip) * L + 1, q))
         out[:, 0] = (C @ x0 + D @ W[:1]).T
-        np.matmul(Wr, GH, out=out[:, 1:].reshape(m, chunks, L * q))
-        return out[:, :N + 1].transpose(1, 2, 0)
+        np.matmul(Wr[:, skip:], GH, out=out[:, 1:].reshape(m, chunks - skip, L * q))
+        if first:
+            peak = np.abs(Wr[:, :skip]).max(axis=(0, 1), initial=0.0)
+            bound = (np.abs(out[:, :first - skip * L]).max()
+                     + peak[:R].max() * np.abs(GH[:R]).sum(axis=0).max()
+                     + peak[R:].max() * np.abs(GH[R:]).sum(axis=0).max())
+            if not bound < _SAFE_MAGNITUDE:
+                return None
+        return out[:, first - skip * L:N + 1 - skip * L].transpose(1, 2, 0)
 
 
 def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
@@ -410,57 +434,97 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
     return cfg.times(), _drive_lti(realization, maps, u[:, None], x0)[:, :, 0]
 
 
-def run_derivative_experiments(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
-                               est_cfgs, cfg: SimConfig) -> Iterator[Trajectory]:
-    """Feed the same (possibly noisy) signal samples to one estimator per
-    config in ``est_cfgs``; yields one trajectory per config, in order.
-
-    Every config is validated before anything runs, and each run sees the
-    samples it would draw alone. Runs are built and driven as they are
-    consumed; one that turns non-finite raises :class:`NonFiniteStateError`
-    when reached. Each trajectory records the clean signal, the true
-    derivatives, all k estimates and the per-order estimation error norms.
-    """
-    est_cfgs = list(est_cfgs)
-    if not est_cfgs:
-        raise ValueError("no estimator configs to run")
+def _check_signal_dim(signal: sig_mod.AnalyticSignal, est_cfgs) -> None:
     for est_cfg in est_cfgs:
         if signal.dim != est_cfg.signal_dim:
             raise ValueError(f"signal dim {signal.dim} does not match estimator "
                              f"signal_dim {est_cfg.signal_dim}")
-    return _derivative_runs(signal, noise, est_cfgs, cfg)
-
-
-def _derivative_runs(signal, noise, est_cfgs, cfg) -> Iterator[Trajectory]:
-    t_rec = cfg.times()
-    # Overflow is reported by the finiteness check; the error state is left before each yield.
-    with np.errstate(over="ignore", invalid="ignore"):
-        clean = signal.eval_many(cfg.stage_times(), 0)
-        W = sig_mod.sample_noisy_grid(clean, noise)
-        # true[order]: the exact order-th derivative at the recorded times.
-        true = [clean[::2]] + [signal.eval_many(t_rec, order)
-                               for order in range(1, max(c.order for c in est_cfgs) + 1)]
-    for est_cfg in est_cfgs:
-        estimator = est_mod.build_estimator(est_cfg, cfg.h)
-        Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
-        cols = {"t": t_rec}
-        _add_channels(cols, "theta", true[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for order in range(1, est_cfg.order + 1):
-                hat = Y[:, order - 1, :]
-                _add_channels(cols, "thetadot", true[order], order)
-                _add_channels(cols, "thetahat", hat, order)
-                cols[column_name("est_error", order)] = np.linalg.norm(hat - true[order], axis=1)
-        traj = Trajectory(cols)
-        traj.check_finite()
-        yield traj
 
 
 def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
                               est_cfg: est_mod.DirtyDerivativeConfig, cfg: SimConfig) -> Trajectory:
-    """One run of :func:`run_derivative_experiments`: (possibly noisy) signal
-    samples fed to the estimator configured by ``est_cfg``."""
-    return next(run_derivative_experiments(signal, noise, [est_cfg], cfg))
+    """(Possibly noisy) signal samples fed to the estimator configured by
+    ``est_cfg``. The trajectory records the clean signal, the true
+    derivatives, all k estimates and the per-order estimation error norms; a
+    run that turns non-finite raises :class:`NonFiniteStateError`."""
+    _check_signal_dim(signal, [est_cfg])
+    t_rec = cfg.times()
+    # Overflow is reported by the finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = signal.eval_many(cfg.stage_times(), 0)
+        W = sig_mod.sample_noisy_grid(clean, noise)
+        true = [signal.eval_many(t_rec, order) for order in range(1, est_cfg.order + 1)]
+    estimator = est_mod.build_estimator(est_cfg, cfg.h)
+    Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
+    cols = {"t": t_rec}
+    _add_channels(cols, "theta", clean[::2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order, exact in enumerate(true, start=1):
+            hat = Y[:, order - 1, :]
+            _add_channels(cols, "thetadot", exact, order)
+            _add_channels(cols, "thetahat", hat, order)
+            cols[column_name("est_error", order)] = np.linalg.norm(hat - exact, axis=1)
+    traj = Trajectory(cols)
+    traj.check_finite()
+    return traj
+
+
+def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
+                        est_cfgs, cfg: SimConfig) -> list[np.ndarray]:
+    """Steady-state sups of ``est_error``, ``est_error2`` .. ``est_error<k>``
+    of each config's :func:`run_derivative_experiment`, as
+    :func:`steady_state_sup` reads them, bit for bit; one array per config,
+    in order.
+
+    Every config is validated before anything runs. The gains share the
+    (possibly noisy) samples, drawn once, and the true derivatives, which
+    like the estimates and the error norms are evaluated only on the rows
+    of the steady-state window (:meth:`Trajectory.window_mask`): the LTI
+    product skips the chunks before it (``_drive_lti``'s ``first``).
+
+    The whole run raises :class:`NonFiniteStateError` if any value it
+    records is not finite, so the window's sups stand only when the window
+    proves that none is. All samples finite make the signal column finite,
+    and a ``sup_derivative_bound`` below ``_SAFE_MAGNITUDE`` at each order
+    bounds the true derivatives at every row. ``_drive_lti`` vouches for the
+    estimates before the window, and with the derivatives' bound that keeps
+    the error norms there finite. A non-finite state stays non-finite at
+    every later chunk start and reaches every output of those chunks through
+    the product (0 * inf is NaN), so one inside the window, like an output
+    or error norm that overflowed there, shows as a non-finite window error.
+    A config that fails any of these tests (every config whose run fails
+    does) is run whole by :func:`run_derivative_experiment` when it is
+    reached, so a failure raises the error and failing time of that run.
+    """
+    est_cfgs = list(est_cfgs)
+    if not est_cfgs:
+        raise ValueError("no estimator configs to run")
+    _check_signal_dim(signal, est_cfgs)
+    t_rec = cfg.times()
+    first = int(np.argmax(Trajectory({"t": t_rec}).window_mask()))
+    orders = range(1, max(c.order for c in est_cfgs) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = sig_mod.sample_noisy_grid(signal.eval_many(cfg.stage_times(), 0), noise)
+        true = [signal.eval_many(t_rec[first:], order) for order in orders]
+    bounded = [signal.sup_derivative_bound(order) < _SAFE_MAGNITUDE for order in orders]
+    finite = bool(np.isfinite(W).all())
+    sups = []
+    for est_cfg in est_cfgs:
+        k = est_cfg.order
+        estimator = est_mod.build_estimator(est_cfg, cfg.h)
+        Y = None
+        if finite and all(bounded[:k]):
+            Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state, first)
+        if Y is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup = np.array([np.linalg.norm(Y[:, i, :] - true[i], axis=1).max()
+                                for i in range(k)])
+        if Y is None or not np.isfinite(sup).all():
+            traj = run_derivative_experiment(signal, noise, est_cfg, cfg)
+            sup = np.array([steady_state_sup(traj, column_name("est_error", order))
+                            for order in range(1, k + 1)])
+        sups.append(sup)
+    return sups
 
 
 def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSignal, runs,
@@ -509,11 +573,14 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
-    # The flow has Jacobian -I at its minimizer, where RK4 scales a deviation by R(-h).
-    growth = abs(est_mod.rk4_step_maps(-np.eye(1), np.zeros((1, 1)), h)[0].item())
-    if growth >= 1.0:
-        warnings.warn(f"|R(-h)| = {growth:.3g} >= 1 at h = {h:.3g}: the flow's RK4 step is "
-                      "unstable at its minimizer", stacklevel=2)
+    # RK4 scales a deviation by R(h s) where the flow's slope is s; at its
+    # minimizer the flow has Jacobian -I.
+    def growth(slope):
+        return abs(est_mod.rk4_step_maps(np.array([[slope]]), np.zeros((1, 1)), h)[0].item())
+
+    if growth(-1.0) >= 1.0:
+        warnings.warn(f"|R(-h)| = {growth(-1.0):.3g} >= 1 at h = {h:.3g}: the flow's RK4 step "
+                      "is unstable at its minimizer", stacklevel=2)
     # The fastest sinusoid of the path; a cos2 component's canonical w is 2 omega.
     omega = max((abs(c.canonical()[2]) for c in signal.components
                  if isinstance(c, sig_mod.Sinusoid) and c.amplitude != 0.0), default=0.0)
@@ -558,6 +625,16 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         if bad.any():
             X[:, bad] = _flow_states(cost, theta_all,
                                      list(itertools.compress(stage_velocities, bad)), x0, cfg)
+    # A field with a slope may be steeper away from its minimizer; the
+    # steepest slope the recorded states met decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = cost.newton_slope(X, theta_all[::2, None, :], v0)
+    if slopes is not None and growth(-1.0) < 1.0:
+        steepest = float(np.min(slopes, initial=-1.0, where=np.isfinite(slopes)))
+        if growth(steepest) >= 1.0:
+            warnings.warn(f"|R(h s)| = {growth(steepest):.3g} >= 1 at h = {h:.3g}, s = "
+                          f"{steepest:.3g}: the flow's RK4 step is unstable at the steepest "
+                          "slope s its states met", stacklevel=2)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
@@ -651,7 +728,10 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
     already satisfy the recurrence the update is exactly zero, so the fixed
     point is the stepped one. A run stops iterating when its own update is
     at most 4 eps max(1, max|x|); runs are decided one by one, so each comes
-    out the same whichever runs are solved with it.
+    out the same whichever runs are solved with it. A run also stops once its
+    update has stalled at rounding level: at most 2^-36 max(1, max|x|) and
+    no longer halving, as on a ramp path, where updates summed over about
+    1/h steps of slow decay hover above the tolerance.
 
     A run that turns non-finite or is still moving after
     ``_NEWTON_ITERATIONS``, and every run of a cost without a slope, is
@@ -662,7 +742,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
     X = np.empty((N + 1, B, n))
     X[0] = x0
     stepped = np.zeros(B, dtype=bool)
-    tol = 4.0 * np.finfo(np.float64).eps
+    tol, stalled = 4.0 * np.finfo(np.float64).eps, 2.0 ** -36
     slope = cost.newton_slope
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, N, _RECORD_BLOCK_ROWS):
@@ -673,6 +753,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
             window = X[start:stop + 1]
             window[1:] = window[0]
             live = np.flatnonzero(~stepped)
+            last = np.full(B, np.inf)    # each run's previous update
             for _ in range(_NEWTON_ITERATIONS):
                 if not live.size:
                     break
@@ -690,9 +771,12 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
                 y[1:] += update
                 window[1:, runs] = y[1:]
                 # Per run maxima; a NaN propagates through them.
-                size = np.abs(y).max(axis=0).max(axis=1)
+                size = np.maximum(1.0, np.abs(y).max(axis=0).max(axis=1))
                 bad = ~np.isfinite(size)
-                moving = ~(np.abs(update).max(axis=0).max(axis=1) <= tol * np.maximum(1.0, size))
+                step = np.abs(update).max(axis=0).max(axis=1)
+                moving = ~((step <= tol * size)
+                           | ((step <= stalled * size) & (step >= 0.5 * last[live])))
+                last[live] = step
                 stepped[live[bad]] = True
                 live = live[moving & ~bad]
             stepped[live] = True

@@ -105,7 +105,9 @@ def line_plot(path, series, title: str = "", ylabel: str = "") -> None:
                 keep = np.append(keep, len(xs) - 1)
             xs, ys = xs[keep], ys[keep]
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # One format call for all points, of px and py evaluated elementwise.
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+            np.column_stack([px(xs), py(ys)]).ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     legend_y = MARGIN_T + 10

@@ -93,7 +93,7 @@ def test_unusable_path_exits_two(tmp_path, capsys, monkeypatch, command, case):
         raise AssertionError("the run started before the output path was checked")
 
     monkeypatch.setattr(sim, "run_derivative_experiment", run_started)
-    monkeypatch.setattr(sim, "run_derivative_experiments", run_started)
+    monkeypatch.setattr(sim, "steady_state_errors", run_started)
     monkeypatch.setattr(sim, "run_interconnections", run_started)
     config, out = tmp_path / "run.cfg", tmp_path / "out"
     config.write_text("tf = 1\nh = 1e-2\n")
@@ -256,6 +256,16 @@ class TestOptimizeCommand:
         assert rc == 0
         assert capsys.readouterr().out.count("final-window mean loss") == 2
 
+    def test_steep_logcosh_slope_warns_and_still_runs(self, tmp_path, capsys):
+        # Stable at the minimizer (|R(-2.5)| = 0.65), but the logcosh field
+        # is steeper where the runs start, and both runs end far off the path.
+        with pytest.warns(UserWarning, match=r"\|R\(h s\)\| = 87\.9 >= 1 at h = 2\.5, s = -3\.04:"):
+            rc = cli.main(["optimize", "--cost", "logcosh", "--signal", "poly:1,poly:0,0.1,poly:-1",
+                           "--mode", "none,ideal", "--h", "2.5", "--tf", "60",
+                           "--out", str(tmp_path / "opt")])
+        assert rc == 0
+        assert capsys.readouterr().out.count("final-window mean loss 726.") == 2
+
     def test_step_too_long_for_the_path_warns_and_still_runs(self, tmp_path, capsys):
         # The step is stable, but spans more than half a period of the
         # default path's fastest sinusoid (10 rad/s).
@@ -328,18 +338,18 @@ class TestSweepCommand:
     def test_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
         # Every cell is its value formatted alone with %.17g.
         sups = []
-        original = sim.steady_state_sup
+        original = sim.steady_state_errors
 
-        def recorded(traj, column):
-            sups.append(original(traj, column))
-            return sups[-1]
+        def recorded(*args):
+            sups.extend(original(*args))
+            return sups
 
-        monkeypatch.setattr(sim, "steady_state_sup", recorded)
+        monkeypatch.setattr(sim, "steady_state_errors", recorded)
         out = tmp_path / "s"
         rc = cli.main(["sweep", "--k", "2", "--sigma", "0.1,40,333.3", "--tf", "2",
                        "--out", str(out)])
         assert rc == 0
-        rows = [[sigma] + sups[2 * i:2 * i + 2] for i, sigma in enumerate([0.1, 40.0, 333.3])]
+        rows = [[sigma] + sups[i].tolist() for i, sigma in enumerate([0.1, 40.0, 333.3])]
         expected = "sigma,est_error_sup_1,est_error_sup_2\n" + "".join(
             ",".join("%.17g" % value for value in row) + "\n" for row in rows)
         assert (out / "sweep.csv").read_bytes() == expected.encode()

@@ -220,12 +220,6 @@ def _experiment_config(index, channels):
     return est.DirtyDerivativeConfig(*EXPERIMENT_POOL[index], channels)
 
 
-@functools.lru_cache(maxsize=None)
-def _experiment_alone(index, channels, noisy):
-    return sim.run_derivative_experiment(EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[noisy],
-                                         _experiment_config(index, channels), EXPERIMENT_CFG)
-
-
 def _counting(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that counts its calls."""
     calls = []
@@ -239,60 +233,113 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _window_sups(signal, noise, est_cfg, cfg):
+    """Steady-state sups of the whole run's error columns."""
+    traj = sim.run_derivative_experiment(signal, noise, est_cfg, cfg)
+    return np.array([sim.steady_state_sup(traj, sim.column_name("est_error", order))
+                     for order in range(1, est_cfg.order + 1)])
+
+
 class TestDerivativeExperiments:
     @settings(max_examples=30, deadline=None)
     @given(channels=st.sampled_from([1, 3]), noisy=st.booleans(),
-           order=st.lists(st.integers(0, len(EXPERIMENT_POOL) - 1), min_size=1,
-                          max_size=len(EXPERIMENT_POOL), unique=True))
-    def test_each_run_equals_the_run_alone(self, channels, noisy, order):
-        runs = sim.run_derivative_experiments(
-            EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[noisy],
-            [_experiment_config(i, channels) for i in order], EXPERIMENT_CFG)
-        count = 0
-        for index, traj in zip(order, runs):
-            alone = _experiment_alone(index, channels, noisy)
-            assert list(traj.columns) == list(alone.columns)
-            for name in alone.columns:
-                assert np.array_equal(traj.column(name), alone.column(name)), name
-            count += 1
-        assert count == len(order)
+           gains=st.lists(st.tuples(st.integers(1, 4), st.floats(1.0, 400.0)), min_size=1,
+                          max_size=4),
+           tf=st.floats(0.1, 1.0))
+    def test_each_run_equals_the_run_alone(self, channels, noisy, gains, tf):
+        # tf = 0.1 to 1 at h = 1e-3 puts the window's first row anywhere in
+        # or between the chunks of 64 steps, with 1 to 12 chunks skipped.
+        signal, noise = EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[noisy]
+        cfg = sim.SimConfig(tf=tf, h=1e-3)
+        cfgs = [est.DirtyDerivativeConfig(k, sigma, channels) for k, sigma in gains]
+        errors = sim.steady_state_errors(signal, noise, cfgs, cfg)
+        assert len(errors) == len(cfgs)
+        for est_cfg, sups in zip(cfgs, errors):
+            assert np.array_equal(sups, _window_sups(signal, noise, est_cfg, cfg)), est_cfg
+
+    def test_finite_windows_are_not_run_whole(self, monkeypatch):
+        def run_whole(*args):
+            raise AssertionError("a config was run whole")
+
+        monkeypatch.setattr(sim, "run_derivative_experiment", run_whole)
+        cfgs = [_experiment_config(i, 3) for i in range(len(EXPERIMENT_POOL))]
+        errors = sim.steady_state_errors(EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True], cfgs,
+                                         EXPERIMENT_CFG)
+        assert [len(sups) for sups in errors] == [k for k, _ in EXPERIMENT_POOL]
 
     def test_samples_and_evaluates_the_signal_once(self, monkeypatch):
         sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
         evaluated = _counting(monkeypatch, signals.AnalyticSignal, "eval_many")
         cfgs = [_experiment_config(i, 3) for i in range(len(EXPERIMENT_POOL))]
-        runs = list(sim.run_derivative_experiments(
-            EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True], cfgs, EXPERIMENT_CFG))
-        assert len(runs) == len(cfgs)
+        errors = sim.steady_state_errors(EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True], cfgs,
+                                         EXPERIMENT_CFG)
+        assert len(errors) == len(cfgs)
         assert len(sampled) == 1
         # The clean signal on the stage grid, then orders 1..3 at the
-        # recorded times.
+        # window's recorded times only.
         assert [args[2] for args in evaluated] == [0, 1, 2, 3]
+        window = sim.Trajectory({"t": EXPERIMENT_CFG.times()}).window_mask()
+        assert [len(args[1]) for args in evaluated[1:]] == [int(window.sum())] * 3
 
     def test_every_config_is_validated_before_anything_runs(self, monkeypatch):
         sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
         cfgs = [est.DirtyDerivativeConfig(1, 5.0, 1), est.DirtyDerivativeConfig(1, 5.0, 3)]
         with pytest.raises(ValueError, match="signal_dim"):
-            sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(),
-                                           cfgs, EXPERIMENT_CFG)
+            sim.steady_state_errors(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(), cfgs,
+                                    EXPERIMENT_CFG)
         assert sampled == []
 
     def test_empty_config_list_rejected(self):
         with pytest.raises(ValueError):
-            sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(),
-                                           [], EXPERIMENT_CFG)
+            sim.steady_state_errors(signals.sinusoid_5t_minus_2(), signals.NoiseSpec(), [],
+                                    EXPERIMENT_CFG)
 
-    def test_runs_are_yielded_one_at_a_time(self):
-        # The second gain diverges (sigma*h = 1000); the first run is
-        # yielded before the second is built.
-        cfgs = [est.DirtyDerivativeConfig(1, 40.0), est.DirtyDerivativeConfig(1, 1e6)]
-        runs = sim.run_derivative_experiments(signals.sinusoid_5t_minus_2(),
-                                              signals.NoiseSpec(), cfgs, EXPERIMENT_CFG)
-        first = next(runs)
-        first.check_finite()
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_diverging_gain_raises_as_its_run_alone(self, position):
+        # sigma*h = 1000 overflows within a few steps, long before the
+        # window: the error and its time are those of the whole run.
+        diverging = est.DirtyDerivativeConfig(1, 1e6)
+        cfgs = [est.DirtyDerivativeConfig(1, 40.0), est.DirtyDerivativeConfig(2, 80.0)]
+        cfgs.insert(position, diverging)
+        signal, noise = signals.sinusoid_5t_minus_2(), signals.NoiseSpec()
         with pytest.warns(UserWarning, match="sigma"):
-            with pytest.raises(sim.NonFiniteStateError):
-                next(runs)
+            with pytest.raises(sim.NonFiniteStateError) as alone:
+                sim.run_derivative_experiment(signal, noise, diverging, EXPERIMENT_CFG)
+            with pytest.raises(sim.NonFiniteStateError) as batch:
+                sim.steady_state_errors(signal, noise, cfgs, EXPERIMENT_CFG)
+        assert str(batch.value) == str(alone.value) == "state became non-finite at t = 0.029"
+        assert batch.value.t == alone.value.t
+
+    def test_transient_past_the_safe_magnitude_raises_as_its_run_alone(self):
+        # The order-4 estimate starts near 1e156 (its feedthrough is
+        # sigma^4 = 1e10), whose square overflows in the error norm at t = 0,
+        # while the window's errors stay near 1e149 and finite.
+        signal = signals.AnalyticSignal((signals.Sinusoid(1e146, 5.0, -2.0),))
+        est_cfg = est.DirtyDerivativeConfig(4, 320.0)
+        cfg = sim.SimConfig(tf=3.0, h=1e-3)
+        dd = est.build_estimator(est_cfg, cfg.h)
+        W = signal.eval_many(cfg.stage_times(), 0)
+        first = int(np.argmax(sim.Trajectory({"t": cfg.times()}).window_mask()))
+        window = sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[first:]
+        assert np.all(np.abs(window) < 1e150)
+        assert sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state, first) is None
+        with pytest.raises(sim.NonFiniteStateError) as alone:
+            sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
+        with pytest.raises(sim.NonFiniteStateError) as batch:
+            sim.steady_state_errors(signal, signals.NoiseSpec(), [est_cfg], cfg)
+        assert batch.value.t == alone.value.t == 0.0
+
+    def test_unbounded_derivatives_are_run_whole(self, monkeypatch):
+        # A degree-2 input has an unbounded first derivative, so the window
+        # cannot vouch for the rows before it; the whole run decides.
+        signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0, 1.0)),))
+        cfgs = [est.DirtyDerivativeConfig(1, 40.0), est.DirtyDerivativeConfig(2, 80.0)]
+        whole = _counting(monkeypatch, sim, "run_derivative_experiment")
+        errors = sim.steady_state_errors(signal, signals.NoiseSpec(), cfgs, EXPERIMENT_CFG)
+        assert len(whole) == 2
+        for est_cfg, sups in zip(cfgs, errors):
+            assert np.array_equal(sups, _window_sups(signal, signals.NoiseSpec(), est_cfg,
+                                                     EXPERIMENT_CFG))
 
 
 def _loop_scan(T, V, x0):
@@ -363,6 +410,34 @@ class TestChunkedKernel:
             error = float(np.max(np.abs(got[:, i] - ref[:, i])))
             scale = float(np.max(np.abs(ref[:, i])))
             assert error <= max(4.0 * loop_error, 1e-12 * scale), i + 1
+
+    @pytest.mark.parametrize("first", [0, 1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_first_row_skips_only_rows_before_it(self, order, channels, first):
+        # State sizes 1, 4, 9 and 16; 1000 steps are 16 chunks with a padded
+        # last one, and first = 1000 keeps only the last row.
+        h = 1e-2
+        dd = est.build_estimator(est.DirtyDerivativeConfig(order, 20.0, channels), h)
+        W = np.sin(2.5 * h * np.arange(2 * 1000 + 1)[:, None] + np.arange(channels))
+        x0 = np.random.default_rng(order).standard_normal(dd.state.shape)
+        full = sim._drive_lti(dd.continuous, dd.rk4_maps, W, x0)
+        tail = sim._drive_lti(dd.continuous, dd.rk4_maps, W, x0, first)
+        assert tail.shape == full[first:].shape
+        assert np.array_equal(tail, full[first:])
+
+    def test_first_row_vouches_for_the_rows_before_it(self):
+        # A start state past the safe magnitude, or a non-finite sample in a
+        # skipped chunk, leaves the skipped rows unvouched for.
+        h = 1e-2
+        dd = est.build_estimator(est.DirtyDerivativeConfig(2, 20.0), h)
+        W = np.sin(2.5 * h * np.arange(2 * 1000 + 1))[:, None]
+        drive = functools.partial(sim._drive_lti, dd.continuous, dd.rk4_maps)
+        assert drive(W, dd.state, 900) is not None
+        assert drive(W, np.full_like(dd.state, 1e160), 900) is None
+        W[10] = np.inf
+        assert drive(W, dd.state, 900) is None
+        assert drive(W, dd.state, 0) is not None      # the whole result is not vouched for
 
     @pytest.mark.parametrize("steps", [10, 64, 1000])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -852,6 +927,11 @@ def _run_alone(cost_name, index):
                                    est_cfg=est_cfg, noise=BATCH_NOISE)
 
 
+# A 3-component path with no sinusoid, so that no step is too long for it.
+STEP_PATH = signals.AnalyticSignal((signals.Polynomial((1.0,)), signals.Polynomial((0.0, 0.1)),
+                                    signals.Polynomial((-1.0,))))
+
+
 class TestInterconnections:
     # tf = 1 records 101 rows, inside one recording block; tf = 3 records
     # 301 rows, more than one.
@@ -1017,7 +1097,10 @@ class TestInterconnections:
             return step_window(cost, y, stages, h, times)
 
         monkeypatch.setattr(sim, "_step_window", spy)
-        traj = sim.run_interconnection(flows.LogCoshTrackingCost(1), signal, NONE, cfg)
+        # From x - theta = -3 the states pass near |x - theta| = 2, where the
+        # slope is -6.18: far past the stable steps there, which is warned of.
+        with pytest.warns(UserWarning, match=r"\|R\(h s\)\| = 35\.2 >= 1 at h = 1, s = -6\.18:"):
+            traj = sim.run_interconnection(flows.LogCoshTrackingCost(1), signal, NONE, cfg)
         assert looped == [(1, 0.0)]
         stepped = sim.run_interconnection(_SlopelessLogCosh(1), signal, NONE, cfg)
         assert np.array_equal(traj.column("x_0"), stepped.column("x_0"))
@@ -1051,6 +1134,21 @@ class TestInterconnections:
             assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
             for name in traj.columns:
                 assert np.array_equal(traj.column(name), single.column(name)), name
+
+    def test_stalled_newton_updates_are_accepted(self, monkeypatch):
+        # On a ramp the updates stall at rounding level, summed over about
+        # 1/h steps of slow decay, above the 4 eps tolerance; a stalled run
+        # is accepted, not stepped.
+        signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0)),) * 3)   # theta = t
+        cfg = sim.SimConfig(tf=10.0, h=0.01)
+        runs = [(IDEAL, None), (NONE, None)]
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
+        batch = sim.run_interconnections(flows.LogCoshTrackingCost(3), signal, runs, cfg)
+        monkeypatch.undo()
+        stepped = sim.run_interconnections(_SlopelessLogCosh(3), signal, runs, cfg)
+        for traj, ref in zip(batch, stepped):
+            x, x_ref = _states(traj, 3), _states(ref, 3)
+            assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
 
     def test_diverging_batch_raises_at_the_failing_time(self):
         # sigma*h = 10 is far outside the RK4 stability interval: the estimate
@@ -1090,19 +1188,31 @@ class TestInterconnections:
     def test_unstable_flow_step_warns(self, cost_name):
         # At its minimizer the flow is x' = -x, whose RK4 step map
         # R(-h) = 1 - h + h^2/2 - h^3/6 + h^4/24 reaches 1 at h = 2.785. The
-        # path has no sinusoid, so no step is too long for it.
-        path = signals.AnalyticSignal((signals.Polynomial((1.0,)),
-                                       signals.Polynomial((0.0, 0.1)),
-                                       signals.Polynomial((-1.0,))))
+        # path has no sinusoid, so no step is too long for it. The logcosh
+        # states start at |x - theta| = 1, where the slope is -3.04, so its
+        # steps are stable only up to h = 0.916 (see the next test).
+        stable_h = {"quadratic-tracking": 2.5, "logcosh": 0.9}[cost_name]
 
         def run(h):
-            return sim.run_interconnections(flows.cost_by_name(cost_name, 3), path,
+            return sim.run_interconnections(flows.cost_by_name(cost_name, 3), STEP_PATH,
                                             [(NONE, None), (IDEAL, None)],
                                             sim.SimConfig(tf=60.0, h=h))
 
-        run(2.5)                                   # R(-2.5) = 0.65; a warning fails the test
+        run(stable_h)                              # a warning fails the test
+        # Unstable at the minimizer already: only that is warned of.
         with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
             run(2.9)
+
+    def test_steep_slope_met_by_the_states_warns(self):
+        # The logcosh field's slope is -3.04 at |x - theta| = 1, where the
+        # runs start: R(-3.04 h) reaches 1 from h = 0.916, although R(-h)
+        # is stable up to h = 2.785.
+        for h, growth in ((1.0, r"1\.45"), (2.5, r"87\.9")):
+            with pytest.warns(UserWarning, match=rf"\|R\(h s\)\| = {growth} >= 1 at h = "
+                                                 rf"{h:g}, s = -3\.04:"):
+                sim.run_interconnections(flows.LogCoshTrackingCost(3), STEP_PATH,
+                                         [(NONE, None), (IDEAL, None)],
+                                         sim.SimConfig(tf=60.0, h=h))
 
     def test_step_past_half_the_path_period_warns(self):
         # The benchmark path's fastest sinusoid is the cos2 component, at
