@@ -512,14 +512,14 @@ def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec
     for est_cfg in est_cfgs:
         k = est_cfg.order
         estimator = est_mod.build_estimator(est_cfg, cfg.h)
-        Y = None
+        Y = sup = None
         if finite and all(bounded[:k]):
             Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state, first)
         if Y is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 sup = np.array([np.linalg.norm(Y[:, i, :] - true[i], axis=1).max()
                                 for i in range(k)])
-        if Y is None or not np.isfinite(sup).all():
+        if sup is None or not np.isfinite(sup).all():
             traj = run_derivative_experiment(signal, noise, est_cfg, cfg)
             sup = np.array([steady_state_sup(traj, column_name("est_error", order))
                             for order in range(1, k + 1)])
@@ -547,8 +547,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     to find the failing step; otherwise the runs go through
     :func:`_flow_states`. The other columns are computed from the stored
     states afterwards. Each run comes out bit-identical to the same run
-    alone. A step h at which RK4 is unstable at the minimizer, or which spans
-    half a period of the path's fastest sinusoid, is warned of.
+    alone. A step h at which RK4 is unstable at the minimizer, or at the
+    steepest slope (:meth:`flows.CostModel.newton_slope`) the recorded states
+    met, or which spans half a period of the path's fastest sinusoid, is
+    warned of.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -629,12 +631,12 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     # steepest slope the recorded states met decides.
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = cost.newton_slope(X, theta_all[::2, None, :], v0)
-    if slopes is not None and growth(-1.0) < 1.0:
-        steepest = float(np.min(slopes, initial=-1.0, where=np.isfinite(slopes)))
-        if growth(steepest) >= 1.0:
-            warnings.warn(f"|R(h s)| = {growth(steepest):.3g} >= 1 at h = {h:.3g}, s = "
-                          f"{steepest:.3g}: the flow's RK4 step is unstable at the steepest "
-                          "slope s its states met", stacklevel=2)
+    steepest = -1.0 if slopes is None else float(np.min(slopes, initial=-1.0,
+                                                        where=np.isfinite(slopes)))
+    if growth(-1.0) < 1.0 <= growth(steepest):
+        warnings.warn(f"|R(h s)| = {growth(steepest):.3g} >= 1 at h = {h:.3g}, s = "
+                      f"{steepest:.3g}: the flow's RK4 step is unstable at the steepest slope "
+                      "s its states met", stacklevel=2)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
