@@ -471,30 +471,23 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
 
 def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec,
                         est_cfgs, cfg: SimConfig) -> list[np.ndarray]:
-    """Steady-state sups of ``est_error``, ``est_error2`` .. ``est_error<k>``
-    of each config's :func:`run_derivative_experiment`, as
-    :func:`steady_state_sup` reads them, bit for bit; one array per config,
-    in order.
+    """Steady-state sups of ``est_error`` .. ``est_error<k>`` for each config,
+    one array per config in order, bit for bit those :func:`steady_state_sup`
+    reads from its :func:`run_derivative_experiment`.
 
-    Every config is validated before anything runs. The gains share the
-    (possibly noisy) samples, drawn once, and the true derivatives, which
-    like the estimates and the error norms are evaluated only on the rows
-    of the steady-state window (:meth:`Trajectory.window_mask`): the LTI
-    product skips the chunks before it (``_drive_lti``'s ``first``).
-
-    The whole run raises :class:`NonFiniteStateError` if any value it
-    records is not finite, so the window's sups stand only when the window
-    proves that none is. All samples finite make the signal column finite,
-    and a ``sup_derivative_bound`` below ``_SAFE_MAGNITUDE`` at each order
-    bounds the true derivatives at every row. ``_drive_lti`` vouches for the
-    estimates before the window, and with the derivatives' bound that keeps
-    the error norms there finite. A non-finite state stays non-finite at
-    every later chunk start and reaches every output of those chunks through
-    the product (0 * inf is NaN), so one inside the window, like an output
-    or error norm that overflowed there, shows as a non-finite window error.
-    A config that fails any of these tests (every config whose run fails
-    does) is run whole by :func:`run_derivative_experiment` when it is
-    reached, so a failure raises the error and failing time of that run.
+    The configs are validated before anything runs and share one sampling
+    of the grid. True derivatives, estimates and error norms are computed
+    only on the window's rows (:meth:`Trajectory.window_mask`): ``_drive_lti``
+    skips the chunks before them and vouches for their outputs. The whole
+    run fails if any value it records is not finite, so the window stands
+    for it only when every sample is finite (so is the signal column), each
+    order's ``sup_derivative_bound`` is below ``_SAFE_MAGNITUDE`` (so are the
+    true derivatives, and with the vouched estimates the error norms before
+    the window), and the window's errors are finite. A non-finite state
+    stays non-finite at every later chunk start and reaches every output of
+    those chunks through the product (0 * inf is NaN), so it shows there.
+    Any other config is run whole when reached, and a failure raises that
+    run's error at that run's time.
     """
     est_cfgs = list(est_cfgs)
     if not est_cfgs:
