@@ -105,7 +105,7 @@ def line_plot(path, series, title: str = "", ylabel: str = "") -> None:
                 keep = np.append(keep, len(xs) - 1)
             xs, ys = xs[keep], ys[keep]
         color = PALETTE[i % len(PALETTE)]
-        # One format call for all points, of px and py evaluated elementwise.
+        # One format call per series, byte for byte the points formatted alone.
         pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
             np.column_stack([px(xs), py(ys)]).ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
