@@ -202,14 +202,15 @@ def rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float):
     Returns (Phi, M0, M1, M2) such that one step is
     x+ = Phi x + M0 u(t) + M1 u(t + h/2) + M2 u(t + h).
     """
-    hA = h * A
-    hA2 = hA @ hA
-    hA3 = hA2 @ hA
-    Phi = np.eye(A.shape[0]) + hA + hA2 / 2.0 + hA3 / 6.0 + (hA3 @ hA) / 24.0
-    hB = h * B
-    M0 = hB / 6.0 + hA @ hB / 6.0 + hA2 @ hB / 12.0 + hA3 @ hB / 24.0
-    M1 = 2.0 * hB / 3.0 + hA @ hB / 3.0 + hA2 @ hB / 12.0
-    M2 = hB / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):   # a run reports the overflow
+        hA = h * A
+        hA2 = hA @ hA
+        hA3 = hA2 @ hA
+        Phi = np.eye(A.shape[0]) + hA + hA2 / 2.0 + hA3 / 6.0 + (hA3 @ hA) / 24.0
+        hB = h * B
+        M0 = hB / 6.0 + hA @ hB / 6.0 + hA2 @ hB / 12.0 + hA3 @ hB / 24.0
+        M1 = 2.0 * hB / 3.0 + hA @ hB / 3.0 + hA2 @ hB / 12.0
+        M2 = hB / 6.0
     return Phi, M0, M1, M2
 
 
@@ -266,12 +267,13 @@ def build_estimator(config: DirtyDerivativeConfig, step: float) -> DirtyDerivati
     return DirtyDerivativeEstimator(config, step)
 
 
-def frequency_response(realization: LtiRealization, omega: float) -> np.ndarray:
-    """C (j*omega*I - A)^{-1} B + D, complex (q, p) array."""
-    n = realization.state_dim
-    M = 1j * omega * np.eye(n) - realization.A
-    X = numerics.solve_linear(M, realization.B.astype(np.complex128))
-    return realization.C @ X + realization.D
+def frequency_response(realization: LtiRealization, omega) -> np.ndarray:
+    """C (j*omega*I - A)^{-1} B + D: a complex (q, p) array for a scalar
+    ``omega``, (len(omega), q, p) for an array of frequencies."""
+    omega = np.asarray(omega, dtype=np.float64)
+    M = 1j * omega[..., None, None] * np.eye(realization.state_dim) - realization.A
+    B = np.broadcast_to(realization.B, omega.shape + realization.B.shape)
+    return realization.C @ numerics.solve_linear(M, B) + realization.D
 
 
 def branch_transfer(i: int, sigma: float, s: complex) -> complex:

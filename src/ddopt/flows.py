@@ -111,12 +111,8 @@ class CostModel:
         H = self.hessian(x, theta)
         rhs = np.asarray(rhs)
         batch = np.broadcast_shapes(rhs.shape[:-1], H.shape[:-2])
-        H = np.broadcast_to(H, batch + H.shape[-2:])
-        rhs = np.broadcast_to(rhs, batch + rhs.shape[-1:])
-        out = np.empty(rhs.shape, dtype=np.result_type(H, rhs))
-        for i in np.ndindex(batch):
-            out[i] = numerics.solve_linear(H[i], rhs[i])
-        return out
+        return numerics.solve_linear(np.broadcast_to(H, batch + H.shape[-2:]),
+                                     np.broadcast_to(rhs, batch + rhs.shape[-1:]))
 
     def affine_field(self) -> tuple[float, float] | None:
         """Scalars (a, b) such that :meth:`newton_field` is

@@ -1,18 +1,12 @@
-"""Small dense linear-algebra kernel.
-
-Thin checked wrappers over LAPACK (through numpy/scipy) for the tiny
-matrices involved (n below ~30): an LU solve with per-column pivot
-thresholds, the matrix exponential, a Lyapunov solve by Kronecker
-vectorization, and symmetric eigenvalue extremes. Matrices and vectors are
-ordinary float64 (or complex128) numpy arrays; shape, finiteness and pivot
-size are validated at the operation boundary. ``scipy.linalg`` is imported
-by the functions that call it, not with the module: it takes most of the
-time of importing ddopt, and the run commands mostly do not need it.
+"""Small dense linear-algebra kernel, in numpy, for the tiny matrices involved
+(n below ~40): partial-pivot Gaussian elimination over stacked systems with
+per-column pivot thresholds, the matrix exponential, a Lyapunov solve by
+Kronecker vectorization, and symmetric eigenvalue extremes. Arrays are
+float64 (or complex128); shape, finiteness and pivot size are validated at
+the operation boundary.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -37,40 +31,49 @@ def _square_dim(A: np.ndarray) -> int:
 
 
 def solve_linear(A, b):
-    """Solve A x = b by LU factorization with partial pivoting (LAPACK).
+    """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the result
-    has the same shape. Complex inputs are supported (used by the frequency
-    response helper). Raises :class:`SingularMatrixError` when a pivot falls
-    below ``PIVOT_RTOL`` times the largest initial magnitude of its column.
+    ``A`` is a matrix (n, n) or a stack (..., n, n), and ``b`` one right-hand
+    side (..., n) or several (..., n, k) per system; the result, real or
+    complex, is shaped like ``b``. Each step is elementwise over the stack,
+    so a system gives the same bits alone as stacked. Raises
+    :class:`SingularMatrixError` when a pivot falls below ``PIVOT_RTOL``
+    times the largest initial magnitude of its column.
     """
-    A = np.asarray(A)
-    b = np.asarray(b)
-    n = _square_dim(A)
-    if b.shape[0] != n:
-        raise ValueError(f"rhs dimension {b.shape[0]} does not match matrix size {n}")
+    A, b = np.asarray(A), np.asarray(b)
+    if (A.ndim < 2 or A.shape[-1] != A.shape[-2] or b.ndim > A.ndim
+            or b.shape[:A.ndim - 1] != A.shape[:-1]):
+        raise ValueError(f"cannot solve matrices of shape {A.shape} for rhs of shape {b.shape}")
     _check_finite(A, "matrix")
     _check_finite(b, "rhs")
 
+    # Each system as one augmented matrix [A | b], the stack flattened to one axis.
+    n = A.shape[-1]
+    M = np.concatenate([A, b if b.ndim == A.ndim else b[..., None]], axis=-1)
+    M = M.astype(np.result_type(M, np.float64), copy=False).reshape(-1, n, M.shape[-1])
     # Pivot thresholds are per elimination column, relative to that column's
     # largest initial magnitude, so badly scaled but regular systems pass.
-    tol = PIVOT_RTOL * np.max(np.abs(A), axis=0)
-    import scipy.linalg
-    with warnings.catch_warnings():
-        # An exactly zero pivot is reported below as SingularMatrixError.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.diag(lu)
-    small = np.flatnonzero(np.abs(pivots) <= tol)
-    if small.size:
-        col = int(small[0])
-        raise SingularMatrixError(
-            f"pivot {pivots[col].item()!r} in column {col} below threshold {tol[col].item()!r}")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    tol = PIVOT_RTOL * np.max(np.abs(M[:, :, :n]), axis=1)
+    systems = np.arange(len(M))
+    for k in range(n):
+        p = k + np.argmax(np.abs(M[:, k:, k]), axis=1)
+        M[systems, k], M[systems, p] = M[systems, p], M[systems, k]
+        pivot = M[:, k, k]
+        small = np.flatnonzero(np.abs(pivot) <= tol[:, k])
+        if small.size:
+            raise SingularMatrixError(f"pivot {pivot[small[0]].item()!r} in column {k} "
+                                      f"below threshold {tol[small[0], k].item()!r}")
+        M[:, k + 1:, k + 1:] -= M[:, k + 1:, k, None] / pivot[:, None, None] * M[:, None, k, k + 1:]
+    x = M[:, :, n:]
+    for k in range(n - 1, -1, -1):
+        x[:, k] /= M[:, k, k, None]
+        x[:, :k] -= M[:, :k, k, None] * x[:, None, k]
+    return x.reshape(b.shape)
 
 
 def expm(A):
-    """Matrix exponential e^A (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential e^A (scaling-and-squaring Pade, via scipy from the
+    ``test`` extra); it serves only :func:`ddopt.estimator.zoh_discretize`."""
     A = np.asarray(A, dtype=np.float64)
     _square_dim(A)
     _check_finite(A, "matrix")
@@ -96,8 +99,7 @@ def lyapunov_solve(A, Q):
     eye = np.eye(n)
     K = np.kron(eye, A.T) + np.kron(A.T, eye)
     # Column-major vec so that vec(A^T P) = (I (x) A^T) vec(P).
-    p = solve_linear(K, -Q.flatten(order="F"))
-    P = p.reshape((n, n), order="F")
+    P = solve_linear(K, -Q.flatten(order="F")).reshape((n, n), order="F")
     return 0.5 * (P + P.T)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,20 @@ def test_overflowing_signal_is_a_run_failure(tmp_path, capsys, argv):
     # traceback and no numpy warning (which pytest turns into an error).
     assert cli.main(argv + ["--tf", "1", "--h", "1e-2", "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith("run failed: state became non-finite at t = ")
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--sigma", "1e200"],
+                                  ["sweep", "--sigma", "1e200,1e201,1e202"]])
+def test_overflowing_step_maps_are_a_run_failure(tmp_path, capsys, argv):
+    # sigma*h = 1e197 overflows the RK4 step maps themselves: the sigma*h
+    # warning, then exit 1 at the finiteness check, and no numpy warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv + ["--tf", "1", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == "run failed: state became non-finite at t = 0.001\n"
+    assert caught and all(w.category is UserWarning and "sigma*h" in str(w.message)
+                          for w in caught)
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -445,13 +460,18 @@ class TestParser:
         assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2
 
 
+def _subprocess_env():
+    """The environment with this ddopt's sources first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+
+
 def _cli_process(tmp_path, stdout, args=None):
     """``python -m ddopt.cli`` in a subprocess, its stdout given; ``args``
     default to a short ``sweep``. Standard output is block-buffered, as in a
     shell where ``PYTHONUNBUFFERED`` is not set."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1])] + os.environ.get("PYTHONPATH", "").split(
-            os.pathsep)))
+    env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if args is None:
         args = ["sweep", "--tf", "2", "--out", str(tmp_path / "out")]
@@ -482,6 +502,20 @@ class TestUnwritableStdout:
             proc.stdout.close()     # before the command prints anything
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, "error: cannot write to stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["estimate", "--tf", "1", "--out", "out"],
+    ["optimize", "--cost", "logcosh", "--tf", "1", "--out", "out"],
+    ["sweep", "--tf", "2", "--out", "out"]])
+def test_commands_run_without_scipy(tmp_path, argv):
+    # numpy is the only run-time dependency: no command loads scipy.
+    code = (f"import sys\nfrom ddopt import cli\ncli.main({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
 
 
 # sha256 of stdout and of every file each command writes, with a relative

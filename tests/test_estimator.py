@@ -315,6 +315,17 @@ class TestFrequencyResponse:
                                   np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(SingularMatrixError):
             est.frequency_response(real, 0.0)
+        with pytest.raises(SingularMatrixError):
+            est.frequency_response(real, np.array([2.0, 0.0, 5.0]))
+
+    def test_array_of_frequencies_equals_scalar_calls(self):
+        omegas = np.concatenate(([0.0], np.logspace(-2, 3, 20)))
+        for order in (1, 2, 3):
+            casc = est.compose_cascade(order, 5.0)
+            H = est.frequency_response(casc, omegas)
+            assert H.shape == (len(omegas), order, 1)
+            for omega, response in zip(omegas, H):
+                assert np.array_equal(est.frequency_response(casc, float(omega)), response)
 
 
 class TestOutputBoundConstants:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddopt import numerics
 
@@ -38,9 +41,12 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             numerics.solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("A,b", [(np.eye(2), np.ones(3)),
+                                     (np.stack([np.eye(2)] * 3), np.ones((2, 2))),
+                                     (np.ones((2, 3)), np.ones(2))])
+    def test_dimension_mismatch(self, A, b):
         with pytest.raises(ValueError):
-            numerics.solve_linear(np.eye(2), np.array([1.0, 2.0, 3.0]))
+            numerics.solve_linear(A, b)
 
     def test_complex_system(self):
         A = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0]])
@@ -78,6 +84,50 @@ class TestSolveLinear:
         A = np.array([[1e8, 1.0], [0.0, 1e-4]])
         x = numerics.solve_linear(A, np.array([1e8, 1e-4]))
         assert np.allclose(x, [1.0, 1.0], rtol=1e-9)
+
+
+@st.composite
+def _stacked_systems(draw):
+    """A stack of well-conditioned real or complex systems whose rows are
+    permuted, so elimination must pivot, with one or several right-hand
+    sides per system."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 20))
+    k = draw(st.sampled_from([None, 1, 3]))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    entries = st.floats(-1.0, 1.0) if dtype is np.float64 else st.complex_numbers(max_magnitude=1.0)
+    A = draw(hnp.arrays(dtype, (m, n, n), elements=entries)) + 2 * n * np.eye(n)
+    A = A[:, draw(st.permutations(range(n)))]
+    b = draw(hnp.arrays(dtype, (m, n) if k is None else (m, n, k), elements=entries))
+    return A, b
+
+
+class TestSolveLinearStacked:
+    @settings(max_examples=100, deadline=None)
+    @given(systems=_stacked_systems())
+    def test_stack_equals_each_system_alone(self, systems):
+        A, b = systems
+        x = numerics.solve_linear(A, b)
+        assert x.shape == b.shape
+        for Ai, bi, xi in zip(A, b, x):
+            assert np.array_equal(numerics.solve_linear(Ai, bi), xi)
+        columns = (len(A), A.shape[-1], -1)
+        assert np.allclose(A @ x.reshape(columns), b.reshape(columns), atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(systems=_stacked_systems(), data=st.data())
+    def test_one_singular_member_raises(self, systems, data):
+        A, b = systems
+        n = A.shape[-1]
+        s = data.draw(st.integers(0, len(A) - 1))
+        if n == 1:
+            A[s] = 0.0
+        else:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            A[s, :, j] = data.draw(st.floats(0.5, 2.0)) * A[s, :, i]
+        with pytest.raises(numerics.SingularMatrixError):
+            numerics.solve_linear(A, b)
 
 
 class TestExpm:
