@@ -41,10 +41,13 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             numerics.solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("A,b", [(np.eye(2), np.ones(3)),
-                                     (np.stack([np.eye(2)] * 3), np.ones((2, 2))),
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            numerics.solve_linear(np.eye(2), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("A,b", [(np.stack([np.eye(2)] * 3), np.ones((2, 2))),
                                      (np.ones((2, 3)), np.ones(2))])
-    def test_dimension_mismatch(self, A, b):
+    def test_stack_or_shape_mismatch(self, A, b):
         with pytest.raises(ValueError):
             numerics.solve_linear(A, b)
 
