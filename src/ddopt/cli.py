@@ -235,6 +235,11 @@ def _parse_run_spec(spec: dict):
     signal = parse_signal(spec["signal"])
     k = _parse_field("k", spec["k"])
     sigmas = [_parse_field("sigma", token) for token in str(spec["sigma"]).split(",")]
+    for sigma in sigmas:
+        try:
+            est_mod.DirtyDerivativeConfig(k, sigma)
+        except ValueError as exc:   # the cascade's entries pass the float range
+            raise SpecError("sigma", str(exc)) from None
     noise_var, seed, t0, tf, h = (_parse_field(key, spec[key])
                                   for key in ("noise_var", "seed", "t0", "tf", "h"))
     try:

@@ -23,6 +23,7 @@ map is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,7 +71,8 @@ class LtiRealization:
 
 @dataclass(frozen=True)
 class DirtyDerivativeConfig:
-    """Estimator order k >= 1, gain sigma > 0, signal dimension m >= 1."""
+    """Estimator order k >= 1, gain sigma > 0, signal dimension m >= 1; the
+    cascade's entries, which grow as sigma**k, must stay in the float range."""
 
     order: int
     gain: float
@@ -83,6 +85,16 @@ class DirtyDerivativeConfig:
             raise ValueError("gain must be > 0")
         if self.signal_dim < 1:
             raise ValueError("signal_dim must be >= 1")
+        _rescaled_cascade(self.order, self.gain)
+
+
+def _power(sigma: float, i: int) -> float:
+    """sigma**i, or inf past the float range, where Python's ** raises
+    OverflowError."""
+    try:
+        return sigma ** i
+    except OverflowError:
+        return math.inf
 
 
 def _companion(last_row: np.ndarray) -> np.ndarray:
@@ -103,7 +115,7 @@ def build_f_block(n: int, sigma: float) -> LtiRealization:
         raise ValueError("block order must be >= 1")
     if not sigma > 0.0:
         raise ValueError("gain must be > 0")
-    last = np.array([-math.comb(n, j) * sigma ** (n - j) for j in range(n)])
+    last = np.array([-math.comb(n, j) * _power(sigma, n - j) for j in range(n)])
     B = np.zeros((n, 1))
     B[0, 0] = 1.0
     C = np.zeros((1, n))
@@ -122,12 +134,12 @@ def build_branch_block(i: int, sigma: float) -> LtiRealization:
         raise ValueError("block order must be >= 1")
     if not sigma > 0.0:
         raise ValueError("gain must be > 0")
-    den = np.array([math.comb(i, j) * sigma ** (i - j) for j in range(i)])
+    den = np.array([math.comb(i, j) * _power(sigma, i - j) for j in range(i)])
     A = _companion(-den)
     B = np.zeros((i, 1))
     B[-1, 0] = 1.0
-    C = (-(sigma ** i) * den).reshape(1, i)
-    D = np.array([[sigma ** i]])
+    C = (-_power(sigma, i) * den).reshape(1, i)
+    D = np.array([[_power(sigma, i)]])
     return LtiRealization(A, B, C, D)
 
 
@@ -141,8 +153,28 @@ def compose_cascade(order: int, sigma: float) -> LtiRealization:
     H_i(s) = sigma^i * Hhat_i(s / sigma), which keeps every matrix entry
     within a few powers of sigma of unity; composing sigma-gain blocks
     directly produces sigma^(2i)-sized entries that poison downstream
-    linear algebra.
+    linear algebra. A gain whose rescaled entries pass the float range
+    raises ValueError.
     """
+    return LtiRealization(*_rescaled_cascade(order, sigma))
+
+
+def _rescaled_cascade(order: int, sigma: float):
+    """The (A, B, C, D) of :func:`compose_cascade`, or ValueError."""
+    unit = _unit_cascade(order)
+    powers = np.array([[_power(sigma, i)] for i in range(1, order + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
+        A, B, C, D = unit.A * sigma, unit.B * sigma, unit.C * powers, unit.D * powers
+    if not all(np.isfinite(m).all() for m in (A, B, C, D)):
+        raise ValueError(f"gain {sigma:g} puts the order-{order} cascade's entries, which "
+                         f"grow as sigma**{order}, past the float range")
+    return A, B, C, D
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_cascade(order: int) -> LtiRealization:
+    """The cascade of :func:`compose_cascade` at gain 1; callers must not
+    modify its arrays."""
     branches = [build_branch_block(i, 1.0) for i in range(1, order + 1)]
     fblocks = [build_f_block(i, 1.0) for i in range(1, order)]
 
@@ -177,12 +209,6 @@ def compose_cascade(order: int, sigma: float) -> LtiRealization:
         sl = f_slice(i)
         A[sl, :] += blk.B @ C[[i], :]
         B[sl, :] += blk.B * D[i, 0]
-    # Time/gain rescaling from the unit-gain cascade to gain sigma.
-    A *= sigma
-    B *= sigma
-    for i in range(1, order + 1):
-        C[i - 1, :] *= sigma ** i
-        D[i - 1, 0] *= sigma ** i
     return LtiRealization(A, B, C, D)
 
 
@@ -336,7 +362,7 @@ def output_bound_constants(n: int, sigma: float) -> OutputBoundConstants:
     unit = build_f_block(n, 1.0)
     P = numerics.lyapunov_solve(unit.A, np.eye(n))
     lam_min, lam_max = numerics.eig_extremes_symmetric(P)
-    transient_gain = max(1.0, sigma ** (n - 1)) * math.sqrt(lam_max / lam_min)
+    transient_gain = max(1.0, _power(sigma, n - 1)) * math.sqrt(lam_max / lam_min)
     decay_rate = sigma / (4.0 * lam_max)
     input_gain = 2.0 * math.sqrt(lam_max ** 3 / lam_min)
     return OutputBoundConstants(transient_gain, decay_rate, input_gain)

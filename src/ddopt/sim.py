@@ -47,6 +47,7 @@ formatting the columns they have in common once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -77,6 +78,18 @@ _NEWTON_ITERATIONS = 24
 # below it (with a rounding error of a few ulps) keep the squares in a norm of
 # their differences over any practical number of channels finite.
 _SAFE_MAGNITUDE = 2.0 ** 500
+# The powers of ten _format_cells scales by, exact in binary64.
+_POW10 = np.array([float(10 ** p) for p in range(21)])
+
+
+@functools.lru_cache(maxsize=None)   # built on the first CSV write, not at import
+def _digits4() -> np.ndarray:
+    """ASCII of 0000..9999, one uint32 each; entry 10000 + j is j with its
+    trailing '0's NUL."""
+    quads = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+             % 10 + ord("0")).astype(np.uint8)
+    kept = np.cumsum(quads[:, ::-1] != ord("0"), axis=1, dtype=np.uint8)[:, ::-1] > 0
+    return np.concatenate([quads, quads * kept]).view(np.uint32).ravel()
 
 
 class NonFiniteStateError(Exception):
@@ -187,31 +200,116 @@ def write_csvs(pairs) -> None:
     block every distinct column (by its bytes) is formatted once, so the
     columns that runs integrated together share, such as the time, the
     parameter path and a minimizer equal to it, cost one formatting pass.
-    Files may differ in length.
+    The block's distinct columns are formatted together
+    (:func:`_format_cells`) and each file's rows gathered from them. Files
+    may differ in length.
     """
     with contextlib.ExitStack() as stack:
         files = []
         for columns, path in pairs:
-            fh = stack.enter_context(open(path, "w", newline="\n"))
-            fh.write(",".join(columns) + "\n")
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write((",".join(columns) + "\n").encode())
             files.append((fh, list(columns.values())))
         for start in range(0, max((len(columns[0]) for _, columns in files), default=0),
                            _RECORD_BLOCK_ROWS):
             stop = start + _RECORD_BLOCK_ROWS
-            cells = {}
+            first, parts, layouts, size = {}, [], [], 0   # first: cell of a part's row 0
             for fh, columns in files:
                 if start >= len(columns[0]):
                     continue
-                keys = []
+                firsts = []
                 for col in columns:
                     part = col[start:stop]
                     key = part.tobytes()
-                    if key not in cells:
-                        values = part.tolist()
-                        text = "\n".join(["%.17g"] * len(values)) % tuple(values)
-                        cells[key] = text.split("\n")
-                    keys.append(key)
-                fh.write("\n".join(map(",".join, zip(*[cells[key] for key in keys]))) + "\n")
+                    if key not in first:
+                        first[key] = size
+                        parts.append(part)
+                        size += len(part)
+                    firsts.append(first[key])
+                layouts.append((fh, np.add.outer(np.arange(len(part)), firsts)))
+            text, row = _format_cells(np.concatenate(parts, dtype=np.float64))
+            for fh, cells in layouts:
+                block = np.take(text, row[cells], axis=0)
+                block[:, -1, -1] = ord("\n")   # the row's last separator
+                fh.write(block[block != 0].tobytes())
+
+
+def _format_cells(values: np.ndarray):
+    """``(text, row)``: ``text[row[i]]`` holds ``'%.17g' % values[i]``, NUL
+    bytes, and a ',' in its last byte.
+
+    '%.17g' rounds x to D * 10**(E - 16), D in [1e16, 1e17), and prints it in
+    fixed point when -4 <= E < 17, trailing zeros cut. Here that is exact for
+    1e-4 <= |x| < 1e17: E is guessed by log10 and corrected when one off,
+    hi + lo = |x| * 10**(16 - E) exactly, and D = hi + rint(lo) rounds half
+    to even, as hi is an even integer. Cells sorted by E take their layout by
+    slices. Zeros are written directly, other values by Python's '%'.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)
+    zero = a == 0.0
+    fi, zi, si = (np.flatnonzero(mask) for mask in (fast, zero, ~(fast | zero)))
+    x = a[fi]
+    E = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.int64)
+    hi, lo = _scale(x, E)
+    high = (hi > 1e17) | (hi == 1e17) & (lo >= 0.0)
+    off = np.flatnonzero(high | (hi < 1e16) | (hi == 1e16) & (lo < 0.0))
+    E[off] += 2 * high[off] - 1
+    hi[off], lo[off] = _scale(x[off], E[off])
+    # No double in this range lies within half a 17th digit below a power of
+    # ten, so D never rounds up to 1e17 and E stands.
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    order = np.argsort(E, kind="stable")
+    E, D = E[order], D[order]
+    # The digits after the first, 4 at a time; + 10000 where all that follow are 0.
+    scales = 10 ** np.arange(12, -1, -4)
+    quads = D[:, None] // scales % 10000 + (D[:, None] % scales == 0) * 10000
+    digits = np.empty((len(D), 20), np.uint8)
+    digits[:, 3] = D // 10 ** 16 + ord("0")
+    digits[:, 4:].view(np.uint32)[:] = _digits4()[quads]
+    digits = digits[:, 3:]   # 17 digits, the trailing zeros NUL
+    source = np.concatenate([fi[order], zi, si])   # the value each row of text holds
+    signed = len(fi) + len(zi)
+    text = np.zeros((len(values), 25), np.uint8)   # '%.17g' takes at most 24 bytes
+    text[:signed, 0] = np.signbit(values[source[:signed]]) * ord("-")
+    text[len(fi):signed, 1] = ord("0")
+    bounds = np.searchsorted(E, np.arange(-4, 18))
+    for e, begin, end in zip(range(-4, 17), bounds[:-1], bounds[1:]):
+        if begin == end:
+            continue
+        group, d = text[begin:end], digits[begin:end]
+        if e >= 0:
+            group[:, 1:e + 2] = d[:, :e + 1] | ord("0")   # integer digits keep their zeros
+            if e < 16:
+                group[:, e + 2] = (d[:, e + 1] != 0) * ord(".")
+                group[:, e + 3:19] = d[:, e + 1:]
+        else:
+            group[:, 1:3] = (ord("0"), ord("."))
+            group[:, 3:2 - e] = ord("0")
+            group[:, 2 - e:19 - e] = d
+    if len(si):
+        padded = np.frombuffer(("%-24.17g" * len(si) % tuple(values[si].tolist())).encode(),
+                               np.uint8).reshape(-1, 24)
+        text[signed:, :24] = padded * (padded != ord(" "))
+    text[:, -1] = ord(",")
+    row = np.empty(len(values), np.int64)
+    row[source] = np.arange(len(values))
+    return text, row
+
+
+def _scale(x: np.ndarray, E: np.ndarray):
+    """``x * 10**(16 - E)`` as ``hi + lo`` exactly: Dekker's product, each
+    factor split into halves of at most 26 bits."""
+    power = _POW10[16 - E]
+    hi = x * power
+    (xh, xl), (ph, pl) = (_halves(v) for v in (x, power))
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _halves(v: np.ndarray):
+    split = v * 134217729.0   # 2**27 + 1
+    high = split - (split - v)
+    return high, v - high
 
 
 def steady_state_sup(traj: Trajectory, column: str) -> float:

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -214,6 +215,21 @@ def test_overflowing_step_maps_are_a_run_failure(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "run failed: state became non-finite at t = 0.001\n"
     assert caught and all(w.category is UserWarning and "sigma*h" in str(w.message)
                           for w in caught)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "2", "--sigma", "1e200"],
+    ["optimize", "--k", "3", "--sigma", "1e150"],
+    ["sweep", "--k", "3", "--sigma", "1e150,1e160,1e170"],
+    ["estimate", "--k", "40", "--sigma", "1e20"]])
+def test_cascade_past_the_float_range_is_refused(tmp_path, capsys, argv):
+    # sigma**k overflows the cascade's rescaled entries: exit 2 with one line
+    # naming sigma, no traceback and no numpy warning (which pytest turns
+    # into an error), before the output directory is made.
+    assert cli.main(argv + ["--tf", "1", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma: gain ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -520,7 +536,10 @@ def test_commands_run_without_scipy(tmp_path, argv):
 
 # sha256 of stdout and of every file each command writes, with a relative
 # --out. A change that moves any of these bytes, such as a new arithmetic
-# order, records the new hashes and says so in CHANGES.md.
+# order, records the new hashes and says so in CHANGES.md. They were recorded
+# with numpy's OpenBLAS on its SkylakeX kernel: other kernels sum the BLAS
+# products in another order, which moves the last bits of the runs.
+_GOLDEN_BLAS_CORE = "SkylakeX"
 _GOLDEN = {
     "estimate": (
         ["estimate", "--k", "2", "--sigma", "20", "--noise-var", "0.01", "--seed", "7",
@@ -568,4 +587,23 @@ def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
     digests = {"stdout": hashlib.sha256(printed.out.encode()).hexdigest()}
     digests.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                    for path in (tmp_path / "out").iterdir())
-    assert digests == expected
+    assert digests == expected, (f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, "
+                                 f"this run is on {_blas_core()}")
+
+
+def _blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on, or 'unknown'."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *root.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def test_blas_core_is_named():
+    assert _blas_core().isidentifier()

@@ -153,6 +153,16 @@ class TestComposition:
         with pytest.raises(ValueError):
             est.closed_form_transfer(2, 5.0, 3, 1.0)
 
+    def test_gain_past_the_float_range_raises_value_error(self):
+        # sigma**k past 1.8e308 is a ValueError naming the gain, not an
+        # OverflowError out of Python's float power.
+        with pytest.raises(ValueError, match="gain 1e\\+150 puts the order-3 cascade"):
+            est.compose_cascade(3, 1e150)
+        for build in (est.build_f_block, est.build_branch_block):
+            with pytest.raises(ValueError, match="non-finite"):
+                build(2, 1e200)
+        est.compose_cascade(2, 1e150)   # 1e300 is still in range
+
 
 class TestSteadyStateOracle:
     def test_literals(self):
@@ -344,6 +354,9 @@ class TestOutputBoundConstants:
         assert constants.transient_gain == pytest.approx(2.0 * math.sqrt(lam_max / lam_min), rel=1e-9)
         assert constants.decay_rate == pytest.approx(2.0 / (4.0 * lam_max), rel=1e-9)
         assert constants.input_gain == pytest.approx(2.0 * math.sqrt(lam_max ** 3 / lam_min), rel=1e-9)
+
+    def test_transient_gain_overflows_to_inf(self):
+        assert est.output_bound_constants(3, 1e200).transient_gain == math.inf
 
     def test_bound_is_decreasing_in_time(self):
         constants = est.output_bound_constants(2, 5.0)

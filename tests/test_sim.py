@@ -80,6 +80,27 @@ class TestMetrics:
             sim.slope_fit([(1.0, 1.0), (2.0, 0.5), (3.0, -0.1)])
 
 
+# Values where '%.17g' changes layout or rounds: signed zeros, subnormals,
+# inf and nan, every power of ten from 1e-12 to 1e17 with both neighbours
+# (the fixed/exponent boundary is 1e-4/1e-5), and exact ties at the 17th
+# digit, which round half to even.
+_FORMAT_EDGES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, math.nan, math.inf,
+                 2.0**53, 2.0**53 + 2, 1e15 + 0.5, 1e15 + 0.25, 1e15 + 0.75, 123456789012345.625]
+_FORMAT_EDGES += [np.nextafter(p, toward) for p in (float(f"1e{k}") for k in range(-12, 18))
+                  for toward in (0.0, p, math.inf)]
+
+
+def _cells(values):
+    """The bytes write_csvs gives each value, its separator included."""
+    text, row = sim._format_cells(np.array(values, dtype=np.float64))
+    return [bytes(text[i][text[i] != 0]) for i in row]
+
+
+def _percent_cells(values):
+    return [b"%.17g," % value for value in values]
+
+
 class TestTrajectoryCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -144,6 +165,41 @@ class TestTrajectoryCsv:
                 for row in zip(traj.t, traj.column("v")))
             assert path.read_bytes() == expected.encode()
         sim.write_csvs([])
+
+    def test_mixed_layouts_across_row_blocks(self, tmp_path):
+        # One block holds every layout class: zeros of both signs, the fixed
+        # point forms from 1e-4 up, the exponent forms, inf and nan. Files of
+        # unequal length share columns, over several row blocks.
+        block = sim._RECORD_BLOCK_ROWS
+        rows = 2 * block + 19
+        rng = np.random.default_rng(9)
+        mixed = np.resize(_FORMAT_EDGES, rows) * rng.choice([1.0, -1.0], rows)
+        spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-14, 20, rows)
+        t = np.arange(float(rows))
+        columns = [{"t": t, "zero": np.zeros(rows), "mixed": mixed, "spread": spread},
+                   {"t": t[:block + 1], "negzero": np.full(block + 1, -0.0),
+                    "mixed": mixed[:block + 1], "own": spread[:block + 1] * 1e-3},
+                   {"spread": spread[:7], "t": t[:7]}]
+        paths = [tmp_path / f"traj{i}.csv" for i in range(len(columns))]
+        sim.write_csvs(zip(columns, paths))
+        for cols, path in zip(columns, paths):
+            expected = ",".join(cols) + "\n" + "".join(
+                ",".join(format(value, ".17g") for value in row) + "\n"
+                for row in zip(*cols.values()))
+            assert path.read_bytes() == expected.encode()
+
+    def test_cells_at_formatting_edges(self):
+        values = _FORMAT_EDGES + [-v for v in _FORMAT_EDGES]
+        assert _cells(values) == _percent_cells(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+           floats=st.lists(st.floats(), max_size=40),
+           fixed=st.lists(st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4), max_size=40))
+    def test_cells_match_percent_formatting(self, bits, floats, fixed):
+        # Arbitrary bit patterns, any float, and the range formatted in numpy.
+        values = np.array(bits, dtype=np.uint64).view(np.float64).tolist() + floats + fixed
+        assert _cells(values) == _percent_cells(values)
 
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError):
