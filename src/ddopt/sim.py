@@ -41,7 +41,8 @@ from then on, which finds the step at which a state failed. Either way the
 other columns are computed from the states on blocks of rows, through the
 same ``flows`` functions.
 :func:`write_csvs` writes every CSV file, the runs' trajectories together,
-formatting the columns they have in common once.
+formatting the columns they have in common once, with the bytes of '%.17g'
+computed in numpy (:func:`_format_cells`).
 """
 
 from __future__ import annotations
@@ -78,8 +79,20 @@ _NEWTON_ITERATIONS = 24
 # below it (with a rounding error of a few ulps) keep the squares in a norm of
 # their differences over any practical number of channels finite.
 _SAFE_MAGNITUDE = 2.0 ** 500
-# The powers of ten _format_cells scales by, exact in binary64.
-_POW10 = np.array([float(10 ** p) for p in range(21)])
+
+
+def _halves(v):
+    """Dekker's split of ``v`` into ``high + low``, each of at most 26 bits."""
+    split = v * 134217729.0   # 2**27 + 1
+    high = split - (split - v)
+    return high, v - high
+
+
+# The powers of ten _format_cells scales by, exact in binary64: one column
+# per power, the power over its two halves.
+_POW10 = np.array([(power, *_halves(power)) for power in (float(10 ** p) for p in range(21))]).T
+# The text before the digits of a value below 1, up to 1e-4.
+_LEADING = np.frombuffer(b"0.000", np.uint8)
 
 
 @functools.lru_cache(maxsize=None)   # built on the first CSV write, not at import
@@ -140,17 +153,7 @@ class Trajectory:
     def __init__(self, columns: dict):
         if "t" not in columns:
             raise ValueError("trajectory needs a 't' column")
-        self.columns = {}
-        length = None
-        for name, values in columns.items():
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"column {name!r} is not one-dimensional")
-            if length is None:
-                length = arr.shape[0]
-            elif arr.shape[0] != length:
-                raise ValueError(f"column {name!r} has length {arr.shape[0]}, expected {length}")
-            self.columns[name] = arr
+        self.columns = _float_columns(columns)
         t = self.columns["t"]
         if len(t) >= 2 and not np.all(np.diff(t) > 0):
             raise ValueError("time column must be strictly increasing")
@@ -192,46 +195,71 @@ class Trajectory:
         return cls({name: data[:, i] for i, name in enumerate(names)})
 
 
+def _float_columns(columns) -> dict:
+    """``columns`` as one-dimensional float64 arrays of one length."""
+    arrays, length = {}, None
+    for name, values in columns.items():
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"column {name!r} is not one-dimensional")
+        if length is None:
+            length = arr.shape[0]
+        elif arr.shape[0] != length:
+            raise ValueError(f"column {name!r} has length {arr.shape[0]}, expected {length}")
+        arrays[name] = arr
+    return arrays
+
+
 def write_csvs(pairs) -> None:
     """Write each ``(columns, path)`` pair as :meth:`Trajectory.to_csv` does;
-    ``columns`` maps names to equal-length float arrays, as that attribute.
+    ``columns`` maps names to equal-length arrays, written as float64.
 
-    The files are written together, block of rows by block of rows. In each
-    block every distinct column (by its bytes) is formatted once, so the
-    columns that runs integrated together share, such as the time, the
-    parameter path and a minimizer equal to it, cost one formatting pass.
-    The block's distinct columns are formatted together
-    (:func:`_format_cells`) and each file's rows gathered from them. Files
-    may differ in length.
+    Every mapping is checked before any file is opened. The columns of all
+    files are keyed once, by their float64 bits, so that the columns that
+    runs integrated together share, such as the time, the parameter path and
+    a minimizer equal to it, are formatted once. The files are then written
+    together, block of rows by block of rows: each block's distinct columns
+    are formatted together (:func:`_format_cells`), and each file's rows are
+    gathered from them and its NUL bytes dropped. Files may differ in length.
     """
+    files, distinct, seen = [], [], {}
+    for columns, path in pairs:
+        arrays = list(_float_columns(columns).values())
+        files.append((path, ",".join(columns), len(arrays[0]) if arrays else 0,
+                      np.array([_column_index(col, distinct, seen) for col in arrays], np.intp)))
+    lengths = np.array([len(col) for col in distinct], np.int64)
     with contextlib.ExitStack() as stack:
-        files = []
-        for columns, path in pairs:
+        handles = []
+        for path, header, rows, ids in files:
             fh = stack.enter_context(open(path, "wb"))
-            fh.write((",".join(columns) + "\n").encode())
-            files.append((fh, list(columns.values())))
-        for start in range(0, max((len(columns[0]) for _, columns in files), default=0),
+            fh.write((header + "\n").encode())
+            handles.append((fh, rows, ids))
+        for start in range(0, max((rows for _, rows, _ in handles), default=0),
                            _RECORD_BLOCK_ROWS):
-            stop = start + _RECORD_BLOCK_ROWS
-            first, parts, layouts, size = {}, [], [], 0   # first: cell of a part's row 0
-            for fh, columns in files:
-                if start >= len(columns[0]):
+            sizes = np.clip(lengths - start, 0, _RECORD_BLOCK_ROWS)
+            firsts = np.cumsum(sizes) - sizes   # the cell of each column's row `start`
+            text, row = _format_cells(np.concatenate(
+                [col[start:start + size] for col, size in zip(distinct, sizes) if size]))
+            for fh, rows, ids in handles:
+                if start >= rows:
                     continue
-                firsts = []
-                for col in columns:
-                    part = col[start:stop]
-                    key = part.tobytes()
-                    if key not in first:
-                        first[key] = size
-                        parts.append(part)
-                        size += len(part)
-                    firsts.append(first[key])
-                layouts.append((fh, np.add.outer(np.arange(len(part)), firsts)))
-            text, row = _format_cells(np.concatenate(parts, dtype=np.float64))
-            for fh, cells in layouts:
-                block = np.take(text, row[cells], axis=0)
+                cells = np.add.outer(np.arange(min(rows - start, _RECORD_BLOCK_ROWS)),
+                                     firsts.take(ids))
+                block = text.take(row.take(cells), axis=0)
                 block[:, -1, -1] = ord("\n")   # the row's last separator
-                fh.write(block[block != 0].tobytes())
+                fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def _column_index(col: np.ndarray, distinct: list, seen: dict) -> int:
+    """The index in ``distinct`` of the column with the bits of ``col``,
+    appended if there is none; ``seen`` buckets them by length and a sample."""
+    bucket = seen.setdefault((len(col), col[::max(1, len(col) // 16)].tobytes()), [])
+    for i in bucket:
+        if distinct[i] is col or np.array_equal(distinct[i].view(np.int64), col.view(np.int64)):
+            return i
+    bucket.append(len(distinct))
+    distinct.append(col)
+    return bucket[-1]
 
 
 def _format_cells(values: np.ndarray):
@@ -242,15 +270,17 @@ def _format_cells(values: np.ndarray):
     fixed point when -4 <= E < 17, trailing zeros cut. Here that is exact for
     1e-4 <= |x| < 1e17: E is guessed by log10 and corrected when one off,
     hi + lo = |x| * 10**(16 - E) exactly, and D = hi + rint(lo) rounds half
-    to even, as hi is an even integer. Cells sorted by E take their layout by
+    to even, as hi is an even integer. D is split into digit groups by scalar
+    divisions, 9 and 8 digits in int64 and then 4 at a time in uint32, and the
+    groups are spelled by table. Cells sorted by E take their layout by
     slices. Zeros are written directly, other values by Python's '%'.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e17)
     zero = a == 0.0
     fi, zi, si = (np.flatnonzero(mask) for mask in (fast, zero, ~(fast | zero)))
-    x = a[fi]
-    E = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.int64)
+    x = a.take(fi)
+    E = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.int8)
     hi, lo = _scale(x, E)
     high = (hi > 1e17) | (hi == 1e17) & (lo >= 0.0)
     off = np.flatnonzero(high | (hi < 1e16) | (hi == 1e16) & (lo < 0.0))
@@ -259,19 +289,28 @@ def _format_cells(values: np.ndarray):
     # No double in this range lies within half a 17th digit below a power of
     # ten, so D never rounds up to 1e17 and E stands.
     D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    order = np.argsort(E, kind="stable")
-    E, D = E[order], D[order]
-    # The digits after the first, 4 at a time; + 10000 where all that follow are 0.
-    scales = 10 ** np.arange(12, -1, -4)
-    quads = D[:, None] // scales % 10000 + (D[:, None] % scales == 0) * 10000
-    digits = np.empty((len(D), 20), np.uint8)
-    digits[:, 3] = D // 10 ** 16 + ord("0")
-    digits[:, 4:].view(np.uint32)[:] = _digits4()[quads]
-    digits = digits[:, 3:]   # 17 digits, the trailing zeros NUL
-    source = np.concatenate([fi[order], zi, si])   # the value each row of text holds
+    order = np.argsort(E, kind="stable")   # int8: a stable radix sort
+    E, D = E.take(order), D.take(order)
+    top = D // 10 ** 8
+    low = (D - top * 10 ** 8).astype(np.uint32)   # the last 8 digits
+    top = top.astype(np.uint32)                   # the first 9
+    first = top // 10 ** 8
+    middle = top - first * 10 ** 8
+    # The first digit, as 000d, then the others 4 at a time; + 10000 where
+    # all the digits that follow are 0.
+    q0, q2 = middle // 10000, low // 10000
+    q1, q3 = middle - q0 * 10000, low - q2 * 10000
+    ends = low == 0
+    q0 += (ends & (q1 == 0)) * np.uint32(10000)
+    q1 += ends * np.uint32(10000)
+    q2 += (q3 == 0) * np.uint32(10000)
+    q3 += 10000
+    digits = _digits4().take(np.stack([first, q0, q1, q2, q3], axis=1))
+    digits = digits.view(np.uint8)[:, 3:]   # 17 digits, the trailing zeros NUL
+    source = np.concatenate([fi.take(order), zi, si])   # the value each row of text holds
     signed = len(fi) + len(zi)
     text = np.zeros((len(values), 25), np.uint8)   # '%.17g' takes at most 24 bytes
-    text[:signed, 0] = np.signbit(values[source[:signed]]) * ord("-")
+    text[:signed, 0] = np.signbit(values.take(source[:signed])) * np.uint8(ord("-"))
     text[len(fi):signed, 1] = ord("0")
     bounds = np.searchsorted(E, np.arange(-4, 18))
     for e, begin, end in zip(range(-4, 17), bounds[:-1], bounds[1:]):
@@ -279,13 +318,14 @@ def _format_cells(values: np.ndarray):
             continue
         group, d = text[begin:end], digits[begin:end]
         if e >= 0:
-            group[:, 1:e + 2] = d[:, :e + 1] | ord("0")   # integer digits keep their zeros
+            # The integer digits keep their zeros; the point is NUL where the
+            # digit after it is.
+            np.bitwise_or(d[:, :e + 1], ord("0"), out=group[:, 1:e + 2])
             if e < 16:
-                group[:, e + 2] = (d[:, e + 1] != 0) * ord(".")
+                np.minimum(d[:, e + 1], ord("."), out=group[:, e + 2])
                 group[:, e + 3:19] = d[:, e + 1:]
         else:
-            group[:, 1:3] = (ord("0"), ord("."))
-            group[:, 3:2 - e] = ord("0")
+            group[:, 1:2 - e] = _LEADING[:1 - e]   # 0. and the zeros after it
             group[:, 2 - e:19 - e] = d
     if len(si):
         padded = np.frombuffer(("%-24.17g" * len(si) % tuple(values[si].tolist())).encode(),
@@ -300,16 +340,10 @@ def _format_cells(values: np.ndarray):
 def _scale(x: np.ndarray, E: np.ndarray):
     """``x * 10**(16 - E)`` as ``hi + lo`` exactly: Dekker's product, each
     factor split into halves of at most 26 bits."""
-    power = _POW10[16 - E]
+    power, ph, pl = _POW10.take(16 - E, axis=1)
     hi = x * power
-    (xh, xl), (ph, pl) = (_halves(v) for v in (x, power))
+    xh, xl = _halves(x)
     return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
-
-
-def _halves(v: np.ndarray):
-    split = v * 134217729.0   # 2**27 + 1
-    high = split - (split - v)
-    return high, v - high
 
 
 def steady_state_sup(traj: Trajectory, column: str) -> float:

@@ -1,5 +1,8 @@
+import contextlib
 import ctypes
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddopt import checks, cli, estimator, signals, sim
 
@@ -607,3 +612,70 @@ def _blas_core() -> str:
 
 def test_blas_core_is_named():
     assert _blas_core().isidentifier()
+
+
+# Random run specs for the property below. Half of them have one extreme
+# field: gains, noise levels or coefficients that overflow or are not
+# finite, an order of 0 or 12, or a start, step or step count out of range.
+# The other fields are ordinary, so that most specs run. A run takes at most
+# 2,000 steps, so that every example is quick.
+_ORDINARY = {
+    "coefficient": lambda rng: rng.uniform(-50.0, 50.0),
+    "gain": lambda rng: 10.0 ** rng.uniform(-1.0, 3.0),
+    "k": lambda rng: rng.randint(1, 4),
+    "noise-var": lambda rng: rng.choice([0.0, 1e-4, 0.01, 1.0]),
+    "t0": lambda rng: rng.uniform(0.0, 100.0),
+    "h": lambda rng: 10.0 ** rng.uniform(-4.0, 0.5),
+    "steps": lambda rng: rng.randint(10, 2000)}
+_EXTREME = {
+    "coefficient": [1e-300, 1e8, -1e150, 1e200, 1e308, math.inf, math.nan],
+    "gain": [1e-300, 1e4, 1e150, 1e200, math.inf, math.nan, -1.0],
+    "k": [0, 12],
+    "noise-var": [1e10, 1e300, math.inf],
+    "t0": [-1e3, 1e300, -math.inf],
+    "h": [0.0, 1e-300, 1e8, math.nan],
+    "steps": [1, 9]}
+
+
+def _random_argv(rng) -> list:
+    command = rng.choice(["estimate", "optimize", "sweep"])
+    extreme = rng.choice(list(_EXTREME)) if rng.random() < 0.5 else None
+
+    def value(field):
+        return rng.choice(_EXTREME[field]) if field == extreme else _ORDINARY[field](rng)
+
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            amp, omega, phase = (value("coefficient") for _ in range(3))
+            kind = rng.choice(["sin", "cos", "cos2"])
+            terms.append(f"{amp:.17g}*{kind}({omega:.17g}*t{phase:+.17g})")
+        else:
+            coeffs = [value("coefficient") for _ in range(rng.randint(1, 4))]
+            terms.append("poly:" + ",".join(f"{c:.17g}" for c in coeffs))
+    gains = {"estimate": 1, "optimize": rng.randint(1, 2), "sweep": rng.randint(3, 4)}[command]
+    t0, h = value("t0"), value("h")
+    spec = {"signal": ",".join(terms), "k": value("k"),
+            "sigma": ",".join(f"{value('gain'):.17g}" for _ in range(gains)),
+            "noise-var": value("noise-var"), "seed": rng.randrange(2 ** 32),
+            "t0": f"{t0:.17g}", "h": f"{h:.17g}", "tf": f"{t0 + value('steps') * h:.17g}"}
+    if command == "optimize":
+        spec["cost"] = rng.choice(["quadratic-tracking", "logcosh"])
+        spec["mode"] = ",".join(rng.sample(["none", "ideal", "estimated"], rng.randint(1, 3)))
+    # --key=value, so that a value starting with '-' is not read as a flag.
+    return [command] + [f"--{key}={text}" for key, text in spec.items()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rng=st.randoms(use_true_random=True))
+def test_random_specs_exit_cleanly(tmp_path_factory, rng):
+    # Every spec runs, fails as a run (1) or is refused (2); none ends in a
+    # traceback, and the only warnings are ddopt's own UserWarnings.
+    argv = _random_argv(rng)
+    out = tmp_path_factory.mktemp("spec")
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = cli.main(argv + ["--out", str(out)])
+    assert rc in (0, 1, 2), argv
+    assert all(w.category is UserWarning for w in caught), (argv, [str(w.message) for w in caught])

@@ -101,6 +101,13 @@ def _percent_cells(values):
     return [b"%.17g," % value for value in values]
 
 
+def _percent_csv(columns):
+    """The bytes write_csvs gives ``columns``, from one '%.17g' per cell."""
+    return (",".join(columns) + "\n" + "".join(
+        ",".join("%.17g" % value for value in row) + "\n"
+        for row in zip(*columns.values()))).encode()
+
+
 class TestTrajectoryCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -188,8 +195,89 @@ class TestTrajectoryCsv:
                 for row in zip(*cols.values()))
             assert path.read_bytes() == expected.encode()
 
+    def test_columns_are_written_as_float64(self, tmp_path):
+        # An int64 column holds other values than a float64 column with its
+        # bits, so the two do not share text.
+        path = tmp_path / "traj.csv"
+        sim.write_csvs([({"a": np.array([1, 2]), "b": np.array([5e-324, 1e-323])}, path)])
+        assert path.read_bytes() == (b"a,b\n1,4.9406564584124654e-324\n"
+                                     b"2,9.8813129168249309e-324\n")
+
+    def test_columns_alike_in_part_keep_their_own_text(self, tmp_path):
+        # Columns equal to another in all rows but one, or but for the sign
+        # of zero, are not taken for it.
+        rows = 2 * sim._RECORD_BLOCK_ROWS + 5
+        columns = {"t": np.arange(float(rows)), "zero": np.zeros(rows),
+                   "negzero": np.full(rows, -0.0)}
+        for row in (1, rows // 2 + 1, rows - 1):
+            columns[f"one{row}"] = np.zeros(rows)
+            columns[f"one{row}"][row] = 1.0
+        columns["negzero1"] = np.zeros(rows)
+        columns["negzero1"][1] = -0.0
+        path = tmp_path / "traj.csv"
+        sim.write_csvs([(columns, path)])
+        assert path.read_bytes() == _percent_csv(columns)
+
+    @pytest.mark.parametrize("v", [[7.0, 8.0, 9.0, 10.0], [7.0, 8.0]])
+    def test_columns_of_one_file_need_one_length(self, tmp_path, v):
+        # Checked for every file before any is opened.
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        with pytest.raises(ValueError, match=f"column 'v' has length {len(v)}, expected 3"):
+            sim.write_csvs([({"t": [0.0, 1.0]}, first), ({"t": [0.0, 1.0, 2.0], "v": v}, second)])
+        assert not first.exists() and not second.exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.sampled_from([0, 1, 7, sim._RECORD_BLOCK_ROWS - 1,
+                                              sim._RECORD_BLOCK_ROWS, sim._RECORD_BLOCK_ROWS + 1,
+                                              2 * sim._RECORD_BLOCK_ROWS + 3]),
+                            min_size=1, max_size=4),
+           width=st.integers(1, 5))
+    def test_files_sharing_columns_match_percent_formatting(self, tmp_path_factory, seed,
+                                                            lengths, width):
+        # Files of the given lengths draw their columns from a few shared
+        # ones: the same array object where lengths agree, an equal-valued
+        # copy, or a column of their own. The values mix the formatting
+        # edges, arbitrary bit patterns and the range formatted in numpy.
+        rng = np.random.default_rng(seed)
+        longest = max(lengths)
+
+        def values(n):
+            signs = rng.choice([1.0, -1.0], n)
+            pools = [rng.choice(np.array(_FORMAT_EDGES), n) * signs,
+                     rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+                     10.0 ** rng.uniform(-4.0, 17.0, n) * signs]
+            return np.choose(rng.integers(0, 3, n), pools)
+
+        shared, slices = [values(longest) for _ in range(3)], {}
+        columns = []
+        for n in lengths:
+            cols = {}
+            for j in range(width):
+                source = rng.integers(0, len(shared) + 1)
+                if source == len(shared):
+                    cols[f"own{j}"] = values(n)
+                    continue
+                col = slices.setdefault((source, n), shared[source][:n])
+                cols[f"c{j}"] = col.copy() if rng.random() < 0.3 else col
+            columns.append(cols)
+        out = tmp_path_factory.mktemp("csv")
+        paths = [out / f"traj{i}.csv" for i in range(len(columns))]
+        sim.write_csvs(zip(columns, paths))
+        for cols, path in zip(columns, paths):
+            assert path.read_bytes() == _percent_csv(cols)
+
     def test_cells_at_formatting_edges(self):
         values = _FORMAT_EDGES + [-v for v in _FORMAT_EDGES]
+        assert _cells(values) == _percent_cells(values)
+
+    def test_cells_with_zeros_inside_digit_groups(self):
+        # Exact values with fewer than 17 significant digits: dyadic fractions
+        # i / 2**j, whose zeros fall inside, at the end of and after each
+        # 4-digit group, and integers 10**p + 1, scaled by powers of ten.
+        values = [i * 2.0**-j for i in range(1, 4096, 11) for j in range(0, 24, 3)]
+        values += [float((10**p + 1) * 10**m) for p in range(1, 17) for m in range(17 - p)]
+        values += [-v for v in values]
         assert _cells(values) == _percent_cells(values)
 
     @settings(max_examples=200, deadline=None)
