@@ -317,7 +317,9 @@ def cmd_optimize(spec: dict) -> int:
     for mode in modes:
         if mode is flows_mod.CorrectionMode.ESTIMATED:
             for sigma in sigmas:
-                labels.append(f"estimated-s{sigma:g}")
+                # Short labels (estimated-s5) where :g names the gain exactly.
+                label = f"{sigma:g}" if float(f"{sigma:g}") == sigma else repr(sigma)
+                labels.append(f"estimated-s{label}")
                 specs.append((mode, est_mod.DirtyDerivativeConfig(k, sigma, signal.dim)))
         else:
             labels.append(mode.value)

@@ -68,7 +68,7 @@ class CostModel:
     :meth:`newton_slope` declares a field that is elementwise but not affine
     by its derivative in x, the diagonal of its Jacobian; ``sim`` then solves
     the flow's RK4 steps a window at a time by Newton's method, still through
-    :meth:`newton_field`.
+    :meth:`newton_field`, and warns when those steps amplify a deviation.
 
     For both declarations the default, None, has ``sim`` take the flow's RK4
     steps one after another, a window at a time.

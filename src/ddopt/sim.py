@@ -39,7 +39,8 @@ method, each update one such scan; the runs of other costs, and runs whose
 states turn non-finite or whose Newton solve does not settle, are stepped
 from then on, which finds the step at which a state failed. Either way the
 other columns are computed from the states on blocks of rows, through the
-same ``flows`` functions.
+same ``flows`` functions. Each path also measures, from the step derivatives
+it forms anyway, how much a span of a run's RK4 steps amplifies a deviation.
 :func:`write_csvs` writes every CSV file, the runs' trajectories together,
 formatting the columns they have in common once, with the bytes of '%.17g'
 computed in numpy (:func:`_format_cells`).
@@ -672,10 +673,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     to find the failing step; otherwise the runs go through
     :func:`_flow_states`. The other columns are computed from the stored
     states afterwards. Each run comes out bit-identical to the same run
-    alone. A step h at which RK4 is unstable at the minimizer, or at the
-    steepest slope (:meth:`flows.CostModel.newton_slope`) the recorded states
-    met, or which spans half a period of the path's fastest sinusoid, is
-    warned of.
+    alone. A step h that spans half a period of the path's fastest sinusoid
+    is warned of, and so is one whose RK4 steps amplify a deviation over
+    some span of a run (:func:`_flow_states`), the whole run included: one
+    gone wrong can settle on a stable spurious fixed point of the RK4 map.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -700,14 +701,6 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 shape {x0.shape} does not match cost dimension {n}")
-    # RK4 scales a deviation by R(h s) where the flow's slope is s; at its
-    # minimizer the flow has Jacobian -I.
-    def growth(slope):
-        return abs(est_mod.rk4_step_maps(np.array([[slope]]), np.zeros((1, 1)), h)[0].item())
-
-    if growth(-1.0) >= 1.0:
-        warnings.warn(f"|R(-h)| = {growth(-1.0):.3g} >= 1 at h = {h:.3g}: the flow's RK4 step "
-                      "is unstable at its minimizer", stacklevel=2)
     # The fastest sinusoid of the path; a cos2 component's canonical w is 2 omega.
     omega = max((abs(c.canonical()[2]) for c in signal.components
                  if isinstance(c, sig_mod.Sinusoid) and c.amplitude != 0.0), default=0.0)
@@ -744,24 +737,18 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
 
     field = cost.affine_field()
     if field is None:
-        X = _flow_states(cost, theta_all, stage_velocities, x0, cfg)
+        X, amplification = _flow_states(cost, theta_all, stage_velocities, x0, cfg)
     else:
-        X = _affine_states(field, theta_all, stage_velocities, x0, h)
+        X, amplification = _affine_states(field, theta_all, stage_velocities, x0, h)
         # Non-finite values spread through the scan; stepping finds the step.
         bad = ~np.isfinite(X).all(axis=(0, 2))
         if bad.any():
             X[:, bad] = _flow_states(cost, theta_all,
-                                     list(itertools.compress(stage_velocities, bad)), x0, cfg)
-    # A field with a slope may be steeper away from its minimizer; the
-    # steepest slope the recorded states met decides.
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = cost.newton_slope(X, theta_all[::2, None, :], v0)
-    steepest = -1.0 if slopes is None else float(np.min(slopes, initial=-1.0,
-                                                        where=np.isfinite(slopes)))
-    if growth(-1.0) < 1.0 <= growth(steepest):
-        warnings.warn(f"|R(h s)| = {growth(steepest):.3g} >= 1 at h = {h:.3g}, s = "
-                      f"{steepest:.3g}: the flow's RK4 step is unstable at the steepest slope "
-                      "s its states met", stacklevel=2)
+                                     list(itertools.compress(stage_velocities, bad)), x0, cfg)[0]
+    if amplification.max() > 1.0:
+        warnings.warn(f"the flow's RK4 steps amplify a deviation by up to {amplification.max():.3g}"
+                      f" > 1 at h = {h:.3g} in {np.sum(amplification > 1.0)} of {B} runs: the "
+                      "discrete flow is unstable along its states", stacklevel=2)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # The grid points are every other stage.
@@ -807,9 +794,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     return trajectories
 
 
-def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
-    """States (N+1, runs, n) of the flows x' = a x + b (theta + v) of an
-    affine field ``(a, b)`` (:meth:`flows.CostModel.affine_field`), by RK4.
+def _affine_states(field, theta_all, stage_velocities, x0, h):
+    """States (N+1, runs, n) of the flows x' = a x + b (theta + v) of an affine
+    field ``(a, b)`` (:meth:`flows.CostModel.affine_field`), by RK4, and each
+    run's amplification (:func:`_flow_states`).
 
     Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
     stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, b, h)`` applied
@@ -836,20 +824,22 @@ def _affine_states(field, theta_all, stage_velocities, x0, h) -> np.ndarray:
                         + M2 * (theta_all[2::2] + v1))
         X[1] += x0 + q * x0
         _scan_affine(np.full((len(X) - 1, 1, 1), q), X[1:])
-    return X
+        # Every step has derivative 1 + q: a span that grows is longest as the whole run.
+        return X, np.full(len(stage_velocities), np.maximum(abs(1.0 + q), 1.0) ** (len(X) - 1))
 
 
-def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
+def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
     """States (N+1, runs, n) of the corrected Newton flows, fed each run's
     ``stage_velocities``, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
-    (:func:`_rk4_step`) at a time; each window starts from the previous
-    window's last state.
+    (:func:`_rk4_step`) at a time, each from the previous window's last
+    state; and each run's amplification, the largest factor by which a span
+    of its steps (the empty one included) amplifies a deviation.
 
     A cost whose field is elementwise (:meth:`flows.CostModel.newton_slope`)
     has each window solved by Newton's method on the whole window
     (parallel-in-time, as in DEER: Lim et al. 2024). An iteration evaluates
     the RK4 step x[j+1] = F_j(x[j]) on every guessed state at once, and its
-    derivative F_j' by chaining the stage slopes; the update d of the
+    derivative F_j' = 1 + q_j (:func:`_rk4_offsets`); the update d of the
     guesses solves d[j+1] = F_j' d[j] + F_j(x[j]) - x[j+1], d[0] = 0, an
     elementwise affine recurrence (:func:`_scan_affine`). Where the guesses
     already satisfy the recurrence the update is exactly zero, so the fixed
@@ -858,20 +848,23 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
     out the same whichever runs are solved with it. A run also stops once its
     update has stalled at rounding level: at most 2^-36 max(1, max|x|) and
     no longer halving, as on a ramp path, where updates summed over about
-    1/h steps of slow decay hover above the tolerance.
+    1/h steps of slow decay hover above the tolerance. A run keeps the q of
+    its last iteration.
 
     A run that turns non-finite or is still moving after
     ``_NEWTON_ITERATIONS``, and every run of a cost without a slope, is
     stepped by :func:`_step_window` from then on, which raises
-    :class:`NonFiniteStateError` at the step that failed.
+    :class:`NonFiniteStateError` at the step that failed; its q are then
+    computed once per window, on the stepped states.
     """
     N, B, n, h = len(theta_all) // 2, len(stage_velocities), len(x0), cfg.h
     X = np.empty((N + 1, B, n))
     X[0] = x0
-    stepped = np.zeros(B, dtype=bool)
+    ending, most = np.zeros((2, B, n))
     tol, stalled = 4.0 * np.finfo(np.float64).eps, 2.0 ** -36
-    slope = cost.newton_slope
     with np.errstate(over="ignore", invalid="ignore"):
+        # Newton's method needs the field's slope; a cost without one is stepped.
+        stepped = np.full(B, cost.newton_slope(x0, theta_all[0], np.zeros_like(x0)) is None)
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
             th0, thm, th1 = (theta_all[2 * start + s:2 * stop + s:2, None, :] for s in range(3))
@@ -879,6 +872,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
                           for stage in zip(*stage_velocities))
             window = X[start:stop + 1]
             window[1:] = window[0]
+            offsets = np.empty((stop - start, B, n))   # each run's q
             live = np.flatnonzero(~stepped)
             last = np.full(B, np.inf)    # each run's previous update
             for _ in range(_NEWTON_ITERATIONS):
@@ -886,15 +880,10 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
                     break
                 runs = slice(None) if live.size == B else live    # views while all are live
                 y = window[:, runs]
-                x, v_0, v_m, v_1 = y[:-1], v0[:, runs], vm[:, runs], v1[:, runs]
-                d1 = slope(x, th0, v_0)
-                if d1 is None:
-                    break
-                x1, x2, x3, x4 = _rk4_step(cost, x, th0, thm, th1, v_0, v_m, v_1, h)
-                d2 = slope(x2, thm, v_m) * (1.0 + 0.5 * h * d1)
-                d3 = slope(x3, thm, v_m) * (1.0 + 0.5 * h * d2)
-                d4 = slope(x4, th1, v_1) * (1.0 + h * d3)
-                update = _scan_affine((h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), x1 - y[1:])
+                x1, q = _rk4_offsets(cost, y[:-1], th0, thm, th1, v0[:, runs], vm[:, runs],
+                                     v1[:, runs], h)
+                offsets[:, runs] = q    # before the scan overwrites it
+                update = _scan_affine(q, x1 - y[1:])
                 y[1:] += update
                 window[1:, runs] = y[1:]
                 # Per run maxima; a NaN propagates through them.
@@ -910,10 +899,33 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg) -> np.ndarray:
             if stepped.any():
                 runs = np.flatnonzero(stepped)
                 y = window[:, runs]
-                _step_window(cost, y, (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs]), h,
-                             cfg.t0 + np.arange(start, stop) * h + h)
+                stages = (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs])
+                _step_window(cost, y, stages, h, cfg.t0 + np.arange(start, stop) * h + h)
                 window[1:, runs] = y[1:]
-    return X
+                offsets[:, runs] = _rk4_offsets(cost, y[:-1], *stages, h)[1]
+            # Per run and component, the largest sum of log|1 + q| over a span of
+            # steps, and over one ending at the window's last step (at least 0).
+            gains = np.log(np.maximum(np.abs(1.0 + offsets), np.finfo(float).tiny))
+            sums = np.cumsum(gains, axis=0)
+            ends = sums - np.minimum.accumulate(np.concatenate([-ending[None], sums]))[1:]
+            most, ending = np.maximum(most, ends.max(axis=0)), ends[-1]
+        return X, np.exp(most.max(axis=1))
+
+
+def _rk4_offsets(cost, x, th0, thm, th1, v0, vm, v1, h):
+    """:func:`_rk4_step`'s next states from x, and q, the offset from 1 of each
+    step's derivative in x (elementwise), from the chained stage slopes
+    (:meth:`flows.CostModel.newton_slope`), or -1 for a cost without them,
+    its Jacobian at the minimizer: then q = R(-h) - 1, R the RK4 map."""
+    x1, x2, x3, x4 = _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h)
+    s1, s2, s3, s4 = (cost.newton_slope(*at) for at in
+                      ((x, th0, v0), (x2, thm, vm), (x3, thm, vm), (x4, th1, v1)))
+    if s1 is None:
+        s1 = s2 = s3 = s4 = -1.0
+    d2 = s2 * (1.0 + 0.5 * h * s1)
+    d3 = s3 * (1.0 + 0.5 * h * d2)
+    d4 = s4 * (1.0 + h * d3)
+    return x1, (h / 6.0) * (s1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
 def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):

@@ -267,6 +267,17 @@ class TestOptimizeCommand:
         printed = capsys.readouterr().out
         assert printed.count("final-window mean loss") == 3
 
+    def test_gains_alike_to_six_digits_get_their_own_labels(self, tmp_path, capsys):
+        # :g would label both estimated-s5; a gain it rounds is labelled in full.
+        out = tmp_path / "opt"
+        rc = cli.main(["optimize", "--sigma", "5.0000001,5.0000002", "--tf", "1", "--h", "1e-2",
+                       "--out", str(out)])
+        assert rc == 0
+        assert sorted(path.name for path in out.glob("*.csv")) == [
+            "trajectory_estimated-s5.0000001.csv", "trajectory_estimated-s5.0000002.csv",
+            "trajectory_ideal.csv"]
+        assert capsys.readouterr().out.count("final-window mean loss") == 3
+
     def test_none_mode_included(self, tmp_path):
         out = tmp_path / "opt"
         rc = cli.main(["optimize", "--mode", "none,ideal", "--tf", "1", "--h", "1e-2",
@@ -282,10 +293,12 @@ class TestOptimizeCommand:
         assert rc == 0
 
     def test_unstable_flow_step_warns_and_still_runs(self, tmp_path, capsys):
-        # The RK4 step is unstable at the minimizer, yet the states stay
-        # finite over the run: the warning is the only sign of it. The path
-        # has no sinusoid, so no step is too long for it.
-        with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
+        # The RK4 step is unstable at the minimizer (|R(-2.9)| = 1.19 over 21
+        # steps), yet the states stay finite over the run: the warning is the
+        # only sign of it. The path has no sinusoid, so no step is too long
+        # for it.
+        with pytest.warns(UserWarning, match=r"amplify a deviation by up to 36\.7 > 1 at "
+                                             r"h = 2\.9 in 2 of 2 runs:"):
             rc = cli.main(["optimize", "--signal", "poly:1,poly:0,0.1,poly:-1",
                            "--mode", "none,ideal", "--h", "2.9", "--tf", "60",
                            "--out", str(tmp_path / "opt")])
@@ -295,10 +308,21 @@ class TestOptimizeCommand:
     def test_steep_logcosh_slope_warns_and_still_runs(self, tmp_path, capsys):
         # Stable at the minimizer (|R(-2.5)| = 0.65), but the logcosh field
         # is steeper where the runs start, and both runs end far off the path.
-        with pytest.warns(UserWarning, match=r"\|R\(h s\)\| = 87\.9 >= 1 at h = 2\.5, s = -3\.04:"):
-            rc = cli.main(["optimize", "--cost", "logcosh", "--signal", "poly:1,poly:0,0.1,poly:-1",
-                           "--mode", "none,ideal", "--h", "2.5", "--tf", "60",
-                           "--out", str(tmp_path / "opt")])
+        # At h = 1 the steps are steeper than stable where the runs start
+        # too, yet no span of them amplifies a deviation: no warning, and the
+        # losses of h = 1e-3.
+        def optimize(h):
+            return cli.main(["optimize", "--cost", "logcosh", "--signal",
+                             "poly:1,poly:0,0.1,poly:-1", "--mode", "none,ideal", "--h", h,
+                             "--tf", "60", "--out", str(tmp_path / "opt")])
+
+        assert optimize("1") == 0                  # a warning fails the test
+        printed = capsys.readouterr().out
+        assert "none: final-window mean loss 0.00542653," in printed
+        assert "ideal: final-window mean loss 0," in printed
+        with pytest.warns(UserWarning, match=r"amplify a deviation by up to 12\.9 > 1 at "
+                                             r"h = 2\.5 in 2 of 2 runs:"):
+            rc = optimize("2.5")
         assert rc == 0
         assert capsys.readouterr().out.count("final-window mean loss 726.") == 2
 
@@ -316,7 +340,7 @@ class TestOptimizeCommand:
         (["--mode", "estimated,ideal,estimated"], "mode"),
         (["--mode", "estimated", "--sigma", "5,5"], "sigma"),
         (["--sigma", "20,5,20"], "sigma"),
-        (["--sigma", "5,5.000001"], "sigma")])   # both would be labelled estimated-s5
+        (["--sigma", "5,5.0"], "sigma")])   # the same gain, written twice
     def test_repeated_runs_are_a_spec_error(self, tmp_path, capsys, flags, field):
         # Runs under one label would write the same trajectory file.
         out = tmp_path / "opt"

@@ -1023,6 +1023,14 @@ class _SlopeLostAt(flows.LogCoshTrackingCost):
         return np.where(lost, 0.0, slope)
 
 
+class _TripledSlope(flows.LogCoshTrackingCost):
+    """The logcosh tracker declaring three times its slope: Newton's method
+    does not settle, and each window is stepped."""
+
+    def newton_slope(self, x, theta, velocity):
+        return 3.0 * super().newton_slope(x, theta, velocity)
+
+
 def _no_loop(*args):
     raise AssertionError("a window was stepped")
 
@@ -1242,12 +1250,31 @@ class TestInterconnections:
 
         monkeypatch.setattr(sim, "_step_window", spy)
         # From x - theta = -3 the states pass near |x - theta| = 2, where the
-        # slope is -6.18: far past the stable steps there, which is warned of.
-        with pytest.warns(UserWarning, match=r"\|R\(h s\)\| = 35\.2 >= 1 at h = 1, s = -6\.18:"):
+        # slope is -6.18, far past the stable steps: the run ends off its
+        # minimizer, and the stepped window's steps, measured on its stepped
+        # states, amplify a deviation by 18.5.
+        with pytest.warns(UserWarning, match=r"amplify a deviation by up to 18\.5 > 1 at h = 1 "
+                                             r"in 1 of 1 runs:"):
             traj = sim.run_interconnection(flows.LogCoshTrackingCost(1), signal, NONE, cfg)
         assert looped == [(1, 0.0)]
+        assert sim.steady_state_mean(traj, "loss") == pytest.approx(0.985, abs=5e-4)
         stepped = sim.run_interconnection(_SlopelessLogCosh(1), signal, NONE, cfg)
         assert np.array_equal(traj.column("x_0"), stepped.column("x_0"))
+
+    def test_stepped_windows_are_measured_on_their_stepped_states(self, monkeypatch):
+        # The declared slopes amplify no deviation along the stepped states.
+        # Taken at the last Newton guesses, which had not settled, they would
+        # (by 2.14e3 for the none run).
+        step_window, looped = sim._step_window, []
+
+        def spy(cost, y, stages, h, times):
+            looped.append((y.shape[1], times[0] - h))    # runs, window start time
+            return step_window(cost, y, stages, h, times)
+
+        monkeypatch.setattr(sim, "_step_window", spy)
+        sim.run_interconnections(_TripledSlope(3), STEP_PATH, [(NONE, None), (IDEAL, None)],
+                                 sim.SimConfig(tf=60.0, h=0.5))   # a warning fails the test
+        assert looped == [(2, 0.0)]
 
     def test_runs_losing_the_slope_later_are_stepped_from_that_window(self, monkeypatch):
         # theta = t/100 reaches 0.2 at t = 20, in the second window of 256
@@ -1332,10 +1359,12 @@ class TestInterconnections:
     def test_unstable_flow_step_warns(self, cost_name):
         # At its minimizer the flow is x' = -x, whose RK4 step map
         # R(-h) = 1 - h + h^2/2 - h^3/6 + h^4/24 reaches 1 at h = 2.785. The
-        # path has no sinusoid, so no step is too long for it. The logcosh
-        # states start at |x - theta| = 1, where the slope is -3.04, so its
-        # steps are stable only up to h = 0.916 (see the next test).
+        # path has no sinusoid, so no step is too long for it. The quadratic
+        # flow's 21 steps of h = 2.9 each amplify by |R(-2.9)| = 1.187, 36.7
+        # together; the logcosh steps, steeper away from the minimizer,
+        # amplify by far more.
         stable_h = {"quadratic-tracking": 2.5, "logcosh": 0.9}[cost_name]
+        figure = {"quadratic-tracking": r"36\.7", "logcosh": r"5\.06e\+04"}[cost_name]
 
         def run(h):
             return sim.run_interconnections(flows.cost_by_name(cost_name, 3), STEP_PATH,
@@ -1343,20 +1372,49 @@ class TestInterconnections:
                                             sim.SimConfig(tf=60.0, h=h))
 
         run(stable_h)                              # a warning fails the test
-        # Unstable at the minimizer already: only that is warned of.
-        with pytest.warns(UserWarning, match=r"\|R\(-h\)\| = 1\.19 >= 1 at h = 2\.9:"):
+        with pytest.warns(UserWarning, match=rf"amplify a deviation by up to {figure} > 1 at "
+                                             r"h = 2\.9 in 2 of 2 runs:"):
             run(2.9)
 
     def test_steep_slope_met_by_the_states_warns(self):
         # The logcosh field's slope is -3.04 at |x - theta| = 1, where the
-        # runs start: R(-3.04 h) reaches 1 from h = 0.916, although R(-h)
-        # is stable up to h = 2.785.
-        for h, growth in ((1.0, r"1\.45"), (2.5, r"87\.9")):
-            with pytest.warns(UserWarning, match=rf"\|R\(h s\)\| = {growth} >= 1 at h = "
-                                                 rf"{h:g}, s = -3\.04:"):
-                sim.run_interconnections(flows.LogCoshTrackingCost(3), STEP_PATH,
-                                         [(NONE, None), (IDEAL, None)],
-                                         sim.SimConfig(tf=60.0, h=h))
+        # runs start, so R(-3.04 h), the step map at that one state, exceeds
+        # 1 from h = 0.916. Yet the stages of a step slide towards the
+        # minimizer, and at h = 1 no span of the steps amplifies a deviation:
+        # both runs end at the losses of h = 1e-3. From h = 1.5 they end far
+        # off the path, and each is warned of.
+        def run(h):
+            return sim.run_interconnections(flows.LogCoshTrackingCost(3), STEP_PATH,
+                                            [(NONE, None), (IDEAL, None)],
+                                            sim.SimConfig(tf=60.0, h=h))
+
+        fine = [sim.steady_state_mean(traj, "loss") for traj in run(1e-3)]
+        coarse = [sim.steady_state_mean(traj, "loss") for traj in run(1.0)]   # no warning
+        assert coarse == pytest.approx(fine, rel=1e-6, abs=1e-20)
+        for h, figure, loss in ((1.5, r"47\.4", 21.2), (2.0, r"2\.15", 78.6),
+                                (2.5, r"12\.9", 727.0)):
+            with pytest.warns(UserWarning, match=rf"amplify a deviation by up to {figure} > 1 "
+                                                 rf"at h = {h:g} in 2 of 2 runs:"):
+                trajs = run(h)
+            assert [sim.steady_state_mean(traj, "loss") for traj in trajs] == \
+                pytest.approx([loss, loss], rel=2e-3)
+
+    @pytest.mark.parametrize("cost_class", [_SlopelessLogCosh, _LoopQuadratic])
+    # At h = 2.79 the 358 steps span two windows of 256, and so does the
+    # span that amplifies most, the whole run.
+    @pytest.mark.parametrize("h,tf", [(2.7, 60.0), (2.78, 60.0), (2.79, 1000.0), (2.9, 60.0)])
+    def test_cost_without_slope_warns_where_the_minimizer_step_grows(self, cost_class, h, tf):
+        # Without a slope the steps are measured at the minimizer's Jacobian
+        # -I: each amplifies by |R(-h)|, which exceeds 1 from h = 2.785.
+        growth = abs(1.0 - h + h ** 2 / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0)
+        cfg = sim.SimConfig(tf=tf, h=h)
+        runs = [(NONE, None), (IDEAL, None)]
+        if growth <= 1.0:
+            sim.run_interconnections(cost_class(3), STEP_PATH, runs, cfg)   # no warning
+            return
+        figure = f"{growth ** cfg.num_steps:.3g}".replace(".", r"\.")
+        with pytest.warns(UserWarning, match=rf"amplify a deviation by up to {figure} > 1 "):
+            sim.run_interconnections(cost_class(3), STEP_PATH, runs, cfg)
 
     def test_step_past_half_the_path_period_warns(self):
         # The benchmark path's fastest sinusoid is the cos2 component, at
