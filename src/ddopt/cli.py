@@ -14,6 +14,7 @@ specification.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -391,6 +392,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+# Built once per process: parsing leaves the parser unchanged.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ddopt",
                                      description="dirty-derivative estimation and "

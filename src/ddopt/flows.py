@@ -65,10 +65,10 @@ class CostModel:
     evaluates the flow as an LTI system, and reaches :meth:`newton_field`
     only to locate the step at which such a flow turned non-finite.
 
-    :meth:`newton_slope` declares a field that is elementwise but not affine
-    by its derivative in x, the diagonal of its Jacobian; ``sim`` then solves
-    the flow's RK4 steps a window at a time by Newton's method, still through
-    :meth:`newton_field`, and warns when those steps amplify a deviation.
+    :meth:`newton_field_slope` is the field with its derivative in x, the
+    diagonal of its Jacobian, declared by a field that is elementwise but not
+    affine; ``sim`` then solves the flow's RK4 steps a window at a time by
+    Newton's method, and warns when those steps amplify a deviation.
 
     For both declarations the default, None, has ``sim`` take the flow's RK4
     steps one after another, a window at a time.
@@ -119,12 +119,12 @@ class CostModel:
         a x + b (theta + velocity), elementwise (n = p); None if it is not."""
         return None
 
-    def newton_slope(self, x, theta, velocity) -> np.ndarray | None:
-        """The derivative of :meth:`newton_field` with respect to x, for a field
+    def newton_field_slope(self, x, theta, velocity):
+        """(:meth:`newton_field`, its derivative with respect to x) for a field
         whose component i depends only on x_i, theta_i and velocity_i (n = p):
-        the diagonal of its Jacobian, shaped like ``x``. None if the field is
-        not elementwise."""
-        return None
+        the diagonal of its Jacobian, shaped like ``x`` and ``theta``
+        broadcast. The slope is None if the field is not elementwise."""
+        return self.newton_field(x, theta, velocity), None
 
     def newton_field(self, x, theta, velocity) -> np.ndarray:
         """-hess^{-1} (grad + cross @ velocity). See :func:`corrected_newton_rhs`."""
@@ -218,20 +218,26 @@ class LogCoshTrackingCost(CostModel):
         return np.asarray(rhs, dtype=np.float64) / self._curvature(d)
 
     def newton_field(self, x, theta, velocity) -> np.ndarray:
-        # Diagonal Hessian phi''(d), cross-Hessian its negative:
-        # -(phi'(d) - phi''(d) v) / phi''(d), elementwise, phi'' computed once.
-        d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        curvature = self._curvature(d)
-        g = np.tanh(d) + self.mu * d - curvature * np.asarray(velocity, dtype=np.float64)
-        return -(g / curvature)
+        return self.newton_field_slope(x, theta, velocity)[0]
 
-    def newton_slope(self, x, theta, velocity) -> np.ndarray:
-        # The field is -phi'(d) / phi''(d) + v, so its slope is
-        # -1 + phi'(d) phi'''(d) / phi''(d)^2, with phi''' = -2 sech^2 d tanh d.
+    def newton_field_slope(self, x, theta, velocity):
+        # Diagonal Hessian phi''(d), cross-Hessian its negative: the field is
+        # -(phi'(d) - phi''(d) v) / phi''(d), elementwise, and its slope is
+        # -1 + phi'(d) phi'''(d) / phi''(d)^2, phi''' = -2 sech^2 d tanh d. Both
+        # share d, phi'', tanh d and phi'; the in-place steps round as the
+        # expressions -(g / c) and -1 - 2 g (c - mu) tanh / c^2 written out do.
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
-        curvature = self._curvature(d)
-        tanh = np.tanh(d)
-        return -1.0 - 2.0 * (tanh + self.mu * d) * (curvature - self.mu) * tanh / curvature ** 2
+        curvature, tanh = self._curvature(d), np.tanh(d)
+        grad = np.multiply(d, self.mu, out=d)
+        grad += tanh
+        field = curvature * np.asarray(velocity, dtype=np.float64)
+        np.subtract(grad, field, out=field)
+        np.negative(np.divide(field, curvature, out=field), out=field)
+        slope = grad * 2.0
+        slope *= curvature - self.mu
+        slope *= tanh
+        slope /= np.square(curvature, out=tanh)
+        return field, np.subtract(-1.0, slope, out=slope)
 
 
 _COSTS = {

@@ -34,16 +34,16 @@ makes its RK4 steps an elementwise affine recurrence, evaluated over the
 whole run by a log-depth scan (:func:`_scan_affine`). Every other flow goes
 through one window driver (:func:`_flow_states`), 256 RK4 steps at a time:
 a cost whose field declares its slope (the logcosh tracker, see
-:meth:`flows.CostModel.newton_slope`) has each window solved by Newton's
-method, each update one such scan; the runs of other costs, and runs whose
-states turn non-finite or whose Newton solve does not settle, are stepped
-from then on, which finds the step at which a state failed. Either way the
-other columns are computed from the states on blocks of rows, through the
-same ``flows`` functions. Each path also measures, from the step derivatives
-it forms anyway, how much a span of a run's RK4 steps amplifies a deviation.
-:func:`write_csvs` writes every CSV file, the runs' trajectories together,
-formatting the columns they have in common once, with the bytes of '%.17g'
-computed in numpy (:func:`_format_cells`).
+:meth:`flows.CostModel.newton_field_slope`) has each window solved by
+Newton's method, each update one such scan; the runs of other costs, and
+runs whose states turn non-finite or whose Newton solve does not settle, are
+stepped from then on, which finds the step at which a state failed. Either
+way the other columns are computed from the states on blocks of rows,
+through the same ``flows`` functions. Each path also measures, from the
+step derivatives it forms anyway, how much a span of a run's RK4 steps
+amplifies a deviation. :func:`write_csvs` writes every CSV file, the runs'
+trajectories together, formatting the columns they have in common once,
+with the bytes of '%.17g' computed in numpy (:func:`_format_cells`).
 """
 
 from __future__ import annotations
@@ -835,11 +835,12 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
     state; and each run's amplification, the largest factor by which a span
     of its steps (the empty one included) amplifies a deviation.
 
-    A cost whose field is elementwise (:meth:`flows.CostModel.newton_slope`)
-    has each window solved by Newton's method on the whole window
-    (parallel-in-time, as in DEER: Lim et al. 2024). An iteration evaluates
-    the RK4 step x[j+1] = F_j(x[j]) on every guessed state at once, and its
-    derivative F_j' = 1 + q_j (:func:`_rk4_offsets`); the update d of the
+    A cost whose field declares its slope
+    (:meth:`flows.CostModel.newton_field_slope`) has each window solved by
+    Newton's method on the whole window (parallel-in-time, as in DEER: Lim
+    et al. 2024). An iteration evaluates the RK4 step x[j+1] = F_j(x[j]) on
+    every guessed state at once, with its derivative F_j' = 1 + q_j from the
+    same four stage evaluations (:func:`_rk4_step`); the update d of the
     guesses solves d[j+1] = F_j' d[j] + F_j(x[j]) - x[j+1], d[0] = 0, an
     elementwise affine recurrence (:func:`_scan_affine`). Where the guesses
     already satisfy the recurrence the update is exactly zero, so the fixed
@@ -864,7 +865,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
     tol, stalled = 4.0 * np.finfo(np.float64).eps, 2.0 ** -36
     with np.errstate(over="ignore", invalid="ignore"):
         # Newton's method needs the field's slope; a cost without one is stepped.
-        stepped = np.full(B, cost.newton_slope(x0, theta_all[0], np.zeros_like(x0)) is None)
+        stepped = np.full(B, cost.newton_field_slope(x0, theta_all[0], np.zeros(n))[1] is None)
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
             th0, thm, th1 = (theta_all[2 * start + s:2 * stop + s:2, None, :] for s in range(3))
@@ -880,8 +881,8 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
                     break
                 runs = slice(None) if live.size == B else live    # views while all are live
                 y = window[:, runs]
-                x1, q = _rk4_offsets(cost, y[:-1], th0, thm, th1, v0[:, runs], vm[:, runs],
-                                     v1[:, runs], h)
+                x1, q = _rk4_step(cost, y[:-1], th0, thm, th1, v0[:, runs], vm[:, runs],
+                                  v1[:, runs], h)
                 offsets[:, runs] = q    # before the scan overwrites it
                 update = _scan_affine(q, x1 - y[1:])
                 y[1:] += update
@@ -902,7 +903,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
                 stages = (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs])
                 _step_window(cost, y, stages, h, cfg.t0 + np.arange(start, stop) * h + h)
                 window[1:, runs] = y[1:]
-                offsets[:, runs] = _rk4_offsets(cost, y[:-1], *stages, h)[1]
+                offsets[:, runs] = _rk4_step(cost, y[:-1], *stages, h)[1]
             # Per run and component, the largest sum of log|1 + q| over a span of
             # steps, and over one ending at the window's last step (at least 0).
             gains = np.log(np.maximum(np.abs(1.0 + offsets), np.finfo(float).tiny))
@@ -912,36 +913,25 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
         return X, np.exp(most.max(axis=1))
 
 
-def _rk4_offsets(cost, x, th0, thm, th1, v0, vm, v1, h):
-    """:func:`_rk4_step`'s next states from x, and q, the offset from 1 of each
-    step's derivative in x (elementwise), from the chained stage slopes
-    (:meth:`flows.CostModel.newton_slope`), or -1 for a cost without them,
-    its Jacobian at the minimizer: then q = R(-h) - 1, R the RK4 map."""
-    x1, x2, x3, x4 = _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h)
-    s1, s2, s3, s4 = (cost.newton_slope(*at) for at in
-                      ((x, th0, v0), (x2, thm, vm), (x3, thm, vm), (x4, th1, v1)))
+def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
+    """One RK4 step of the corrected Newton flow from x, its stages evaluated
+    by :meth:`flows.CostModel.newton_field_slope` fed theta and the velocity
+    at the step's start, middle and end stage. Returns the next state and q,
+    the offset from 1 of the step's derivative in x (elementwise), from the
+    chained stage slopes, or -1 for a cost without them, its Jacobian at the
+    minimizer: then q = R(-h) - 1, R the RK4 map."""
+    field = cost.newton_field_slope
+    k1, s1 = field(x, th0, v0)
+    k2, s2 = field(x + 0.5 * h * k1, thm, vm)
+    k3, s3 = field(x + 0.5 * h * k2, thm, vm)
+    k4, s4 = field(x + h * k3, th1, v1)
     if s1 is None:
         s1 = s2 = s3 = s4 = -1.0
     d2 = s2 * (1.0 + 0.5 * h * s1)
     d3 = s3 * (1.0 + 0.5 * h * d2)
     d4 = s4 * (1.0 + h * d3)
-    return x1, (h / 6.0) * (s1 + 2.0 * d2 + 2.0 * d3 + d4)
-
-
-def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
-    """One RK4 step of the corrected Newton flow from x, through
-    :func:`flows.corrected_newton_rhs` fed theta and the velocity at the
-    step's start, middle and end stage; returns the next state and the stage
-    states x2, x3, x4."""
-    rhs = flows_mod.corrected_newton_rhs
-    k1 = rhs(cost, x, th0, v0)
-    x2 = x + 0.5 * h * k1
-    k2 = rhs(cost, x2, thm, vm)
-    x3 = x + 0.5 * h * k2
-    k3 = rhs(cost, x3, thm, vm)
-    x4 = x + h * k3
-    k4 = rhs(cost, x4, th1, v1)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x2, x3, x4
+    return (x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            (h / 6.0) * (s1 + 2.0 * d2 + 2.0 * d3 + d4))
 
 
 def _step_window(cost, y, stages, h, times) -> None:

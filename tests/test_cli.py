@@ -504,6 +504,16 @@ class TestParser:
         assert cli.main(["estimate", "--banana", "1"]) == 2
         assert cli.main(["verify", "--perturb-transfer", "1e-3"]) == 2
 
+    def test_valid_run_after_a_refused_one_writes_its_usual_bytes(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # The parser is built once per process; parsing a refused argv leaves
+        # it as it was for the next call.
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["estimate", "--k", "2", "--banana", "1"]) == 2
+        assert "unrecognized arguments: --banana 1" in capsys.readouterr().err
+        argv, expected = _GOLDEN["estimate"]
+        assert _output_digests(tmp_path, capsys, monkeypatch, argv) == expected
+
 
 def _subprocess_env():
     """The environment with this ddopt's sources first on ``PYTHONPATH``."""
@@ -606,9 +616,9 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(_GOLDEN))
-def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
-    argv, expected = _GOLDEN[name]
+def _output_digests(tmp_path, capsys, monkeypatch, argv) -> dict:
+    """sha256 of stdout and of every file ``argv`` writes to ``out`` under
+    ``tmp_path``, run in process; stderr must stay empty."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--out", "out"]) == 0
     printed = capsys.readouterr()
@@ -616,8 +626,14 @@ def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
     digests = {"stdout": hashlib.sha256(printed.out.encode()).hexdigest()}
     digests.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                    for path in (tmp_path / "out").iterdir())
-    assert digests == expected, (f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, "
-                                 f"this run is on {_blas_core()}")
+    return digests
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
+    argv, expected = _GOLDEN[name]
+    assert _output_digests(tmp_path, capsys, monkeypatch, argv) == expected, (
+        f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
 
 
 def _blas_core() -> str:

@@ -90,21 +90,30 @@ class TestNewtonRhs:
                 assert np.array_equal(cost.solve_hessian(x, theta, rhs), direct)
 
 
-# |x - theta| reaches 2e3, past 710.5, where cosh overflows to inf.
-_COORD = st.floats(-1e3, 1e3)
+# Exact zeros, and |x - theta| up to 2e3, past 710.5, where cosh overflows to
+# inf and phi'' is mu.
+_COORD = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
 
 
 @st.composite
 def _field_inputs(draw):
-    """Batched x (B, n); theta (n,) shared or (B, n); velocity zero or drawn,
-    (B, n)."""
-    B, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    x = draw(hnp.arrays(np.float64, (B, n), elements=_COORD))
-    theta = draw(hnp.arrays(np.float64, draw(st.sampled_from([(n,), (B, n)])),
-                            elements=_COORD))
-    velocity = draw(st.one_of(st.just(np.zeros((B, n))),
-                              hnp.arrays(np.float64, (B, n), elements=_COORD)))
-    return x, theta, velocity
+    """x, theta and velocity (..., n) whose batch shapes broadcast against each
+    other; the velocity is zero or drawn."""
+    n = draw(st.integers(1, 3))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=2, max_side=4))
+    x, theta, velocity = (draw(hnp.arrays(np.float64, shape + (n,), elements=_COORD))
+                          for shape in shapes.input_shapes)
+    return x, theta, draw(st.sampled_from([np.zeros_like(velocity), velocity]))
+
+
+def _closed_forms(mu, x, theta, velocity):
+    """The logcosh field -(phi'(d) - phi''(d) v) / phi''(d) and its slope
+    -1 - 2 phi'(d) (phi''(d) - mu) tanh d / phi''(d)^2, each evaluated alone."""
+    d = x - theta
+    curvature = 1.0 / np.cosh(d) ** 2 + mu
+    tanh = np.tanh(d)
+    return (-((tanh + mu * d - curvature * velocity) / curvature),
+            -1.0 - 2.0 * (tanh + mu * d) * (curvature - mu) * tanh / curvature ** 2)
 
 
 class TestNewtonField:
@@ -125,6 +134,32 @@ class TestNewtonField:
         assert np.all(np.isfinite(fused))
         assert np.array_equal(fused, general)
 
+    # The logcosh cost evaluates its field and slope together, with shared
+    # and in-place temporaries; each must equal its expression alone.
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_field_inputs())
+    @example(inputs=(np.array([[800.0, -800.0, 0.0]]), np.zeros(3), np.array([[1.0, -2.0, 0.0]])))
+    @example(inputs=(np.zeros((2, 1, 2)), np.zeros((3, 2)), np.zeros(2)))
+    def test_field_and_slope_equal_their_closed_forms(self, inputs):
+        x, theta, velocity = inputs
+        before = [a.copy() for a in inputs]
+        cost = flows.LogCoshTrackingCost(x.shape[-1])
+        with np.errstate(over="ignore"):
+            field, slope = cost.newton_field_slope(x, theta, velocity)
+            general = flows.CostModel.newton_field(cost, x, theta, velocity)
+            closed_field, closed_slope = _closed_forms(cost.mu, x, theta, velocity)
+            alone = cost.newton_field(x, theta, velocity)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)    # the inputs are not overwritten
+        assert field.shape == np.broadcast_shapes(x.shape, theta.shape, velocity.shape)
+        assert slope.shape == np.broadcast_shapes(x.shape, theta.shape)
+        assert np.all(np.isfinite(field)) and np.all(np.isfinite(slope))
+        # The sign of an exact zero aside: the general path's matmul sums from +0.0.
+        assert np.array_equal(field, general)
+        for got, closed in ((field, closed_field), (alone, closed_field), (slope, closed_slope)):
+            assert np.array_equal(got, closed)
+            assert np.array_equal(np.signbit(got), np.signbit(closed))
+
     @settings(max_examples=100, deadline=None)
     @given(inputs=_field_inputs())
     def test_slope_matches_finite_differences(self, inputs):
@@ -134,17 +169,21 @@ class TestNewtonField:
         cost = flows.LogCoshTrackingCost(x.shape[-1])
         step = 1e-6 * np.maximum(1.0, np.abs(x))
         with np.errstate(over="ignore"):
-            slope = cost.newton_slope(x, theta, velocity)
-            fd = (cost.newton_field(x + step, theta, velocity)
-                  - cost.newton_field(x - step, theta, velocity)) / (2.0 * step)
+            slope = cost.newton_field_slope(x, theta, velocity)[1]
+            fd = (cost.newton_field_slope(x + step, theta, velocity)[0]
+                  - cost.newton_field_slope(x - step, theta, velocity)[0]) / (2.0 * step)
         assert slope.shape == np.broadcast_shapes(x.shape, np.shape(theta))
         assert np.all(np.isfinite(slope))
         assert np.all(np.abs(slope - fd) <= 1e-5 * np.maximum(1.0, np.abs(slope)))
 
     def test_slope_default_is_none(self):
-        # A field that is not declared elementwise has no slope.
-        x = np.zeros(3)
-        assert flows.QuadraticTrackingCost(3).newton_slope(x, x, x) is None
+        # A field that is not declared elementwise has no slope; the default
+        # hook returns the field itself.
+        cost = flows.QuadraticTrackingCost(3)
+        x, theta, velocity = np.arange(3.0), np.ones(3), np.full(3, 0.5)
+        field, slope = cost.newton_field_slope(x, theta, velocity)
+        assert slope is None
+        assert np.array_equal(field, cost.newton_field(x, theta, velocity))
 
 
 class TestCorrections:

@@ -918,16 +918,24 @@ class _LoopQuadratic(flows.QuadraticTrackingCost):
 
 class _BlowsUpAt:
     """Makes a scalar tracker's field infinite wherever theta has reached
-    ``t_bad`` and the velocity fed to the correction is nonzero."""
+    ``t_bad`` and the velocity fed to the correction is nonzero: in
+    ``newton_field`` for the per-step reference, and in
+    ``newton_field_slope`` for the engine."""
 
     def __init__(self, t_bad):
         super().__init__(1)
         self.t_bad = t_bad
 
-    def newton_field(self, x, theta, velocity):
-        field = super().newton_field(x, theta, velocity)
+    def _blow_up(self, field, theta, velocity):
         blown = (np.asarray(theta) >= self.t_bad) & (np.asarray(velocity) != 0.0)
         return np.where(blown, np.inf, field)
+
+    def newton_field(self, x, theta, velocity):
+        return self._blow_up(super().newton_field(x, theta, velocity), theta, velocity)
+
+    def newton_field_slope(self, x, theta, velocity):
+        field, slope = super().newton_field_slope(x, theta, velocity)
+        return self._blow_up(field, theta, velocity), slope
 
 
 class _FieldBlowsUpAt(_BlowsUpAt, _LoopQuadratic):
@@ -1004,8 +1012,8 @@ class _SlopelessLogCosh(flows.LogCoshTrackingCost):
     """The logcosh tracker without its slope, so that the engine steps it in
     every window: the per-step RK4 recurrence Newton's method solves."""
 
-    def newton_slope(self, x, theta, velocity):
-        return None
+    def newton_field_slope(self, x, theta, velocity):
+        return super().newton_field_slope(x, theta, velocity)[0], None
 
 
 class _SlopeLostAt(flows.LogCoshTrackingCost):
@@ -1017,18 +1025,19 @@ class _SlopeLostAt(flows.LogCoshTrackingCost):
         super().__init__(1)
         self.theta_lost = theta_lost
 
-    def newton_slope(self, x, theta, velocity):
-        slope = super().newton_slope(x, theta, velocity)
+    def newton_field_slope(self, x, theta, velocity):
+        field, slope = super().newton_field_slope(x, theta, velocity)
         lost = (np.asarray(theta) >= self.theta_lost) & (np.asarray(velocity) != 0.0)
-        return np.where(lost, 0.0, slope)
+        return field, np.where(lost, 0.0, slope)
 
 
 class _TripledSlope(flows.LogCoshTrackingCost):
     """The logcosh tracker declaring three times its slope: Newton's method
     does not settle, and each window is stepped."""
 
-    def newton_slope(self, x, theta, velocity):
-        return 3.0 * super().newton_slope(x, theta, velocity)
+    def newton_field_slope(self, x, theta, velocity):
+        field, slope = super().newton_field_slope(x, theta, velocity)
+        return field, 3.0 * slope
 
 
 def _no_loop(*args):
@@ -1192,6 +1201,35 @@ class TestInterconnections:
                                          sim.SimConfig(tf=4.0, h=1e-3),
                                          noise=signals.NoiseSpec(0.01, 3))
         assert len(batch) == len(BATCH_POOL)
+
+    def test_newton_iterations_evaluate_each_stage_once(self, monkeypatch):
+        # Each Newton iteration evaluates the four RK4 stages of every step
+        # once, field and slope together, and then makes one scan; the one
+        # further call asks for the slope at x0. The batch has the shape of
+        # the benchmark's logcosh optimize call.
+        def field(*args):
+            raise AssertionError("newton_field called")
+
+        calls = {"stages": 0, "scans": 0}
+        field_slope, scan = flows.LogCoshTrackingCost.newton_field_slope, sim._scan_affine
+
+        def counted_field_slope(self, x, theta, velocity):
+            calls["stages"] += 1
+            return field_slope(self, x, theta, velocity)
+
+        def counted_scan(q, b):
+            calls["scans"] += 1
+            return scan(q, b)
+
+        monkeypatch.setattr(flows.LogCoshTrackingCost, "newton_field", field)
+        monkeypatch.setattr(flows.LogCoshTrackingCost, "newton_field_slope", counted_field_slope)
+        monkeypatch.setattr(sim, "_scan_affine", counted_scan)
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
+        cfg = sim.SimConfig(tf=4.0, h=1e-3)
+        sim.run_interconnections(flows.LogCoshTrackingCost(3), signals.benchmark_parameter_path(),
+                                 BATCH_POOL, cfg, noise=signals.NoiseSpec(0.01, 3))
+        assert calls["scans"] >= -(-cfg.num_steps // sim._RECORD_BLOCK_ROWS)   # every window
+        assert calls["stages"] == 1 + 4 * calls["scans"]
 
     @settings(max_examples=20, deadline=None)
     @given(modes=st.lists(st.sampled_from([NONE, IDEAL, ESTIMATED]), min_size=1, max_size=3,
