@@ -39,11 +39,13 @@ Newton's method, each update one such scan; the runs of other costs, and
 runs whose states turn non-finite or whose Newton solve does not settle, are
 stepped from then on, which finds the step at which a state failed. Either
 way the other columns are computed from the states on blocks of rows,
-through the same ``flows`` functions. Each path also measures, from the
-step derivatives it forms anyway, how much a span of a run's RK4 steps
-amplifies a deviation. :func:`write_csvs` writes every CSV file, the runs'
-trajectories together, formatting the columns they have in common once,
-with the bytes of '%.17g' computed in numpy (:func:`_format_cells`).
+through the same ``flows`` functions, elementwise for a cost that declares a
+diagonal Hessian (:meth:`flows.CostModel.diagonal_hessian`). Each path also
+measures, from the step derivatives it forms anyway, how much a span of a
+run's RK4 steps amplifies a deviation. :func:`write_csvs` writes every CSV
+file, the runs' trajectories together, formatting the columns they have in
+common once, with the bytes of '%.17g' computed in numpy
+(:func:`_format_cells`).
 """
 
 from __future__ import annotations
@@ -354,8 +356,21 @@ def steady_state_sup(traj: Trajectory, column: str) -> float:
 
 
 def steady_state_mean(traj: Trajectory, column: str) -> float:
-    """Mean of column over the steady-state window."""
-    return float(np.mean(traj.column(column)[traj.window_mask()]))
+    """Mean of column over the steady-state window. Finite values whose sum
+    overflows are averaged scaled down by a power of two."""
+    values = traj.column(column)[traj.window_mask()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(values)
+        if not np.isfinite(mean):
+            # Exact scaling: a sum of up to MAX_STEPS values below 2**512 is finite.
+            mean = np.mean(values / 2.0 ** 512) * 2.0 ** 512
+    return float(mean)
+
+
+def _norm(a):
+    """Euclidean norm over the trailing (component or channel) axis, the
+    bits of ``np.linalg.norm(a, axis=-1)`` for up to 7 components."""
+    return np.sqrt(flows_mod.component_sum(np.square(a)))
 
 
 def column_name(prefix: str, order: int = 1, channel: int | None = None) -> str:
@@ -596,7 +611,7 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
             hat = Y[:, order - 1, :]
             _add_channels(cols, "thetadot", exact, order)
             _add_channels(cols, "thetahat", hat, order)
-            cols[column_name("est_error", order)] = np.linalg.norm(hat - exact, axis=1)
+            cols[column_name("est_error", order)] = _norm(hat - exact)
     traj = Trajectory(cols)
     traj.check_finite()
     return traj
@@ -643,8 +658,7 @@ def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec
             Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state, first)
         if Y is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                sup = np.array([np.linalg.norm(Y[:, i, :] - true[i], axis=1).max()
-                                for i in range(k)])
+                sup = np.array([_norm(Y[:, i, :] - true[i]).max() for i in range(k)])
         if sup is None or not np.isfinite(sup).all():
             traj = run_derivative_experiment(signal, noise, est_cfg, cfg)
             sup = np.array([steady_state_sup(traj, column_name("est_error", order))
@@ -672,10 +686,11 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     (:func:`_affine_states`), and only runs that turn non-finite are stepped,
     to find the failing step; otherwise the runs go through
     :func:`_flow_states`. The other columns are computed from the stored
-    states afterwards. Each run comes out bit-identical to the same run
-    alone. A step h that spans half a period of the path's fastest sinusoid
-    is warned of, and so is one whose RK4 steps amplify a deviation over
-    some span of a run (:func:`_flow_states`), the whole run included: one
+    states afterwards, a block of rows at a time, the correction and the
+    certificate's gradients by :func:`flows.redesign_terms`. Each run comes
+    out bit-identical to the same run alone. A step h that spans half a
+    period of the path's fastest sinusoid is warned of, and so is one whose
+    RK4 steps amplify a deviation over some span of a run (:func:`_flow_states`), the whole run included: one
     gone wrong can settle on a stable spurious fixed point of the RK4 map.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
@@ -755,22 +770,20 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         theta = theta_all[::2]
         theta_dot = theta_dot_all[::2]
         xstar = cost.minimizer(theta)
-        uncorrected = [mode is Mode.NONE for mode, _ in runs]
         estimated = np.array([mode is Mode.ESTIMATED for mode, _ in runs])
         loss, tracking, lhs = np.empty((3, len(X), B))
         for start in range(0, len(X), _RECORD_BLOCK_ROWS):
             rows = slice(start, start + _RECORD_BLOCK_ROWS)
             x_r, theta_r, v_r = X[rows], theta[rows, None, :], v0[rows]
-            u = flows_mod.ideal_correction(cost, x_r, theta_r, v_r)
-            u[:, uncorrected] = 0.0
+            # An uncorrected run is fed zero velocity, so its u is zero.
+            u, gxV, gtV = flows_mod.redesign_terms(cost, x_r, theta_r, v_r)
             # The certificate is evaluated at the estimate in estimated runs
             # and at the exact velocity otherwise, the uncorrected flow's too.
             v_cert = np.where(estimated[:, None], v_r, theta_dot[rows, None, :])
-            _, gxV, gtV = flows_mod.lyapunov_gradients(cost, x_r, theta_r)
             lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)[0]
             loss[rows] = cost.value(x_r, theta_r)
-            tracking[rows] = np.linalg.norm(x_r - xstar[rows, None, :], axis=-1)
-        est_error = np.linalg.norm(v0 - theta_dot[:, None, :], axis=-1)
+            tracking[rows] = _norm(x_r - xstar[rows, None, :])
+        est_error = _norm(v0 - theta_dot[:, None, :])
 
     t_rec = cfg.times()
     trajectories = []

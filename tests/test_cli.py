@@ -326,6 +326,24 @@ class TestOptimizeCommand:
         assert rc == 0
         assert capsys.readouterr().out.count("final-window mean loss 726.") == 2
 
+    def test_mean_of_huge_finite_losses_is_finite(self, tmp_path, capsys):
+        # Every loss cell is finite, about 8e306, but the window's sum
+        # overflows: the mean is still finite, with no numpy warning.
+        out = tmp_path / "opt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["optimize", "--tf", "1", "--signal", "poly:1e154",
+                           "--mode", "none,ideal", "--out", str(out)])
+        assert rc == 0
+        assert not caught
+        printed = capsys.readouterr().out.splitlines()
+        for label, line in zip(["none", "ideal"], printed):
+            traj = sim.Trajectory.from_csv(out / f"trajectory_{label}.csv")
+            window = traj.column("loss")[traj.window_mask()]
+            mean = float(line.split(f"{label}: final-window mean loss ")[1].split(",")[0])
+            assert math.isfinite(mean)
+            assert mean == pytest.approx(math.fsum(window / len(window)), rel=1e-5)
+
     def test_step_too_long_for_the_path_warns_and_still_runs(self, tmp_path, capsys):
         # The step is stable, but spans more than half a period of the
         # default path's fastest sinusoid (10 rad/s).

@@ -202,6 +202,24 @@ class TestCorrections:
         u = flows.ideal_correction(FixedDiagonalCost(), np.ones(2), np.zeros(1), np.array([5.0]))
         assert np.array_equal(u, np.zeros(2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_field_inputs())
+    def test_declared_redesign_terms_equal_the_general_path(self, inputs):
+        # Both shipped costs declare a diagonal Hessian, so redesign_terms
+        # computes the correction and the gradients of V elementwise; the
+        # general path's matrices give the same values (the sign of an exact
+        # zero aside).
+        x, theta, velocity = inputs
+        for cost in (flows.QuadraticTrackingCost(x.shape[-1]),
+                     flows.LogCoshTrackingCost(x.shape[-1])):
+            with np.errstate(over="ignore"):
+                declared = flows.redesign_terms(cost, x, theta, velocity)
+                general = (flows.ideal_correction(cost, x, theta, velocity),
+                           *flows.lyapunov_gradients(cost, x, theta)[1:])
+            for got, want in zip(declared, general):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
     def test_corrected_rhs_is_sum_of_parts(self):
         rng = np.random.default_rng(8)
         for cost in (flows.QuadraticTrackingCost(2), flows.LogCoshTrackingCost(2)):
@@ -266,6 +284,39 @@ class TestRedesignCondition:
                 assert ok and abs(lhs) <= 1e-9
 
 
+# Finite terms, exact zeros of both signs, and magnitudes whose sums and
+# squares overflow to inf.
+_TERM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestComponentSum:
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7),
+                        elements=_TERM))
+    @example(a=np.full((4, 3), -0.0))
+    def test_equals_numpy_up_to_seven_components(self, a):
+        # numpy adds up to 7 trailing components in order from +0.0, so the
+        # bits agree, the sign of a zero included (an all -0.0 row sums to +0.0).
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(flows.component_sum(a), np.sum(a, axis=-1)),
+                     (np.sqrt(flows.component_sum(a * a)), np.linalg.norm(a, axis=-1))]
+        for got, want in pairs:
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(8, 40)),
+                        elements=st.floats(-1e6, 1e6)))
+    def test_close_to_numpy_past_seven_components(self, a):
+        # numpy sums 8 or more components pairwise; the orders agree to the
+        # 1e-12 relative tolerance of a reordered sum.
+        tol = 1e-12 * np.sum(np.abs(a), axis=-1)
+        assert np.all(np.abs(flows.component_sum(a) - np.sum(a, axis=-1)) <= tol)
+        norm = np.linalg.norm(a, axis=-1)
+        assert np.all(np.abs(np.sqrt(flows.component_sum(a * a)) - norm) <= 1e-12 * norm)
+
+
 class TestOracleConsistency:
     COSTS = (flows.QuadraticTrackingCost(3), flows.LogCoshTrackingCost(3))
 
@@ -302,6 +353,19 @@ class TestOracleConsistency:
                     e[i] = h
                     fd_x = (cost.gradient(x, theta + e) - cost.gradient(x, theta - e)) / (2 * h)
                     assert np.all(np.abs(fd_x - X[:, i]) <= 1e-5 * np.maximum(1.0, np.abs(X[:, i])))
+
+    def test_diagonal_hessian_declares_both_matrices(self):
+        # Each shipped cost declares Hessian diag(c) and cross-Hessian
+        # -diag(c); a cost that does not declares None.
+        rng = np.random.default_rng(35)
+        for cost in self.COSTS:
+            for _ in range(20):
+                x = rng.uniform(-3.0, 3.0, cost.n)
+                theta = rng.uniform(-3.0, 3.0, cost.p)
+                c = np.broadcast_to(cost.diagonal_hessian(x, theta), (cost.n,))
+                assert np.array_equal(cost.hessian(x, theta), np.diag(c))
+                assert np.array_equal(cost.cross_hessian(x, theta), -np.diag(c))
+        assert FixedDiagonalCost().diagonal_hessian(np.ones(2), np.zeros(1)) is None
 
     def test_minimizer_zeroes_gradient(self):
         rng = np.random.default_rng(33)

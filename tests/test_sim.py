@@ -916,6 +916,22 @@ class _LoopQuadratic(flows.QuadraticTrackingCost):
         return None
 
 
+class _GeneralQuadratic(flows.QuadraticTrackingCost):
+    """The quadratic tracker without its diagonal Hessian declaration, so that
+    its runs are recorded through ``flows.ideal_correction`` and
+    ``flows.lyapunov_gradients``."""
+
+    def diagonal_hessian(self, x, theta):
+        return None
+
+
+class _GeneralLogCosh(flows.LogCoshTrackingCost):
+    """The logcosh tracker without its diagonal Hessian declaration."""
+
+    def diagonal_hessian(self, x, theta):
+        return None
+
+
 class _BlowsUpAt:
     """Makes a scalar tracker's field infinite wherever theta has reached
     ``t_bad`` and the velocity fed to the correction is nonzero: in
@@ -1137,6 +1153,29 @@ class TestInterconnections:
             assert list(traj.columns) == list(alone.columns)
             for name in alone.columns:
                 assert np.array_equal(traj.column(name), alone.column(name)), name
+
+    @pytest.mark.parametrize("cost_class,general_class", [
+        (flows.QuadraticTrackingCost, _GeneralQuadratic),
+        (flows.LogCoshTrackingCost, _GeneralLogCosh)])
+    def test_declared_diagonal_hessian_records_the_general_path_bits(
+            self, monkeypatch, cost_class, general_class):
+        # A declaring cost's correction and certificate are recorded
+        # elementwise, never through the general path, with the same bits in
+        # every column. 701 rows end in a partial recording block.
+        signal = signals.benchmark_parameter_path()
+        cfg, noise = sim.SimConfig(tf=0.7, h=1e-3), signals.NoiseSpec(0.01, 7)
+        general = sim.run_interconnections(general_class(3), signal, MIXED_RUNS, cfg, noise=noise)
+
+        def general_path(*args):
+            raise AssertionError("recorded through the general path")
+
+        monkeypatch.setattr(flows, "ideal_correction", general_path)
+        monkeypatch.setattr(flows, "lyapunov_gradients", general_path)
+        declared = sim.run_interconnections(cost_class(3), signal, MIXED_RUNS, cfg, noise=noise)
+        for got, want in zip(declared, general):
+            assert list(got.columns) == list(want.columns)
+            for name, column in want.columns.items():
+                assert np.array_equal(got.column(name).view(np.int64), column.view(np.int64)), name
 
     def test_quadratic_batch_never_calls_the_field(self, monkeypatch):
         # The quadratic flow is affine, so the engine drives it as an LTI
