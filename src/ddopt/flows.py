@@ -55,23 +55,23 @@ class CostModel:
     point may be returned as a single (n, n) or (n, p) matrix, which
     broadcasts the same way.
 
-    :meth:`newton_field` is the flow's right-hand side. Its default goes
-    through ``gradient``, ``cross_hessian`` and ``solve_hessian``; a subclass
-    may replace it with a closed form, provided the result is bit-identical
-    to that general path (the sign of an exact zero aside).
+    :meth:`newton_field_slope` is the one flow hook: the flow's right-hand
+    side with its derivative in x, its slope. The kind of slope picks how
+    ``sim`` integrates the flow:
 
-    :meth:`affine_field` declares instead a field that is affine in the
-    state, the parameter and the velocity alike, elementwise; ``sim`` then
-    evaluates the flow as an LTI system, and reaches :meth:`newton_field`
-    only to locate the step at which such a flow turned non-finite.
+    * None, the default, whose field goes through ``gradient``,
+      ``cross_hessian`` and ``solve_hessian``: the flow's RK4 steps are taken
+      one after another, a window at a time;
+    * an array, the diagonal of the Jacobian of a field whose component i
+      depends only on x_i, theta_i and velocity_i (n = p): each window is
+      solved by Newton's method, and the slopes measure how much the steps
+      amplify a deviation;
+    * a float a, for a field that is affine in x with that constant slope,
+      elementwise (n = p): the flow is evaluated as an LTI system, forced by
+      the field at x = 0.
 
-    :meth:`newton_field_slope` is the field with its derivative in x, the
-    diagonal of its Jacobian, declared by a field that is elementwise but not
-    affine; ``sim`` then solves the flow's RK4 steps a window at a time by
-    Newton's method, and warns when those steps amplify a deviation.
-
-    For both declarations the default, None, has ``sim`` take the flow's RK4
-    steps one after another, a window at a time.
+    A subclass that declares a closed-form field must keep it bit-identical
+    to the general path (the sign of an exact zero aside).
 
     :meth:`diagonal_hessian` declares a Hessian diag(c) and cross-Hessian
     -diag(c); ``sim`` then records the certificate's terms elementwise from c
@@ -120,28 +120,20 @@ class CostModel:
         return numerics.solve_linear(np.broadcast_to(H, batch + H.shape[-2:]),
                                      np.broadcast_to(rhs, batch + rhs.shape[-1:]))
 
-    def affine_field(self) -> tuple[float, float] | None:
-        """Scalars (a, b) such that :meth:`newton_field` is
-        a x + b (theta + velocity), elementwise (n = p); None if it is not."""
-        return None
-
     def newton_field_slope(self, x, theta, velocity):
-        """(:meth:`newton_field`, its derivative with respect to x) for a field
-        whose component i depends only on x_i, theta_i and velocity_i (n = p):
-        the diagonal of its Jacobian, shaped like ``x`` and ``theta``
-        broadcast. The slope is None if the field is not elementwise."""
-        return self.newton_field(x, theta, velocity), None
+        """(-hess^{-1} (grad + cross @ velocity), its slope in x): see
+        :func:`corrected_newton_rhs`. The slope of a field whose component i
+        depends only on x_i, theta_i and velocity_i (n = p) is the diagonal
+        of its Jacobian, shaped like ``x`` and ``theta`` broadcast, or a
+        float if constant; None here, for a field not declared elementwise."""
+        g = self.gradient(x, theta) + _matvec(self.cross_hessian(x, theta), velocity)
+        return -self.solve_hessian(x, theta, g), None
 
     def diagonal_hessian(self, x, theta):
         """The diagonal c, shaped like ``x`` and ``theta`` broadcast (a float
         if constant), of a Hessian diag(c) whose cross-Hessian is -diag(c)
         (n = p); None if the derivatives do not have that form."""
         return None
-
-    def newton_field(self, x, theta, velocity) -> np.ndarray:
-        """-hess^{-1} (grad + cross @ velocity). See :func:`corrected_newton_rhs`."""
-        g = self.gradient(x, theta) + _matvec(self.cross_hessian(x, theta), velocity)
-        return -self.solve_hessian(x, theta, g)
 
 
 class QuadraticTrackingCost(CostModel):
@@ -176,8 +168,10 @@ class QuadraticTrackingCost(CostModel):
         # Identity Hessian: elimination returns the rhs unchanged.
         return np.asarray(rhs, dtype=np.float64).copy()
 
-    def affine_field(self) -> tuple[float, float]:
-        return -1.0, 1.0
+    def newton_field_slope(self, x, theta, velocity):
+        # Affine in x with slope -1; at x = 0 the field has the bits of
+        # theta + velocity, signed zeros included.
+        return (theta - x) + velocity, -1.0
 
     def diagonal_hessian(self, x, theta) -> float:
         return 1.0
@@ -235,9 +229,6 @@ class LogCoshTrackingCost(CostModel):
     def diagonal_hessian(self, x, theta) -> np.ndarray:
         d = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
         return self._curvature(d)
-
-    def newton_field(self, x, theta, velocity) -> np.ndarray:
-        return self.newton_field_slope(x, theta, velocity)[0]
 
     def newton_field_slope(self, x, theta, velocity):
         # Diagonal Hessian phi''(d), cross-Hessian its negative: the field is
@@ -302,10 +293,11 @@ def corrected_newton_rhs(cost: CostModel, x, theta, velocity) -> np.ndarray:
     ``velocity`` is the parameter-rate vector the correction should cancel
     (exact or estimated); a zero velocity gives the correction-free Newton
     field -hess^{-1} grad. Equal to that field plus :func:`ideal_correction`
-    by linearity of the solve. Delegates to :meth:`CostModel.newton_field`,
-    which the shipped costs evaluate elementwise.
+    by linearity of the solve. Delegates to
+    :meth:`CostModel.newton_field_slope`, which the shipped costs evaluate
+    elementwise.
     """
-    return cost.newton_field(x, theta, velocity)
+    return cost.newton_field_slope(x, theta, velocity)[0]
 
 
 def redesign_terms(cost: CostModel, x, theta, velocity):

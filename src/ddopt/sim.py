@@ -28,19 +28,20 @@ grid point is held constant over the optimizer's RK4 step.
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
 :func:`run_interconnections`, the one place that turns a run's correction
-mode into the velocities its flow steps are fed. A cost whose Newton field
-is affine (the quadratic tracker, see :meth:`flows.CostModel.affine_field`)
-makes its RK4 steps an elementwise affine recurrence, evaluated over the
-whole run by a log-depth scan (:func:`_scan_affine`). Every other flow goes
-through one window driver (:func:`_flow_states`), 256 RK4 steps at a time:
-a cost whose field declares its slope (the logcosh tracker, see
-:meth:`flows.CostModel.newton_field_slope`) has each window solved by
-Newton's method, each update one such scan; the runs of other costs, and
-runs whose states turn non-finite or whose Newton solve does not settle, are
-stepped from then on, which finds the step at which a state failed. Either
-way the other columns are computed from the states on blocks of rows,
-through the same ``flows`` functions, elementwise for a cost that declares a
-diagonal Hessian (:meth:`flows.CostModel.diagonal_hessian`). Each path also
+mode into the velocities its flow steps are fed. The kind of slope the
+cost's one flow hook (:meth:`flows.CostModel.newton_field_slope`) returns
+picks the integrator. A float slope, the quadratic tracker's, marks a field
+affine in the state: its RK4 steps are an elementwise affine recurrence,
+evaluated over the whole run by a log-depth scan (:func:`_scan_affine`).
+Every other flow goes through one window driver (:func:`_flow_states`), 256
+RK4 steps at a time: an array slope, the logcosh tracker's, has each window
+solved by Newton's method, each update one such scan; the runs of a cost
+without a slope, and runs whose states turn non-finite or whose Newton
+solve does not settle, are stepped from then on, which finds the step at
+which a state failed. Either way the other columns are computed from the
+states on blocks of rows, through the same ``flows`` functions, elementwise
+for a cost that declares a diagonal Hessian
+(:meth:`flows.CostModel.diagonal_hessian`). Each path also
 measures, from the step derivatives it forms anyway, how much a span of a
 run's RK4 steps amplifies a deviation. :func:`write_csvs` writes every CSV
 file, the runs' trajectories together, formatting the columns they have in
@@ -680,18 +681,20 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     (none), the exact velocity at the stage times (ideal), or the run's
     estimate (estimated). The estimator is open loop, so each estimate is
     computed for the whole grid first, and a flow step holds the estimate at
-    its start constant over the optimizer's RK4 step. When the cost declares
-    an affine field (:meth:`flows.CostModel.affine_field`), each run's RK4
+    its start constant over the optimizer's RK4 step. The slope that
+    :meth:`flows.CostModel.newton_field_slope` returns at the first state
+    picks the integrator: for a float slope, an affine field, each run's RK4
     steps are evaluated as an elementwise affine recurrence
     (:func:`_affine_states`), and only runs that turn non-finite are stepped,
     to find the failing step; otherwise the runs go through
-    :func:`_flow_states`. The other columns are computed from the stored
-    states afterwards, a block of rows at a time, the correction and the
-    certificate's gradients by :func:`flows.redesign_terms`. Each run comes
-    out bit-identical to the same run alone. A step h that spans half a
-    period of the path's fastest sinusoid is warned of, and so is one whose
-    RK4 steps amplify a deviation over some span of a run (:func:`_flow_states`), the whole run included: one
-    gone wrong can settle on a stable spurious fixed point of the RK4 map.
+    :func:`_flow_states`, stepped throughout if there is no slope. The other
+    columns are computed from the stored states afterwards, a block of rows
+    at a time, the correction and the certificate's gradients by
+    :func:`flows.redesign_terms`. Each run comes out bit-identical to the
+    same run alone. A step h that spans half a period of the path's fastest
+    sinusoid is warned of, and so is one whose RK4 steps amplify a deviation
+    over some span of a run (:func:`_flow_states`), the whole run included:
+    one gone wrong can settle on a stable spurious fixed point of the RK4 map.
 
     The recorded ``redesign_lhs`` column is the Lyapunov redesign certificate
     for the correction in use, evaluated at the estimate in estimated runs
@@ -729,6 +732,9 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     with np.errstate(over="ignore", invalid="ignore"):
         theta_all = signal.eval_many(ts_all, 0)    # exact path at stage times
         theta_dot_all = signal.eval_many(ts_all, 1)
+        # The grid points are every other stage.
+        theta, theta_dot = theta_all[::2], theta_dot_all[::2]
+        slope = cost.newton_field_slope(x0, theta_all[0], np.zeros(p))[1]
 
     # The velocity each correction is fed at the grid points (recorded), and
     # per run, as views, at the start, middle and end stage of each step; a
@@ -738,7 +744,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     meas_all = None
     for b, (mode, est_cfg) in enumerate(runs):
         if mode is Mode.IDEAL:
-            v0[:, b] = theta_dot_all[0::2]
+            v0[:, b] = theta_dot
             stage_velocities.append((theta_dot_all[0:-2:2], theta_dot_all[1::2],
                                      theta_dot_all[2::2]))
             continue
@@ -750,25 +756,22 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
                                   estimator.state)[:, 0, :]
         stage_velocities.append((v0[:-1, b],) * 3)
 
-    field = cost.affine_field()
-    if field is None:
-        X, amplification = _flow_states(cost, theta_all, stage_velocities, x0, cfg)
-    else:
-        X, amplification = _affine_states(field, theta_all, stage_velocities, x0, h)
+    if isinstance(slope, float):
+        X, amplification = _affine_states(cost, slope, theta_all, stage_velocities, x0, h)
         # Non-finite values spread through the scan; stepping finds the step.
         bad = ~np.isfinite(X).all(axis=(0, 2))
         if bad.any():
             X[:, bad] = _flow_states(cost, theta_all,
-                                     list(itertools.compress(stage_velocities, bad)), x0, cfg)[0]
+                                     list(itertools.compress(stage_velocities, bad)), x0, cfg,
+                                     True)[0]
+    else:
+        X, amplification = _flow_states(cost, theta_all, stage_velocities, x0, cfg, slope is None)
     if amplification.max() > 1.0:
         warnings.warn(f"the flow's RK4 steps amplify a deviation by up to {amplification.max():.3g}"
                       f" > 1 at h = {h:.3g} in {np.sum(amplification > 1.0)} of {B} runs: the "
                       "discrete flow is unstable along its states", stacklevel=2)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # The grid points are every other stage.
-        theta = theta_all[::2]
-        theta_dot = theta_dot_all[::2]
         xstar = cost.minimizer(theta)
         estimated = np.array([mode is Mode.ESTIMATED for mode, _ in runs])
         loss, tracking, lhs = np.empty((3, len(X), B))
@@ -787,18 +790,17 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
 
     t_rec = cfg.times()
     trajectories = []
-    for b, (mode, _) in enumerate(runs):
-        estimated = mode is Mode.ESTIMATED
+    for b in range(B):
         cols = {"t": t_rec}
         _add_channels(cols, "theta", theta)
         _add_channels(cols, "thetadot", theta_dot)
-        if estimated:
+        if estimated[b]:
             _add_channels(cols, "thetahat", v0[:, b])
         _add_channels(cols, "x", X[:, b])
         _add_channels(cols, "xstar", xstar)
         cols["loss"] = loss[:, b]
         cols["tracking_error"] = tracking[:, b]
-        if estimated:
+        if estimated[b]:
             cols["est_error"] = est_error[:, b]
         cols["redesign_lhs"] = lhs[:, b]
         traj = Trajectory(cols)
@@ -807,21 +809,21 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     return trajectories
 
 
-def _affine_states(field, theta_all, stage_velocities, x0, h):
-    """States (N+1, runs, n) of the flows x' = a x + b (theta + v) of an affine
-    field ``(a, b)`` (:meth:`flows.CostModel.affine_field`), by RK4, and each
-    run's amplification (:func:`_flow_states`).
+def _affine_states(cost, a, theta_all, stage_velocities, x0, h):
+    """States (N+1, runs, n) of the flows x' = a x + f(theta, v), by RK4, and
+    each run's amplification (:func:`_flow_states`), for a cost whose field
+    (:meth:`flows.CostModel.newton_field_slope`) has the float slope ``a``;
+    f is that field at x = 0.
 
     Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
-    stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, b, h)`` applied
-    to theta + v at the start, middle and end stage (v from the run's entry
-    of ``stage_velocities``). All runs go through one :func:`_scan_affine`
+    stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, 1, h)`` applied
+    to f at the start, middle and end stage (v from the run's entry of
+    ``stage_velocities``). All runs go through one :func:`_scan_affine`
     call, with the first step from x0 folded into V[0]; the scan is
     elementwise, so each run comes out the same whichever runs are with it.
     """
-    a, b = field
     _, M0, M1, M2 = (float(M[0, 0]) for M in
-                     est_mod.rk4_step_maps(np.array([[a]]), np.array([[b]]), h))
+                     est_mod.rk4_step_maps(np.array([[a]]), np.eye(1), h))
     ha = h * a
     # q = Phi - 1 = ha + ha^2/2 + ha^3/6 + ha^4/24, summed without the 1.
     # Phi rounded to float64 is off by up to eps/2, which the slow decay
@@ -831,25 +833,26 @@ def _affine_states(field, theta_all, stage_velocities, x0, h):
 
     X = np.empty((len(theta_all) // 2 + 1, len(stage_velocities), len(x0)))
     X[0] = x0
+    field, zero = cost.newton_field_slope, np.zeros_like(x0)
     with np.errstate(over="ignore", invalid="ignore"):
         for r, (v0, vm, v1) in enumerate(stage_velocities):
-            X[1:, r] = (M0 * (theta_all[0:-2:2] + v0) + M1 * (theta_all[1::2] + vm)
-                        + M2 * (theta_all[2::2] + v1))
+            X[1:, r] = (M0 * field(zero, theta_all[0:-2:2], v0)[0]
+                        + M1 * field(zero, theta_all[1::2], vm)[0]
+                        + M2 * field(zero, theta_all[2::2], v1)[0])
         X[1] += x0 + q * x0
         _scan_affine(np.full((len(X) - 1, 1, 1), q), X[1:])
         # Every step has derivative 1 + q: a span that grows is longest as the whole run.
         return X, np.full(len(stage_velocities), np.maximum(abs(1.0 + q), 1.0) ** (len(X) - 1))
 
 
-def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
+def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
     """States (N+1, runs, n) of the corrected Newton flows, fed each run's
     ``stage_velocities``, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
     (:func:`_rk4_step`) at a time, each from the previous window's last
     state; and each run's amplification, the largest factor by which a span
     of its steps (the empty one included) amplifies a deviation.
 
-    A cost whose field declares its slope
-    (:meth:`flows.CostModel.newton_field_slope`) has each window solved by
+    Unless ``step_all``, each window is solved by
     Newton's method on the whole window (parallel-in-time, as in DEER: Lim
     et al. 2024). An iteration evaluates the RK4 step x[j+1] = F_j(x[j]) on
     every guessed state at once, with its derivative F_j' = 1 + q_j from the
@@ -866,10 +869,9 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
     its last iteration.
 
     A run that turns non-finite or is still moving after
-    ``_NEWTON_ITERATIONS``, and every run of a cost without a slope, is
-    stepped by :func:`_step_window` from then on, which raises
-    :class:`NonFiniteStateError` at the step that failed; its q are then
-    computed once per window, on the stepped states.
+    ``_NEWTON_ITERATIONS``, and every run if ``step_all``, is stepped by
+    :func:`_step_window` from then on, which raises
+    :class:`NonFiniteStateError` at the step that failed and gives its q.
     """
     N, B, n, h = len(theta_all) // 2, len(stage_velocities), len(x0), cfg.h
     X = np.empty((N + 1, B, n))
@@ -877,8 +879,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
     ending, most = np.zeros((2, B, n))
     tol, stalled = 4.0 * np.finfo(np.float64).eps, 2.0 ** -36
     with np.errstate(over="ignore", invalid="ignore"):
-        # Newton's method needs the field's slope; a cost without one is stepped.
-        stepped = np.full(B, cost.newton_field_slope(x0, theta_all[0], np.zeros(n))[1] is None)
+        stepped = np.full(B, step_all)
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
             th0, thm, th1 = (theta_all[2 * start + s:2 * stop + s:2, None, :] for s in range(3))
@@ -914,9 +915,9 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg):
                 runs = np.flatnonzero(stepped)
                 y = window[:, runs]
                 stages = (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs])
-                _step_window(cost, y, stages, h, cfg.t0 + np.arange(start, stop) * h + h)
+                offsets[:, runs] = _step_window(cost, y, stages, h,
+                                                cfg.t0 + np.arange(start, stop) * h + h)
                 window[1:, runs] = y[1:]
-                offsets[:, runs] = _rk4_step(cost, y[:-1], *stages, h)[1]
             # Per run and component, the largest sum of log|1 + q| over a span of
             # steps, and over one ending at the window's last step (at least 0).
             gains = np.log(np.maximum(np.abs(1.0 + offsets), np.finfo(float).tiny))
@@ -947,16 +948,18 @@ def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
             (h / 6.0) * (s1 + 2.0 * d2 + 2.0 * d3 + d4))
 
 
-def _step_window(cost, y, stages, h, times) -> None:
+def _step_window(cost, y, stages, h, times):
     """Fills y[1:] (steps, runs, n) by successive :func:`_rk4_step` calls
-    from y[0], fed the per-step ``stages`` (th0, thm, th1, v0, vm, v1).
-    ``times`` holds the time after each step; the first step whose state is
-    not finite raises :class:`NonFiniteStateError` with it, also when the
-    cost raised on such a state (as ``numerics.solve_linear`` does)."""
+    from y[0], fed the per-step ``stages`` (th0, thm, th1, v0, vm, v1);
+    returns their q. ``times`` holds the time after each step; the first
+    step whose state is not finite raises :class:`NonFiniteStateError` with
+    it, also when the cost raised on such a state (as
+    ``numerics.solve_linear`` does)."""
+    q = np.empty_like(y[1:])
     done = 0
     try:
         for stage in zip(*stages):
-            y[done + 1] = _rk4_step(cost, y[done], *stage, h)[0]
+            y[done + 1], q[done] = _rk4_step(cost, y[done], *stage, h)
             done += 1
     finally:
         # A non-finite state component stays non-finite (x + dx is inf or
@@ -964,6 +967,7 @@ def _step_window(cost, y, stages, h, times) -> None:
         finite = np.isfinite(y[1:done + 1]).all(axis=(1, 2))
         if not finite.all():
             raise NonFiniteStateError(float(times[np.argmin(finite)]))
+    return q
 
 
 def _scan_affine(q: np.ndarray, b: np.ndarray) -> np.ndarray:

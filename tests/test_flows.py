@@ -128,8 +128,8 @@ class TestNewtonField:
         x, theta, velocity = inputs
         cost = flows.LogCoshTrackingCost(x.shape[-1])
         with np.errstate(over="ignore"):
-            fused = cost.newton_field(x, theta, velocity)
-            general = flows.CostModel.newton_field(cost, x, theta, velocity)
+            fused = cost.newton_field_slope(x, theta, velocity)[0]
+            general = flows.CostModel.newton_field_slope(cost, x, theta, velocity)[0]
         assert fused.shape == general.shape
         assert np.all(np.isfinite(fused))
         assert np.array_equal(fused, general)
@@ -146,9 +146,9 @@ class TestNewtonField:
         cost = flows.LogCoshTrackingCost(x.shape[-1])
         with np.errstate(over="ignore"):
             field, slope = cost.newton_field_slope(x, theta, velocity)
-            general = flows.CostModel.newton_field(cost, x, theta, velocity)
+            general = flows.CostModel.newton_field_slope(cost, x, theta, velocity)[0]
             closed_field, closed_slope = _closed_forms(cost.mu, x, theta, velocity)
-            alone = cost.newton_field(x, theta, velocity)
+            alone = flows.corrected_newton_rhs(cost, x, theta, velocity)
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)    # the inputs are not overwritten
         assert field.shape == np.broadcast_shapes(x.shape, theta.shape, velocity.shape)
@@ -177,13 +177,36 @@ class TestNewtonField:
         assert np.all(np.abs(slope - fd) <= 1e-5 * np.maximum(1.0, np.abs(slope)))
 
     def test_slope_default_is_none(self):
-        # A field that is not declared elementwise has no slope; the default
-        # hook returns the field itself.
-        cost = flows.QuadraticTrackingCost(3)
-        x, theta, velocity = np.arange(3.0), np.ones(3), np.full(3, 0.5)
+        # A cost that declares nothing has no slope; the default hook returns
+        # the field through the gradient, cross-Hessian and Hessian solve.
+        cost = ScaledQuadratic(2.0)
+        x, theta, velocity = np.array([1.0, -3.0]), np.ones(2), np.array([0.5, 2.0])
         field, slope = cost.newton_field_slope(x, theta, velocity)
         assert slope is None
-        assert np.array_equal(field, cost.newton_field(x, theta, velocity))
+        g = cost.gradient(x, theta) + cost.cross_hessian(x, theta) @ velocity
+        assert np.array_equal(field, -cost.solve_hessian(x, theta, g))
+        assert np.array_equal(flows.corrected_newton_rhs(cost, x, theta, velocity), field)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_field_inputs())
+    @example(inputs=(np.array([[1.0, -0.0, 0.0]]), np.array([0.0, -0.0, 2.0]),
+                     np.array([[1.0, -0.0, -2.0]])))
+    def test_quadratic_closed_form_equals_general_path(self, inputs):
+        # The quadratic field (theta - x) + v, slope -1, equals the general
+        # path as values (the sign of an exact zero aside). At x = 0 it has
+        # the bits of theta + v, signed zeros included: the affine forcing
+        # sim reads there is that sum, as it was before the field was declared.
+        x, theta, velocity = inputs
+        cost = flows.QuadraticTrackingCost(x.shape[-1])
+        field, slope = cost.newton_field_slope(x, theta, velocity)
+        general = flows.CostModel.newton_field_slope(cost, x, theta, velocity)[0]
+        assert slope == -1.0 and isinstance(slope, float)
+        assert field.shape == general.shape
+        assert np.array_equal(field, general)
+        at_zero = cost.newton_field_slope(np.zeros_like(x), theta, velocity)[0]
+        expected = np.broadcast_to(theta + velocity, at_zero.shape)
+        assert np.array_equal(at_zero, expected)
+        assert np.array_equal(np.signbit(at_zero), np.signbit(expected))
 
 
 class TestCorrections:

@@ -848,7 +848,7 @@ def _general_rhs(cost, x, theta, velocity):
     """The corrected Newton field through the full matrices: gradient plus
     cross-Hessian matvec, solved by elimination on the full Hessian
     (``CostModel.solve_hessian`` calls ``numerics.solve_linear``), whatever
-    closed form the cost's own ``newton_field`` uses."""
+    closed form the cost's own ``newton_field_slope`` uses."""
     g = cost.gradient(x, theta) + cost.cross_hessian(x, theta) @ velocity
     return -flows.CostModel.solve_hessian(cost, x, theta, g)
 
@@ -908,12 +908,38 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
 
 
 class _LoopQuadratic(flows.QuadraticTrackingCost):
-    """The quadratic tracker without its affine declaration. It declares no
-    slope either, so the engine steps it in every window
-    (``sim._step_window``) through ``newton_field``."""
+    """The quadratic tracker with its slope hidden, so that the engine steps
+    it in every window (``sim._step_window``) instead of scanning it as an
+    affine field."""
 
-    def affine_field(self):
-        return None
+    def newton_field_slope(self, x, theta, velocity):
+        return super().newton_field_slope(x, theta, velocity)[0], None
+
+
+class _OffsetQuadratic(flows.QuadraticTrackingCost):
+    """f = 0.5 ||x - theta||^2 + c . x: a field affine in x, slope -1, whose
+    forcing at x = 0, theta - c + v, is not a multiple of theta + v."""
+
+    c = np.array([0.5, -1.0, 2.0])
+
+    def value(self, x, theta):
+        return super().value(x, theta) + flows.component_sum(self.c * x)
+
+    def gradient(self, x, theta):
+        return super().gradient(x, theta) + self.c
+
+    def minimizer(self, theta):
+        return np.asarray(theta, dtype=np.float64) - self.c
+
+    def newton_field_slope(self, x, theta, velocity):
+        return (theta - self.c - x) + velocity, -1.0
+
+
+class _SteppedOffsetQuadratic(_OffsetQuadratic):
+    """The same cost with its slope hidden: every window is stepped."""
+
+    def newton_field_slope(self, x, theta, velocity):
+        return super().newton_field_slope(x, theta, velocity)[0], None
 
 
 class _GeneralQuadratic(flows.QuadraticTrackingCost):
@@ -934,9 +960,9 @@ class _GeneralLogCosh(flows.LogCoshTrackingCost):
 
 class _BlowsUpAt:
     """Makes a scalar tracker's field infinite wherever theta has reached
-    ``t_bad`` and the velocity fed to the correction is nonzero: in
-    ``newton_field`` for the per-step reference, and in
-    ``newton_field_slope`` for the engine."""
+    ``t_bad`` and the velocity fed to the correction is nonzero, in
+    ``newton_field_slope``: the engine calls it, and the per-step reference
+    through ``flows.corrected_newton_rhs``."""
 
     def __init__(self, t_bad):
         super().__init__(1)
@@ -946,17 +972,14 @@ class _BlowsUpAt:
         blown = (np.asarray(theta) >= self.t_bad) & (np.asarray(velocity) != 0.0)
         return np.where(blown, np.inf, field)
 
-    def newton_field(self, x, theta, velocity):
-        return self._blow_up(super().newton_field(x, theta, velocity), theta, velocity)
-
     def newton_field_slope(self, x, theta, velocity):
         field, slope = super().newton_field_slope(x, theta, velocity)
         return self._blow_up(field, theta, velocity), slope
 
 
 class _FieldBlowsUpAt(_BlowsUpAt, _LoopQuadratic):
-    """The quadratic tracker, blown up. It is neither affine nor elementwise,
-    so the stepped windows' finiteness check is what it tests."""
+    """The quadratic tracker, blown up. Its slope is hidden, so the stepped
+    windows' finiteness check is what it tests."""
 
 
 class _LogCoshBlowsUpAt(_BlowsUpAt, flows.LogCoshTrackingCost):
@@ -968,10 +991,10 @@ class _RejectsNonFiniteState(_FieldBlowsUpAt):
     """The same field, which raises on a non-finite state the way
     ``numerics.solve_linear`` raises on a non-finite Hessian."""
 
-    def newton_field(self, x, theta, velocity):
+    def newton_field_slope(self, x, theta, velocity):
         if not np.all(np.isfinite(x)):
             raise ValueError("state contains non-finite entries")
-        return super().newton_field(x, theta, velocity)
+        return super().newton_field_slope(x, theta, velocity)
 
 
 def _quadratic_field(x, theta, v):
@@ -1177,13 +1200,10 @@ class TestInterconnections:
             for name, column in want.columns.items():
                 assert np.array_equal(got.column(name).view(np.int64), column.view(np.int64)), name
 
-    def test_quadratic_batch_never_calls_the_field(self, monkeypatch):
-        # The quadratic flow is affine, so the engine drives it as an LTI
-        # system and no window is stepped through the field.
-        def field(*args):
-            raise AssertionError("newton_field called")
-
-        monkeypatch.setattr(flows.QuadraticTrackingCost, "newton_field", field)
+    def test_quadratic_batch_never_steps_a_window(self, monkeypatch):
+        # The quadratic field declares the float slope -1: it is affine, so
+        # the engine drives the flow as an LTI system and steps no window.
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
         batch = sim.run_interconnections(flows.QuadraticTrackingCost(3),
                                          signals.benchmark_parameter_path(), MIXED_RUNS,
                                          BATCH_CFG, noise=BATCH_NOISE)
@@ -1218,17 +1238,21 @@ class TestInterconnections:
     @pytest.mark.parametrize("h,tf", [(1e-4, 1.0), (1e-2, 30.0)])
     def test_affine_path_close_to_extended_precision(self, h, tf):
         # Reference: the RK4 loop's steps on the same float64 samples and
-        # estimates, carried out in extended precision.
+        # estimates, carried out in extended precision. The offset cost's
+        # forcing at x = 0 is theta - c + v, not theta + v.
         cfg = sim.SimConfig(tf=tf, h=h)
         signal = signals.benchmark_parameter_path()
-        batch = sim.run_interconnections(flows.QuadraticTrackingCost(3), signal, MIXED_RUNS, cfg,
-                                         noise=signals.NoiseSpec(0.01, 4))
         theta = signal.eval_many(cfg.stage_times(), 0)
-        velocities = [np.stack(stage, axis=1) for stage in
-                      zip(*_stage_velocities(MIXED_RUNS, batch, signal, cfg))]
-        ref = _extended_rk4(_quadratic_field, theta[:, None, :], *velocities, cfg.h)
-        x = np.stack([_states(traj, 3) for traj in batch], axis=1)
-        assert np.max(np.abs(x - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+        c = _OffsetQuadratic.c.astype(np.longdouble)
+        for cost, field in ((flows.QuadraticTrackingCost(3), _quadratic_field),
+                            (_OffsetQuadratic(3), lambda x, th, v: th - c + v - x)):
+            batch = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg,
+                                             noise=signals.NoiseSpec(0.01, 4))
+            velocities = [np.stack(stage, axis=1) for stage in
+                          zip(*_stage_velocities(MIXED_RUNS, batch, signal, cfg))]
+            ref = _extended_rk4(field, theta[:, None, :], *velocities, cfg.h)
+            x = np.stack([_states(traj, 3) for traj in batch], axis=1)
+            assert np.max(np.abs(x - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14, cost
 
     def test_logcosh_batch_never_steps_the_loop(self, monkeypatch):
         # The logcosh field is elementwise, so the engine solves its windows
@@ -1246,9 +1270,6 @@ class TestInterconnections:
         # once, field and slope together, and then makes one scan; the one
         # further call asks for the slope at x0. The batch has the shape of
         # the benchmark's logcosh optimize call.
-        def field(*args):
-            raise AssertionError("newton_field called")
-
         calls = {"stages": 0, "scans": 0}
         field_slope, scan = flows.LogCoshTrackingCost.newton_field_slope, sim._scan_affine
 
@@ -1260,7 +1281,6 @@ class TestInterconnections:
             calls["scans"] += 1
             return scan(q, b)
 
-        monkeypatch.setattr(flows.LogCoshTrackingCost, "newton_field", field)
         monkeypatch.setattr(flows.LogCoshTrackingCost, "newton_field_slope", counted_field_slope)
         monkeypatch.setattr(sim, "_scan_affine", counted_scan)
         monkeypatch.setattr(sim, "_step_window", _no_loop)
@@ -1269,6 +1289,38 @@ class TestInterconnections:
                                  BATCH_POOL, cfg, noise=signals.NoiseSpec(0.01, 3))
         assert calls["scans"] >= -(-cfg.num_steps // sim._RECORD_BLOCK_ROWS)   # every window
         assert calls["stages"] == 1 + 4 * calls["scans"]
+
+    def test_stepped_windows_evaluate_each_stage_once(self, monkeypatch):
+        # A stepped window evaluates the four RK4 stages of each step once,
+        # and takes the steps' slopes from those calls; the one further call
+        # asks for the slope at x0. 700 steps end in a partial window.
+        calls = []
+        field_slope = _SlopelessLogCosh.newton_field_slope
+
+        def counted_field_slope(self, x, theta, velocity):
+            calls.append(x.shape)
+            return field_slope(self, x, theta, velocity)
+
+        monkeypatch.setattr(_SlopelessLogCosh, "newton_field_slope", counted_field_slope)
+        cfg = sim.SimConfig(tf=0.7, h=1e-3)
+        sim.run_interconnections(_SlopelessLogCosh(3), signals.benchmark_parameter_path(),
+                                 BATCH_POOL, cfg, noise=signals.NoiseSpec(0.01, 3))
+        assert len(calls) == 1 + 4 * cfg.num_steps
+
+    def test_affine_field_with_offset_is_scanned(self, monkeypatch):
+        # Any field affine in x with a float slope is scanned, whatever its
+        # forcing at x = 0: here theta - c + v. The stepped runs of the same
+        # field agree to rounding.
+        signal = signals.benchmark_parameter_path()
+        cfg, noise = sim.SimConfig(tf=3.0, h=1e-2), signals.NoiseSpec(0.01, 4)
+        stepped = sim.run_interconnections(_SteppedOffsetQuadratic(3), signal, MIXED_RUNS, cfg,
+                                           noise=noise)
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
+        scanned = sim.run_interconnections(_OffsetQuadratic(3), signal, MIXED_RUNS, cfg,
+                                           noise=noise)
+        for traj, ref in zip(scanned, stepped):
+            x, x_ref = _states(traj, 3), _states(ref, 3)
+            assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
 
     @settings(max_examples=20, deadline=None)
     @given(modes=st.lists(st.sampled_from([NONE, IDEAL, ESTIMATED]), min_size=1, max_size=3,
@@ -1401,13 +1453,16 @@ class TestInterconnections:
     def test_diverging_batch_raises_at_the_failing_time(self):
         # sigma*h = 10 is far outside the RK4 stability interval: the estimate
         # overflows, and the state with it, while the other runs stay finite.
+        # A scanned affine field's failing run is stepped to find the time,
+        # with or without an offset, the time its stepped form reports.
         cfg = sim.SimConfig(tf=20.0, h=0.1)
         runs = [(NONE, None), (ESTIMATED, est.DirtyDerivativeConfig(1, 100.0, 3)), (IDEAL, None)]
-        with pytest.warns(UserWarning, match="sigma"):
-            with pytest.raises(sim.NonFiniteStateError) as info:
-                sim.run_interconnections(flows.QuadraticTrackingCost(3),
-                                         signals.benchmark_parameter_path(), runs, cfg)
-        assert info.value.t == 12.6  # the time the run-by-run loop reported
+        for cost in (flows.QuadraticTrackingCost(3), _OffsetQuadratic(3),
+                     _SteppedOffsetQuadratic(3)):
+            with pytest.warns(UserWarning, match="sigma"):
+                with pytest.raises(sim.NonFiniteStateError) as info:
+                    sim.run_interconnections(cost, signals.benchmark_parameter_path(), runs, cfg)
+            assert info.value.t == 12.6, cost  # the time the run-by-run loop reported
 
     @pytest.mark.parametrize("cost_class", [_FieldBlowsUpAt, _RejectsNonFiniteState,
                                             _LogCoshBlowsUpAt])
