@@ -28,7 +28,9 @@ grid point is held constant over the optimizer's RK4 step.
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
 :func:`run_interconnections`, the one place that turns a run's correction
-mode into the velocities its flow steps are fed. The kind of slope the
+mode into the velocities its flow steps are fed: one stage tuple (th0, thm,
+th1, v0, vm, v1) of (N, runs, p) arrays laid out once, theta and each run's
+velocity at each step's start, middle and end stage. The kind of slope the
 cost's one flow hook (:meth:`flows.CostModel.newton_field_slope`) returns
 picks the integrator. A float slope, the quadratic tracker's, marks a field
 affine in the state: its RK4 steps are an elementwise affine recurrence,
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -677,11 +678,12 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
 
     The runs share the parameter path, the initial state and the (noisy when
     configured) parameter samples. They differ only in the velocity the
-    correction is fed, decided here once per run for the integrators: zero
-    (none), the exact velocity at the stage times (ideal), or the run's
-    estimate (estimated). The estimator is open loop, so each estimate is
-    computed for the whole grid first, and a flow step holds the estimate at
-    its start constant over the optimizer's RK4 step. The slope that
+    correction is fed: zero (none), the exact velocity at the stage times
+    (ideal), or the run's estimate (estimated). The estimator is open loop,
+    so each estimate is computed for the whole grid first, and a flow step
+    holds the estimate at its start constant over the optimizer's RK4 step.
+    The integrators read the stage tuple (module docstring), built here once,
+    theta as views, and released before recording. The slope that
     :meth:`flows.CostModel.newton_field_slope` returns at the first state
     picks the integrator: for a float slope, an affine field, each run's RK4
     steps are evaluated as an elementwise affine recurrence
@@ -711,8 +713,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         if mode is Mode.ESTIMATED:
             if est_cfg is None:
                 raise ValueError("estimated mode requires an estimator config")
-            if est_cfg.signal_dim != signal.dim:
-                raise ValueError("estimator signal_dim does not match signal dim")
+            _check_signal_dim(signal, [est_cfg])
 
     n, p, B = cost.n, cost.p, len(runs)
     N, h = cfg.num_steps, cfg.h
@@ -736,36 +737,34 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
         theta, theta_dot = theta_all[::2], theta_dot_all[::2]
         slope = cost.newton_field_slope(x0, theta_all[0], np.zeros(p))[1]
 
-    # The velocity each correction is fed at the grid points (recorded), and
-    # per run, as views, at the start, middle and end stage of each step; a
+    # The velocity each correction is fed at the grid points (recorded); a
     # step holds the estimate (or zero) at its start.
     v0 = np.zeros((N + 1, B, p))
-    stage_velocities = []
     meas_all = None
     for b, (mode, est_cfg) in enumerate(runs):
         if mode is Mode.IDEAL:
             v0[:, b] = theta_dot
-            stage_velocities.append((theta_dot_all[0:-2:2], theta_dot_all[1::2],
-                                     theta_dot_all[2::2]))
-            continue
-        if mode is Mode.ESTIMATED:
+        elif mode is Mode.ESTIMATED:
             if meas_all is None:
                 meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
             estimator = est_mod.build_estimator(est_cfg, h)
             v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
                                   estimator.state)[:, 0, :]
-        stage_velocities.append((v0[:-1, b],) * 3)
 
+    # The stage tuple; ideal runs are fed the exact velocity at each stage.
+    ideal = np.array([mode is Mode.IDEAL for mode, _ in runs])[:, None]
+    stages = (*np.broadcast_arrays(theta_all[0:-2:2, None], theta_all[1::2, None],
+                                   theta_all[2::2, None], v0[:-1]),
+              *(np.where(ideal, theta_dot_all[s::2, None], v0[:-1]) for s in (1, 2)))
     if isinstance(slope, float):
-        X, amplification = _affine_states(cost, slope, theta_all, stage_velocities, x0, h)
+        X, amplification = _affine_states(cost, slope, stages, x0, h)
         # Non-finite values spread through the scan; stepping finds the step.
         bad = ~np.isfinite(X).all(axis=(0, 2))
         if bad.any():
-            X[:, bad] = _flow_states(cost, theta_all,
-                                     list(itertools.compress(stage_velocities, bad)), x0, cfg,
-                                     True)[0]
+            X[:, bad] = _flow_states(cost, [s[:, bad] for s in stages], x0, cfg, True)[0]
     else:
-        X, amplification = _flow_states(cost, theta_all, stage_velocities, x0, cfg, slope is None)
+        X, amplification = _flow_states(cost, stages, x0, cfg, slope is None)
+    del stages
     if amplification.max() > 1.0:
         warnings.warn(f"the flow's RK4 steps amplify a deviation by up to {amplification.max():.3g}"
                       f" > 1 at h = {h:.3g} in {np.sum(amplification > 1.0)} of {B} runs: the "
@@ -809,7 +808,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     return trajectories
 
 
-def _affine_states(cost, a, theta_all, stage_velocities, x0, h):
+def _affine_states(cost, a, stages, x0, h):
     """States (N+1, runs, n) of the flows x' = a x + f(theta, v), by RK4, and
     each run's amplification (:func:`_flow_states`), for a cost whose field
     (:meth:`flows.CostModel.newton_field_slope`) has the float slope ``a``;
@@ -817,8 +816,8 @@ def _affine_states(cost, a, theta_all, stage_velocities, x0, h):
 
     Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
     stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, 1, h)`` applied
-    to f at the start, middle and end stage (v from the run's entry of
-    ``stage_velocities``). All runs go through one :func:`_scan_affine`
+    to f at the start, middle and end stage, one call per stage of the
+    ``stages`` tuple for every run. All runs go through one :func:`_scan_affine`
     call, with the first step from x0 folded into V[0]; the scan is
     elementwise, so each run comes out the same whichever runs are with it.
     """
@@ -831,23 +830,22 @@ def _affine_states(cost, a, theta_all, stage_velocities, x0, h):
     # 65 times the stepped recurrence's own error at h = 1e-3.
     q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
 
-    X = np.empty((len(theta_all) // 2 + 1, len(stage_velocities), len(x0)))
+    th0, thm, th1, v0, vm, v1 = stages
+    X = np.empty((len(th0) + 1, th0.shape[1], len(x0)))
     X[0] = x0
     field, zero = cost.newton_field_slope, np.zeros_like(x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, (v0, vm, v1) in enumerate(stage_velocities):
-            X[1:, r] = (M0 * field(zero, theta_all[0:-2:2], v0)[0]
-                        + M1 * field(zero, theta_all[1::2], vm)[0]
-                        + M2 * field(zero, theta_all[2::2], v1)[0])
+        X[1:] = (M0 * field(zero, th0, v0)[0] + M1 * field(zero, thm, vm)[0]
+                 + M2 * field(zero, th1, v1)[0])
         X[1] += x0 + q * x0
         _scan_affine(np.full((len(X) - 1, 1, 1), q), X[1:])
         # Every step has derivative 1 + q: a span that grows is longest as the whole run.
-        return X, np.full(len(stage_velocities), np.maximum(abs(1.0 + q), 1.0) ** (len(X) - 1))
+        return X, np.full(X.shape[1], np.maximum(abs(1.0 + q), 1.0) ** (len(X) - 1))
 
 
-def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
-    """States (N+1, runs, n) of the corrected Newton flows, fed each run's
-    ``stage_velocities``, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
+def _flow_states(cost, stages, x0, cfg, step_all):
+    """States (N+1, runs, n) of the corrected Newton flows fed the
+    ``stages`` tuple, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
     (:func:`_rk4_step`) at a time, each from the previous window's last
     state; and each run's amplification, the largest factor by which a span
     of its steps (the empty one included) amplifies a deviation.
@@ -873,7 +871,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
     :func:`_step_window` from then on, which raises
     :class:`NonFiniteStateError` at the step that failed and gives its q.
     """
-    N, B, n, h = len(theta_all) // 2, len(stage_velocities), len(x0), cfg.h
+    (N, B, _), n, h = stages[0].shape, len(x0), cfg.h
     X = np.empty((N + 1, B, n))
     X[0] = x0
     ending, most = np.zeros((2, B, n))
@@ -882,9 +880,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
         stepped = np.full(B, step_all)
         for start in range(0, N, _RECORD_BLOCK_ROWS):
             stop = min(start + _RECORD_BLOCK_ROWS, N)
-            th0, thm, th1 = (theta_all[2 * start + s:2 * stop + s:2, None, :] for s in range(3))
-            v0, vm, v1 = (np.stack([v[start:stop] for v in stage], axis=1)
-                          for stage in zip(*stage_velocities))
+            rows = [s[start:stop] for s in stages]
             window = X[start:stop + 1]
             window[1:] = window[0]
             offsets = np.empty((stop - start, B, n))   # each run's q
@@ -895,8 +891,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
                     break
                 runs = slice(None) if live.size == B else live    # views while all are live
                 y = window[:, runs]
-                x1, q = _rk4_step(cost, y[:-1], th0, thm, th1, v0[:, runs], vm[:, runs],
-                                  v1[:, runs], h)
+                x1, q = _rk4_step(cost, y[:-1], [s[:, runs] for s in rows], h)
                 offsets[:, runs] = q    # before the scan overwrites it
                 update = _scan_affine(q, x1 - y[1:])
                 y[1:] += update
@@ -914,8 +909,7 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
             if stepped.any():
                 runs = np.flatnonzero(stepped)
                 y = window[:, runs]
-                stages = (th0, thm, th1, v0[:, runs], vm[:, runs], v1[:, runs])
-                offsets[:, runs] = _step_window(cost, y, stages, h,
+                offsets[:, runs] = _step_window(cost, y, [s[:, runs] for s in rows], h,
                                                 cfg.t0 + np.arange(start, stop) * h + h)
                 window[1:, runs] = y[1:]
             # Per run and component, the largest sum of log|1 + q| over a span of
@@ -927,14 +921,15 @@ def _flow_states(cost, theta_all, stage_velocities, x0, cfg, step_all):
         return X, np.exp(most.max(axis=1))
 
 
-def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
+def _rk4_step(cost, x, stage, h):
     """One RK4 step of the corrected Newton flow from x, its stages evaluated
     by :meth:`flows.CostModel.newton_field_slope` fed theta and the velocity
-    at the step's start, middle and end stage. Returns the next state and q,
-    the offset from 1 of the step's derivative in x (elementwise), from the
-    chained stage slopes, or -1 for a cost without them, its Jacobian at the
-    minimizer: then q = R(-h) - 1, R the RK4 map."""
-    field = cost.newton_field_slope
+    at the step's start, middle and end stage, one step's rows of the
+    ``stages`` tuple. Returns the next state and q, the offset from 1 of the
+    step's derivative in x (elementwise), from the chained stage slopes, or
+    -1 for a cost without them, its Jacobian at the minimizer: then
+    q = R(-h) - 1, R the RK4 map."""
+    field, (th0, thm, th1, v0, vm, v1) = cost.newton_field_slope, stage
     k1, s1 = field(x, th0, v0)
     k2, s2 = field(x + 0.5 * h * k1, thm, vm)
     k3, s3 = field(x + 0.5 * h * k2, thm, vm)
@@ -950,16 +945,16 @@ def _rk4_step(cost, x, th0, thm, th1, v0, vm, v1, h):
 
 def _step_window(cost, y, stages, h, times):
     """Fills y[1:] (steps, runs, n) by successive :func:`_rk4_step` calls
-    from y[0], fed the per-step ``stages`` (th0, thm, th1, v0, vm, v1);
-    returns their q. ``times`` holds the time after each step; the first
-    step whose state is not finite raises :class:`NonFiniteStateError` with
-    it, also when the cost raised on such a state (as
-    ``numerics.solve_linear`` does)."""
+    from y[0], fed the ``stages`` tuple cut to its steps and runs; returns
+    their q. ``times`` holds the time after each step; the first step whose
+    state is not finite raises :class:`NonFiniteStateError` with it, also
+    when the cost raised on such a state (as ``numerics.solve_linear``
+    does)."""
     q = np.empty_like(y[1:])
     done = 0
     try:
         for stage in zip(*stages):
-            y[done + 1], q[done] = _rk4_step(cost, y[done], *stage, h)
+            y[done + 1], q[done] = _rk4_step(cost, y[done], stage, h)
             done += 1
     finally:
         # A non-finite state component stays non-finite (x + dx is inf or

@@ -722,6 +722,20 @@ class TestInterconnection:
                                     signals.benchmark_parameter_path(),
                                     flows.CorrectionMode.IDEAL, sim.SimConfig())
 
+    def test_estimator_signal_dim_mismatch(self):
+        # The rule and message of the derivative runners.
+        with pytest.raises(ValueError, match="signal dim 3 does not match estimator signal_dim 2"):
+            sim.run_interconnection(flows.QuadraticTrackingCost(3),
+                                    signals.benchmark_parameter_path(),
+                                    flows.CorrectionMode.ESTIMATED, sim.SimConfig(),
+                                    est_cfg=est.DirtyDerivativeConfig(1, 5.0, 2))
+
+    def test_x0_cost_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"x0 shape \(2,\) does not match cost dimension 3"):
+            sim.run_interconnection(flows.QuadraticTrackingCost(3),
+                                    signals.benchmark_parameter_path(),
+                                    flows.CorrectionMode.IDEAL, sim.SimConfig(), x0=np.zeros(2))
+
     def test_deterministic_noisy_runs(self):
         cfg = sim.SimConfig(tf=1.0, h=1e-2)
         est_cfg = est.DirtyDerivativeConfig(1, 5.0, 3)
@@ -1289,6 +1303,22 @@ class TestInterconnections:
                                  BATCH_POOL, cfg, noise=signals.NoiseSpec(0.01, 3))
         assert calls["scans"] >= -(-cfg.num_steps // sim._RECORD_BLOCK_ROWS)   # every window
         assert calls["stages"] == 1 + 4 * calls["scans"]
+
+    def test_affine_field_evaluates_each_stage_once(self, monkeypatch):
+        # The affine scan evaluates the field at x = 0 once per stage for
+        # every run together; the one further call asks for the slope at x0.
+        calls = []
+        field_slope = flows.QuadraticTrackingCost.newton_field_slope
+
+        def counted_field_slope(self, x, theta, velocity):
+            calls.append(np.shape(velocity))
+            return field_slope(self, x, theta, velocity)
+
+        monkeypatch.setattr(flows.QuadraticTrackingCost, "newton_field_slope", counted_field_slope)
+        cfg = sim.SimConfig(tf=1.0, h=1e-2)
+        sim.run_interconnections(flows.QuadraticTrackingCost(3), signals.benchmark_parameter_path(),
+                                 MIXED_RUNS, cfg)
+        assert calls == [(3,)] + [(cfg.num_steps, len(MIXED_RUNS), 3)] * 3
 
     def test_stepped_windows_evaluate_each_stage_once(self, monkeypatch):
         # A stepped window evaluates the four RK4 stages of each step once,
