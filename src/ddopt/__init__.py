@@ -31,6 +31,12 @@ from .numerics import (
     lyapunov_solve,
     solve_linear,
 )
+from .record import (
+    NonFiniteStateError,
+    Trajectory,
+    steady_state_sup,
+    write_csvs,
+)
 from .signals import (
     AnalyticSignal,
     NoiseSpec,
@@ -41,16 +47,12 @@ from .signals import (
 )
 from .sim import (
     InsufficientDataError,
-    NonFiniteStateError,
     SimConfig,
-    Trajectory,
     run_derivative_experiment,
     run_interconnection,
     run_interconnections,
     slope_fit,
     steady_state_errors,
-    steady_state_sup,
-    write_csvs,
 )
 
 __version__ = "0.1.0"

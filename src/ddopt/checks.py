@@ -19,6 +19,7 @@ import numpy as np
 from . import estimator as est_mod
 from . import flows as flows_mod
 from . import numerics
+from . import record as record_mod
 from . import signals as sig_mod
 from . import sim as sim_mod
 
@@ -62,7 +63,7 @@ NOISE_SEED = 42
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_run(sigma: float, variance: float = 0.0, seed: int = 0) -> sim_mod.Trajectory:
+def _derivative_run(sigma: float, variance: float = 0.0, seed: int = 0) -> record_mod.Trajectory:
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
     est_cfg = est_mod.DirtyDerivativeConfig(1, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
@@ -70,7 +71,7 @@ def _derivative_run(sigma: float, variance: float = 0.0, seed: int = 0) -> sim_m
 
 
 @functools.lru_cache(maxsize=None)
-def _ideal_tracking_run() -> sim_mod.Trajectory:
+def _ideal_tracking_run() -> record_mod.Trajectory:
     cost = flows_mod.QuadraticTrackingCost(3)
     cfg = sim_mod.SimConfig(t0=0.0, tf=15.0, h=1e-3)
     return sim_mod.run_interconnection(cost, sig_mod.benchmark_parameter_path(),
@@ -105,7 +106,7 @@ def check_sinusoid_error() -> CheckResult:
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
         (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s))
         total_runtime += runtime
-        sup = sim_mod.steady_state_sup(traj, "est_error")
+        sup = record_mod.steady_state_sup(traj, "est_error")
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
         measured.append(f"sigma={sigma:g}: {sup:.5f} ({runtime:.2f}s)")
@@ -264,7 +265,7 @@ def check_ideal_tracking() -> CheckResult:
     e0 = float(np.linalg.norm(theta0))
     predicted = e0 * np.exp(-(traj.t - traj.t[0]))
     dev = float(np.max(np.abs(traj.column("tracking_error") - predicted)))
-    window_loss = sim_mod.steady_state_sup(traj, "loss")
+    window_loss = record_mod.steady_state_sup(traj, "loss")
     gate.require(dev <= 1e-6, f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} <= 1e-6")
     gate.require(window_loss < 1e-10, f"final-window loss {window_loss:.3g} < 1e-10")
     gate.require(runtime < 1.0, f"runtime {runtime:.2f}s < 1s")
@@ -277,7 +278,7 @@ def check_loss_ordering() -> CheckResult:
     estimated(sigma=5) < uncorrected, each pair separated by a factor 2."""
     gate = _Gate()
     runs, runtime = _timed(_ordering_runs)
-    losses = {name: sim_mod.steady_state_mean(traj, "loss") for name, traj in runs.items()}
+    losses = {name: record_mod.steady_state_mean(traj, "loss") for name, traj in runs.items()}
     chain = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
     for a, b in zip(chain, chain[1:]):
         gate.require(losses[a] < losses[b], f"{a} loss {losses[a]:.4g} < {b} loss {losses[b]:.4g}")
@@ -321,8 +322,8 @@ def check_noise_robustness() -> CheckResult:
     def run():
         clean_est = _derivative_run(BENCH_SIGMA_HIGH)
         noisy_est = _derivative_run(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
-        sup_clean = sim_mod.steady_state_sup(clean_est, "est_error")
-        sup_noisy = sim_mod.steady_state_sup(noisy_est, "est_error")
+        sup_clean = record_mod.steady_state_sup(clean_est, "est_error")
+        sup_noisy = record_mod.steady_state_sup(noisy_est, "est_error")
 
         cost = flows_mod.QuadraticTrackingCost(3)
         signal = sig_mod.benchmark_parameter_path()
@@ -332,8 +333,8 @@ def check_noise_robustness() -> CheckResult:
         noisy_opt = sim_mod.run_interconnection(
             cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
             noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
-        loss_clean = sim_mod.steady_state_sup(clean_opt, "loss")
-        loss_noisy = sim_mod.steady_state_sup(noisy_opt, "loss")
+        loss_clean = record_mod.steady_state_sup(clean_opt, "loss")
+        loss_noisy = record_mod.steady_state_sup(noisy_opt, "loss")
         return sup_clean, sup_noisy, loss_clean, loss_noisy
 
     (sup_clean, sup_noisy, loss_clean, loss_noisy), runtime = _timed(run)

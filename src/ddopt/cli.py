@@ -25,6 +25,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from . import flows as flows_mod
+from . import record as record_mod
 from . import signals as sig_mod
 from . import sim as sim_mod
 from . import svg as svg_mod
@@ -294,14 +295,14 @@ def cmd_estimate(spec: dict) -> int:
     for order in range(1, k + 1):
         for what, prefix in (("true", "thetadot"), ("estimate", "thetahat")):
             series.append((f"d{order} {what}", traj.t,
-                           traj.column(sim_mod.column_name(prefix, order, 0))))
+                           traj.column(record_mod.column_name(prefix, order, 0))))
     svg_mod.line_plot(out / "estimate.svg", series,
                       title=f"derivative estimates, sigma={sigma:g}, k={k}",
                       ylabel="derivative")
 
     oracle_params = _oracle_parameters(signal)
     for order in range(1, k + 1):
-        sup = sim_mod.steady_state_sup(traj, sim_mod.column_name("est_error", order))
+        sup = record_mod.steady_state_sup(traj, record_mod.column_name("est_error", order))
         line = f"order {order}: steady-state sup error {sup:.6g}"
         if oracle_params is not None:
             amp, omega = oracle_params
@@ -333,12 +334,12 @@ def cmd_optimize(spec: dict) -> int:
                                 f"budget of {sim_mod.MAX_STEPS} steps summed over runs")
     _make_out_dir(out)
     runs = list(zip(labels, sim_mod.run_interconnections(cost, signal, specs, cfg, noise=noise)))
-    sim_mod.write_csvs((traj.columns, out / f"trajectory_{label}.csv") for label, traj in runs)
+    record_mod.write_csvs((traj.columns, out / f"trajectory_{label}.csv") for label, traj in runs)
     series = []
     for label, traj in runs:
         series.append((label, traj.t, traj.column("loss")))
-        _say(f"{label}: final-window mean loss {sim_mod.steady_state_mean(traj, 'loss'):.6g}, "
-             f"tracking error sup {sim_mod.steady_state_sup(traj, 'tracking_error'):.6g}")
+        _say(f"{label}: final-window mean loss {record_mod.steady_state_mean(traj, 'loss'):.6g}, "
+             f"tracking error sup {record_mod.steady_state_sup(traj, 'tracking_error'):.6g}")
     svg_mod.line_plot(out / "loss.svg", series, title="loss over time", ylabel="loss")
     _say(f"wrote {len(runs)} trajectory CSVs and {out / 'loss.svg'}")
     return 0
@@ -356,7 +357,7 @@ def cmd_sweep(spec: dict) -> int:
     sups = np.array(sim_mod.steady_state_errors(signal, noise, est_cfgs, cfg))
     table = {"sigma": np.array(sigmas)}
     table.update((f"est_error_sup_{order}", sups[:, order - 1]) for order in range(1, k + 1))
-    sim_mod.write_csvs([(table, out / "sweep.csv")])
+    record_mod.write_csvs([(table, out / "sweep.csv")])
     if signal.sup_derivative_bound(k + 1) == 0.0:
         raise sim_mod.InsufficientDataError(
             f"the signal's derivative of order {k + 1} is identically zero, so the estimates "
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (sim_mod.NonFiniteStateError, sim_mod.InsufficientDataError) as exc:
+    except (record_mod.NonFiniteStateError, sim_mod.InsufficientDataError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except StdoutError as exc:

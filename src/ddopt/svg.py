@@ -28,7 +28,9 @@ def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / (TICK_COUNT - 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:   # a range too narrow for a decimal step: its ends
+        return [lo, hi]
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag

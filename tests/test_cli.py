@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -235,6 +236,27 @@ def test_cascade_past_the_float_range_is_refused(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: sigma: gain ") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "optimize"])
+def test_grid_with_repeated_times_is_refused(tmp_path, capsys, command):
+    # Near 1e15 float64 times are 0.125 apart, so a step of 0.1 gives 1,000
+    # steps but only 801 distinct times: refused naming both flags.
+    argv = [command, "--t0", "1e15", "--tf", "1.0000000000001e15", "--h", "0.1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: tf/h: ")
+
+
+def test_range_narrower_than_a_decimal_step_is_plotted(tmp_path):
+    # The plotted values span a few subnormals, too narrow for a decimal
+    # tick step; every coordinate of the plot is finite.
+    out = tmp_path / "x"
+    assert cli.main(["estimate", "--signal", "5e-324*sin(t)", "--tf", "1",
+                     "--out", str(out)]) == 0
+    svg = (out / "estimate.svg").read_text()
+    coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]+)"', svg)
+    coords += [v for pts in re.findall(r'points="([^"]+)"', svg) for v in re.split("[ ,]", pts)]
+    assert coords and all(math.isfinite(float(v)) for v in coords)
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -686,11 +708,11 @@ _ORDINARY = {
     "h": lambda rng: 10.0 ** rng.uniform(-4.0, 0.5),
     "steps": lambda rng: rng.randint(10, 2000)}
 _EXTREME = {
-    "coefficient": [1e-300, 1e8, -1e150, 1e200, 1e308, math.inf, math.nan],
+    "coefficient": [5e-324, 1e-300, 1e8, -1e150, 1e200, 1e308, math.inf, math.nan],
     "gain": [1e-300, 1e4, 1e150, 1e200, math.inf, math.nan, -1.0],
     "k": [0, 12],
     "noise-var": [1e10, 1e300, math.inf],
-    "t0": [-1e3, 1e300, -math.inf],
+    "t0": [-1e3, 1e15, 1e300, -math.inf],
     "h": [0.0, 1e-300, 1e8, math.nan],
     "steps": [1, 9]}
 

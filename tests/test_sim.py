@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ddopt import estimator as est
-from ddopt import flows, signals, sim
+from ddopt import flows, record, signals, sim
 
 NONE = flows.CorrectionMode.NONE
 IDEAL = flows.CorrectionMode.IDEAL
@@ -25,6 +25,16 @@ class TestSimConfig:
             sim.SimConfig(tf=0.05, h=0.01)  # fewer than 10 steps
         with pytest.raises(ValueError):
             sim.SimConfig(tf=1e7)  # 1e10 steps, past the step budget
+
+    def test_stage_times_must_strictly_increase(self):
+        # From 2**52 up float64 holds only the integers: stage times h/2 = 1
+        # apart are distinct, h/2 = 0.5 apart repeat (ties round to even).
+        t0 = 2.0 ** 52
+        assert len(set(sim.SimConfig(t0=t0, tf=t0 + 20.0, h=2.0).stage_times())) == 21
+        with pytest.raises(ValueError, match="strictly increase"):
+            sim.SimConfig(t0=t0, tf=t0 + 10.0, h=1.0)
+        with pytest.raises(ValueError, match="strictly increase"):
+            sim.SimConfig(t0=1e15, tf=1.0000000000001e15, h=0.1)
 
     def test_grid(self):
         cfg = sim.SimConfig(t0=0.0, tf=1.0, h=0.1)
@@ -63,8 +73,8 @@ class TestMetrics:
     def test_steady_state_sup_uses_final_window(self):
         t = np.linspace(0.0, 10.0, 101)
         values = np.where(t < 8.0, 100.0, 1.0)
-        traj = sim.Trajectory({"t": t, "v": values})
-        assert sim.steady_state_sup(traj, "v") == 1.0
+        traj = record.Trajectory({"t": t, "v": values})
+        assert record.steady_state_sup(traj, "v") == 1.0
 
     def test_slope_fit_exact_power_law(self):
         sigmas = [40.0, 80.0, 160.0, 320.0]
@@ -93,7 +103,7 @@ _FORMAT_EDGES += [np.nextafter(p, toward) for p in (float(f"1e{k}") for k in ran
 
 def _cells(values):
     """The bytes write_csvs gives each value, its separator included."""
-    text, row = sim._format_cells(np.array(values, dtype=np.float64))
+    text, row = record._format_cells(np.array(values, dtype=np.float64))
     return [bytes(text[i][text[i] != 0]) for i in row]
 
 
@@ -111,20 +121,20 @@ def _percent_csv(columns):
 class TestTrajectoryCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        traj = sim.Trajectory({
+        traj = record.Trajectory({
             "t": np.arange(5) * 0.1,
             "theta_0": rng.standard_normal(5),
             "loss": np.abs(rng.standard_normal(5)) * 1e-17,
         })
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        back = sim.Trajectory.from_csv(path)
+        back = record.Trajectory.from_csv(path)
         assert list(back.columns) == list(traj.columns)
         for name in traj.columns:
             assert np.array_equal(back.column(name), traj.column(name))
 
     def test_lf_line_endings_and_header(self, tmp_path):
-        traj = sim.Trajectory({"t": [0.0, 1.0], "x_0": [1.0, 2.0]})
+        traj = record.Trajectory({"t": [0.0, 1.0], "x_0": [1.0, 2.0]})
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         raw = path.read_bytes()
@@ -135,7 +145,7 @@ class TestTrajectoryCsv:
         # 200 rows: the writer's row blocks and their boundaries are covered.
         v = np.tile([-0.0, 5e-324, 1e300, 0.1 + 0.2, -7.0], 40)
         t = np.arange(float(len(v)))
-        traj = sim.Trajectory({"t": t, "v": v, "w": v[::-1]})
+        traj = record.Trajectory({"t": t, "v": v, "w": v[::-1]})
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         expected = "t,v,w\n" + "".join(
@@ -145,14 +155,14 @@ class TestTrajectoryCsv:
 
     def test_shared_columns_across_row_blocks(self, tmp_path):
         # Three files share the t and v arrays, over more than two row blocks.
-        rows = 2 * sim._RECORD_BLOCK_ROWS + 37
+        rows = 2 * record._CSV_BLOCK_ROWS + 37
         v = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2, -7.0], rows)
         t = np.arange(float(rows))
         own = [v[::-1].copy(), -v, 3.0 * v]
-        trajs = [sim.Trajectory({"t": t, "v": v, "w": w}) for w in own]
+        trajs = [record.Trajectory({"t": t, "v": v, "w": w}) for w in own]
         assert all(traj.column("v") is v for traj in trajs)
         paths = [tmp_path / f"traj{i}.csv" for i in range(len(own))]
-        sim.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
+        record.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
         for w, path in zip(own, paths):
             expected = "t,v,w\n" + "".join(
                 ",".join(format(value, ".17g") for value in row) + "\n"
@@ -160,24 +170,24 @@ class TestTrajectoryCsv:
             assert path.read_bytes() == expected.encode()
 
     def test_unequal_lengths(self, tmp_path):
-        block = sim._RECORD_BLOCK_ROWS
+        block = record._CSV_BLOCK_ROWS
         values = np.random.default_rng(4).standard_normal(3 * block)
-        trajs = [sim.Trajectory({"t": np.arange(float(n)), "v": values[:n]})
+        trajs = [record.Trajectory({"t": np.arange(float(n)), "v": values[:n]})
                  for n in (1, block, block + 1, 3 * block)]
         paths = [tmp_path / f"traj{i}.csv" for i in range(len(trajs))]
-        sim.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
+        record.write_csvs((traj.columns, path) for traj, path in zip(trajs, paths))
         for traj, path in zip(trajs, paths):
             expected = "t,v\n" + "".join(
                 ",".join(format(value, ".17g") for value in row) + "\n"
                 for row in zip(traj.t, traj.column("v")))
             assert path.read_bytes() == expected.encode()
-        sim.write_csvs([])
+        record.write_csvs([])
 
     def test_mixed_layouts_across_row_blocks(self, tmp_path):
         # One block holds every layout class: zeros of both signs, the fixed
         # point forms from 1e-4 up, the exponent forms, inf and nan. Files of
         # unequal length share columns, over several row blocks.
-        block = sim._RECORD_BLOCK_ROWS
+        block = record._CSV_BLOCK_ROWS
         rows = 2 * block + 19
         rng = np.random.default_rng(9)
         mixed = np.resize(_FORMAT_EDGES, rows) * rng.choice([1.0, -1.0], rows)
@@ -188,7 +198,7 @@ class TestTrajectoryCsv:
                     "mixed": mixed[:block + 1], "own": spread[:block + 1] * 1e-3},
                    {"spread": spread[:7], "t": t[:7]}]
         paths = [tmp_path / f"traj{i}.csv" for i in range(len(columns))]
-        sim.write_csvs(zip(columns, paths))
+        record.write_csvs(zip(columns, paths))
         for cols, path in zip(columns, paths):
             expected = ",".join(cols) + "\n" + "".join(
                 ",".join(format(value, ".17g") for value in row) + "\n"
@@ -199,14 +209,14 @@ class TestTrajectoryCsv:
         # An int64 column holds other values than a float64 column with its
         # bits, so the two do not share text.
         path = tmp_path / "traj.csv"
-        sim.write_csvs([({"a": np.array([1, 2]), "b": np.array([5e-324, 1e-323])}, path)])
+        record.write_csvs([({"a": np.array([1, 2]), "b": np.array([5e-324, 1e-323])}, path)])
         assert path.read_bytes() == (b"a,b\n1,4.9406564584124654e-324\n"
                                      b"2,9.8813129168249309e-324\n")
 
     def test_columns_alike_in_part_keep_their_own_text(self, tmp_path):
         # Columns equal to another in all rows but one, or but for the sign
         # of zero, are not taken for it.
-        rows = 2 * sim._RECORD_BLOCK_ROWS + 5
+        rows = 2 * record._CSV_BLOCK_ROWS + 5
         columns = {"t": np.arange(float(rows)), "zero": np.zeros(rows),
                    "negzero": np.full(rows, -0.0)}
         for row in (1, rows // 2 + 1, rows - 1):
@@ -215,7 +225,7 @@ class TestTrajectoryCsv:
         columns["negzero1"] = np.zeros(rows)
         columns["negzero1"][1] = -0.0
         path = tmp_path / "traj.csv"
-        sim.write_csvs([(columns, path)])
+        record.write_csvs([(columns, path)])
         assert path.read_bytes() == _percent_csv(columns)
 
     @pytest.mark.parametrize("v", [[7.0, 8.0, 9.0, 10.0], [7.0, 8.0]])
@@ -223,14 +233,15 @@ class TestTrajectoryCsv:
         # Checked for every file before any is opened.
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         with pytest.raises(ValueError, match=f"column 'v' has length {len(v)}, expected 3"):
-            sim.write_csvs([({"t": [0.0, 1.0]}, first), ({"t": [0.0, 1.0, 2.0], "v": v}, second)])
+            record.write_csvs([({"t": [0.0, 1.0]}, first),
+                               ({"t": [0.0, 1.0, 2.0], "v": v}, second)])
         assert not first.exists() and not second.exists()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           lengths=st.lists(st.sampled_from([0, 1, 7, sim._RECORD_BLOCK_ROWS - 1,
-                                              sim._RECORD_BLOCK_ROWS, sim._RECORD_BLOCK_ROWS + 1,
-                                              2 * sim._RECORD_BLOCK_ROWS + 3]),
+           lengths=st.lists(st.sampled_from([0, 1, 7, record._CSV_BLOCK_ROWS - 1,
+                                              record._CSV_BLOCK_ROWS, record._CSV_BLOCK_ROWS + 1,
+                                              2 * record._CSV_BLOCK_ROWS + 3]),
                             min_size=1, max_size=4),
            width=st.integers(1, 5))
     def test_files_sharing_columns_match_percent_formatting(self, tmp_path_factory, seed,
@@ -263,7 +274,7 @@ class TestTrajectoryCsv:
             columns.append(cols)
         out = tmp_path_factory.mktemp("csv")
         paths = [out / f"traj{i}.csv" for i in range(len(columns))]
-        sim.write_csvs(zip(columns, paths))
+        record.write_csvs(zip(columns, paths))
         for cols, path in zip(columns, paths):
             assert path.read_bytes() == _percent_csv(cols)
 
@@ -291,11 +302,11 @@ class TestTrajectoryCsv:
 
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError):
-            sim.Trajectory({"t": [0.0, 0.0], "v": [1.0, 1.0]})
+            record.Trajectory({"t": [0.0, 0.0], "v": [1.0, 1.0]})
 
     def test_rejects_missing_time(self):
         with pytest.raises(ValueError):
-            sim.Trajectory({"x": [1.0]})
+            record.Trajectory({"x": [1.0]})
 
 
 def _zoh_maps(realization, h):
@@ -1416,7 +1427,7 @@ class TestInterconnections:
                                              r"in 1 of 1 runs:"):
             traj = sim.run_interconnection(flows.LogCoshTrackingCost(1), signal, NONE, cfg)
         assert looped == [(1, 0.0)]
-        assert sim.steady_state_mean(traj, "loss") == pytest.approx(0.985, abs=5e-4)
+        assert record.steady_state_mean(traj, "loss") == pytest.approx(0.985, abs=5e-4)
         stepped = sim.run_interconnection(_SlopelessLogCosh(1), signal, NONE, cfg)
         assert np.array_equal(traj.column("x_0"), stepped.column("x_0"))
 
@@ -1550,15 +1561,15 @@ class TestInterconnections:
                                             [(NONE, None), (IDEAL, None)],
                                             sim.SimConfig(tf=60.0, h=h))
 
-        fine = [sim.steady_state_mean(traj, "loss") for traj in run(1e-3)]
-        coarse = [sim.steady_state_mean(traj, "loss") for traj in run(1.0)]   # no warning
+        fine = [record.steady_state_mean(traj, "loss") for traj in run(1e-3)]
+        coarse = [record.steady_state_mean(traj, "loss") for traj in run(1.0)]   # no warning
         assert coarse == pytest.approx(fine, rel=1e-6, abs=1e-20)
         for h, figure, loss in ((1.5, r"47\.4", 21.2), (2.0, r"2\.15", 78.6),
                                 (2.5, r"12\.9", 727.0)):
             with pytest.warns(UserWarning, match=rf"amplify a deviation by up to {figure} > 1 "
                                                  rf"at h = {h:g} in 2 of 2 runs:"):
                 trajs = run(h)
-            assert [sim.steady_state_mean(traj, "loss") for traj in trajs] == \
+            assert [record.steady_state_mean(traj, "loss") for traj in trajs] == \
                 pytest.approx([loss, loss], rel=2e-3)
 
     @pytest.mark.parametrize("cost_class", [_SlopelessLogCosh, _LoopQuadratic])
