@@ -5,7 +5,8 @@ descriptors: sinusoids and polynomials (a constant is a degree-0
 polynomial). Keeping the set closed means every component has closed-form
 derivatives of any order, which the runners and the verification checks use
 as ground truth (:meth:`AnalyticSignal.eval_many` evaluates them on a time
-grid), and an exact supremum bound for each order
+grid, into one array, each component in place in one buffer with the bits
+of its written-out expression), and an exact supremum bound for each order
 (:meth:`AnalyticSignal.sup_derivative_bound`), which ``sweep`` uses to refuse
 a fit when the order past the estimator's is identically zero.
 Parameters are finite; :func:`sample_noisy_grid` adds noise to given values.
@@ -48,12 +49,27 @@ class Sinusoid:
             return 0.0, self.amplitude, self.omega, self.phase
         return 0.5 * self.amplitude, 0.5 * self.amplitude, 2.0 * self.omega, 2.0 * self.phase
 
-    def eval(self, t, order: int):
+    def eval(self, t, order: int, out=None):
+        """offset + a w^order cos(w t + phi + order pi/2), the offset at order
+        0 only, at the times ``t``: computed in ``out`` (a fresh array if
+        None), which is returned. The argument, its cosine and the scaled
+        value are each rounded as in that expression, left to right; only
+        exact no-ops are skipped, the + 0 pi/2 at order 0 (cos(-0) = cos(+0))
+        and a scale of exactly 1. The offset is added even when it is 0,
+        which turns a value of -0.0 into +0.0."""
         offset, a, w, phi = self.canonical()
         w = np.float64(w)   # its power overflows to inf, where a float power raises
-        value = a * (w ** order) * np.cos(w * np.asarray(t, dtype=np.float64) + phi + order * _HALF_PI)
+        t = np.asarray(t, dtype=np.float64)
+        value = np.multiply(w, t, out=np.empty_like(t) if out is None else out)
+        value += phi
+        if order:
+            value += order * _HALF_PI
+        np.cos(value, out=value)
+        scale = a * w ** order
+        if scale != 1.0:
+            value *= scale
         if order == 0:
-            value = value + offset
+            value += offset
         return value
 
     def sup_derivative(self, order: int) -> float:
@@ -87,13 +103,16 @@ class Polynomial:
                 return [0.0]
         return coeffs
 
-    def eval(self, t, order: int):
-        coeffs = self._derivative_coefficients(order)
+    def eval(self, t, order: int, out=None):
+        """The order-th derivative by Horner's rule at the times ``t``, in
+        ``out`` (a fresh array if None), which is returned."""
         t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        for c in reversed(coeffs):
-            out = out * t + c
-        return out
+        value = np.empty_like(t) if out is None else out
+        value.fill(0.0)
+        for c in reversed(self._derivative_coefficients(order)):
+            value *= t
+            value += c
+        return value
 
     def sup_derivative(self, order: int) -> float:
         coeffs = list(self.coefficients)
@@ -131,7 +150,13 @@ class AnalyticSignal:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         ts = np.asarray(ts, dtype=np.float64)
-        return np.column_stack([c.eval(ts, order) for c in self.components])
+        out = np.empty((len(ts), self.dim))
+        # Each component is evaluated in one contiguous buffer, then copied
+        # into its column: a ufunc may take another loop on a strided array.
+        buf = np.empty(len(ts))
+        for i, c in enumerate(self.components):
+            out[:, i] = c.eval(ts, order, buf)
+        return out
 
     def sup_derivative_bound(self, order: int) -> float:
         """Supremum over t >= 0 of the 2-norm of the order-th derivative.

@@ -12,13 +12,18 @@ come from matrix products with kernels built from powers of the step map,
 and the states at the chunk starts, themselves a linear recurrence, come
 from a log-depth scan (:func:`_scan_linear`). The result equals stepping
 the estimator sample by sample up to roundoff, with no Python loop over
-the grid steps or the chunks.
+the grid steps or the chunks. The caller lays the grid out in chunks
+(:func:`_chunk_layout`), once per state size for all the runs it drives
+over that grid: each chunk's samples, followed by free columns that every
+run overwrites with its own chunk start states, and the largest sample of
+the chunks a windowed run skips, taken once.
 
 Each run evaluates its clean signal once, on the stage grid, records every
 other stage, and measures it with noise added. A sweep reads only the
 steady-state window of each run (:func:`steady_state_errors`): its gains
-share the measurement and the true derivatives, and the estimates, the true
-derivatives and the error norms are computed on the window's rows only.
+share the measurement, its layout and the true derivatives, and the
+estimates, the true derivatives and the error norms are computed on the
+window's rows only.
 
 The estimator is open loop (its input, the measured parameter, does not
 depend on the optimizer state), so the interconnection computes the whole
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,24 +196,66 @@ def _scan_linear(T: np.ndarray, V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1)
 
 
-def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray,
-               first: int = 0) -> np.ndarray | None:
+class _ChunkLayout(NamedTuple):
+    """A sampled grid cut into the chunks of :func:`_drive_lti`, for one
+    state size; made by :func:`_chunk_layout`."""
+
+    W: np.ndarray       # the samples, (2N+1, m)
+    rows: np.ndarray    # (m, chunks, R + n): each chunk's samples, then n free columns
+    first: int          # the first output row kept
+    skip: int           # the chunks whose outputs are not computed
+    peak: float         # the largest |sample| of those chunks, 0 if none
+
+
+def _chunk_layout(W: np.ndarray, n: int, first: int = 0) -> _ChunkLayout:
+    """``W``, the inputs of m channels sampled on
+    :meth:`SimConfig.stage_times`, shape (2N+1, m), laid out for
+    :func:`_drive_lti` on realizations of state size ``n`` that keep the
+    output rows ``first`` .. N.
+
+    Chunk c of L = ``_CHUNK`` steps reads the R = 2L+1 samples W[2cL] ..
+    W[2cL+2L] (neighbouring chunks share one). They are copied once into
+    ``rows``, shape (m, chunks, R + n): row (i, c) holds those samples of
+    channel i, zero past the end of the run, and then n free columns, into
+    which each run writes its chunk start states. Chunk c holds the output
+    rows cL+1 .. cL+L; the ``skip`` chunks whose rows all precede ``first``
+    are not multiplied out, save that two chunks are always kept (a one-row
+    product goes to a matrix-vector kernel, which sums in another order).
+    ``peak`` is their largest |sample|, by which :func:`_drive_lti` vouches
+    for their rows. One layout serves every realization of that state size
+    driven by ``W``.
+    """
+    L, R = _CHUNK, 2 * _CHUNK + 1
+    N, m = (len(W) - 1) // 2, W.shape[1]
+    chunks = -(-N // L)
+    # The chunks that end inside the run are strided views of W; a last one
+    # that ends past it is padded with zeros.
+    full = N // L
+    row, col = W.strides
+    rows = np.empty((m, chunks, R + n))
+    rows[:, :full, :R] = np.lib.stride_tricks.as_strided(W, (m, full, R),
+                                                         (col, 2 * L * row, row), writeable=False)
+    if full < chunks:
+        rows[:, full, :R] = 0.0
+        rows[:, full, :len(W) - 2 * full * L] = W[2 * full * L:].T
+    skip = min(max(first - 1, 0) // L, max(chunks - 2, 0))
+    peak = np.abs(W[:2 * skip * L + 1]).max() if skip else 0.0
+    return _ChunkLayout(W, rows, first, skip, peak)
+
+
+def _drive_lti(realization, maps, layout: _ChunkLayout, x0: np.ndarray) -> np.ndarray | None:
     """Outputs (N+1, q, m) of a discretized realization driven by m channels.
 
     ``maps`` is the RK4 tuple (Phi, M0, M1, M2) of
-    :func:`estimator.rk4_step_maps`, ``W`` the inputs sampled on
-    :meth:`SimConfig.stage_times`, shape (2N+1, m), and ``x0`` the (n, m)
-    initial state. Outputs are at the integer sample times; the result is a
-    transposed view of an (m, N+1, q) array.
+    :func:`estimator.rk4_step_maps`, ``layout`` the input grid laid out by
+    the caller (:func:`_chunk_layout`) for the realization's state size n,
+    and ``x0`` the (n, m) initial state. Outputs are at the integer sample
+    times; the result is a transposed view of an (m, N+1, q) array.
 
     The recurrence x[j+1] = T x[j] + b0 W[2j] + b1 W[2j+1] + b2 W[2j+2], with
     T = Phi and b0, b1, b2 the first columns of M0, M1, M2, is evaluated in
-    chunks of L = ``_CHUNK`` steps. Chunk c reads the R = 2L+1 samples
-    W[2cL] .. W[2cL+2L] (neighbouring chunks share one). They are copied
-    from W once, into ``Wr``, shape (m, chunks, R + n): row (i, c) holds
-    those samples of channel i, zero past the end of the run, and then the
-    chunk's start state. Three kernels, built once per call from powers of
-    T, then map whole chunks with matrix products:
+    the layout's chunks of L = ``_CHUNK`` steps. Three kernels, built once
+    per call from powers of T, map whole chunks with matrix products:
 
     * ``G``, (R, L, q): G[r, i] is the weight of sample r in the output after
       step i of a chunk that starts from zero, the sum of C T^(i-l) b_s over
@@ -224,39 +272,30 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray,
     and rounds closer to an extended-precision reference (checked in
     tests/test_sim.py). The start states follow their own linear
     recurrence, s[c+1] = T^L s[c] + (samples of chunk c) @ E, which
-    :func:`_scan_linear` evaluates in log-depth, and the outputs are
-    Wr @ [G; H], one product per channel written straight into the output
-    buffer. ``L`` is one constant, not a per-size tuning: with the outputs
-    fused into these products, 64 was the fastest of 16, 32, 64 and 128, or
-    within 20% of it, at every shipped state size (1, 4, 9 and 16), and a
-    fixed chunk keeps each run's rounding independent of any tuning.
+    :func:`_scan_linear` evaluates in log-depth. They overwrite the
+    layout's free columns, and the outputs are ``rows`` @ [G; H], one
+    product per channel written straight into the output buffer. ``L`` is
+    one constant, not a per-size tuning: with the outputs fused into these
+    products, 64 was the fastest of 16, 32, 64 and 128, or within 20% of
+    it, at every shipped state size (1, 4, 9 and 16), and a fixed chunk
+    keeps each run's rounding independent of any tuning.
 
-    With ``first`` > 0 only the rows ``first`` .. N are returned, equal bit
-    for bit to those rows of the whole result, and the product skips the
-    chunks that end before row ``first``; the scan still covers every chunk.
-    The skipped rows are vouched for instead: None is returned unless each
-    is finite and below ``_SAFE_MAGNITUDE``, as shown by a bound from the
-    skipped chunks' largest sample and start state and the kernels' column
-    sums, and by row 0 and the rows of the first kept chunk before ``first``.
+    With the layout's ``first`` > 0 only the rows ``first`` .. N are
+    returned, equal bit for bit to those rows of the whole result, and the
+    product skips the layout's ``skip`` chunks; the scan still covers every
+    chunk. The skipped rows are vouched for instead: None is
+    returned unless each is finite and below ``_SAFE_MAGNITUDE``, as shown
+    by a bound from the skipped chunks' largest sample (the layout's
+    ``peak``) and start state and the kernels' column sums, and by row 0
+    and the rows of the first kept chunk before ``first``.
     """
     C, D = realization.C, realization.D
     T, M0, M1, M2 = maps
+    W, Wr, first, skip, peak = layout
     taps = np.column_stack([M0[:, 0], M1[:, 0], M2[:, 0]])
     L, n, q, S = _CHUNK, T.shape[0], C.shape[0], taps.shape[1]
-    N, m = (len(W) - 1) // 2, W.shape[1]
-    chunks = -(-N // L)
+    N, m, chunks = (len(W) - 1) // 2, W.shape[1], Wr.shape[1]
     R = 2 * L + 1
-
-    # The chunks that end inside the run are strided views of W; a last one
-    # that ends past it is padded with zeros.
-    full = N // L
-    row, col = W.strides
-    Wr = np.empty((m, chunks, R + n))
-    Wr[:, :full, :R] = np.lib.stride_tricks.as_strided(W, (m, full, R), (col, 2 * L * row, row),
-                                                       writeable=False)
-    if full < chunks:
-        Wr[:, full, :R] = 0.0
-        Wr[:, full, :len(W) - 2 * full * L] = W[2 * full * L:].T
 
     with np.errstate(over="ignore", invalid="ignore"):
         # Powers T^0 .. T^L and columns T^d taps, by doubling. The columns
@@ -294,18 +333,14 @@ def _drive_lti(realization, maps, W: np.ndarray, x0: np.ndarray,
         V = Wr[:, :, :R] @ E                                # (m, chunks, n)
         starts = _scan_linear(P[L], V[:, :-1].transpose(1, 2, 0), x0)    # (chunks, n, m)
         Wr[:, :, R:] = starts.transpose(2, 0, 1)
-        # Chunk c holds rows cL+1 .. cL+L; out[:, 0] is row 0 either way.
-        # Two chunks are always kept: a one-row product goes to a
-        # matrix-vector kernel, which sums in another order.
-        skip = min(max(first - 1, 0) // L, max(chunks - 2, 0))
+        # out[:, 0] is row 0 whichever chunks are skipped.
         out = np.empty((m, (chunks - skip) * L + 1, q))
         out[:, 0] = (C @ x0 + D @ W[:1]).T
         np.matmul(Wr[:, skip:], GH, out=out[:, 1:].reshape(m, chunks - skip, L * q))
         if first:
-            peak = np.abs(Wr[:, :skip]).max(axis=(0, 1), initial=0.0)
             bound = (np.abs(out[:, :first - skip * L]).max()
-                     + peak[:R].max() * np.abs(GH[:R]).sum(axis=0).max()
-                     + peak[R:].max() * np.abs(GH[R:]).sum(axis=0).max())
+                     + peak * np.abs(GH[:R]).sum(axis=0).max()
+                     + np.abs(starts[:skip]).max(initial=0.0) * np.abs(GH[R:]).sum(axis=0).max())
             if not bound < _SAFE_MAGNITUDE:
                 return None
         return out[:, first - skip * L:N + 1 - skip * L].transpose(1, 2, 0)
@@ -328,7 +363,7 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
     if u.shape[0] != 2 * N + 1:
         raise ValueError("input must be sampled on the stage grid")
     maps = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
-    return cfg.times(), _drive_lti(realization, maps, u[:, None], x0)[:, :, 0]
+    return cfg.times(), _drive_lti(realization, maps, _chunk_layout(u[:, None], n), x0)[:, :, 0]
 
 
 def _check_signal_dim(signal: sig_mod.AnalyticSignal, est_cfgs) -> None:
@@ -352,7 +387,8 @@ def run_derivative_experiment(signal: sig_mod.AnalyticSignal, noise: sig_mod.Noi
         W = sig_mod.sample_noisy_grid(clean, noise)
         true = [signal.eval_many(t_rec, order) for order in range(1, est_cfg.order + 1)]
     estimator = est_mod.build_estimator(est_cfg, cfg.h)
-    Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state)
+    Y = _drive_lti(estimator.continuous, estimator.rk4_maps,
+                   _chunk_layout(W, len(estimator.state)), estimator.state)
     cols = {"t": t_rec}
     _add_channels(cols, "theta", clean[::2])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,9 +409,10 @@ def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec
     reads from its :func:`run_derivative_experiment`.
 
     The configs are validated before anything runs and share one sampling
-    of the grid. True derivatives, estimates and error norms are computed
-    only on the window's rows (:meth:`Trajectory.window_mask`): ``_drive_lti``
-    skips the chunks before them and vouches for their outputs. The whole
+    of the grid, laid out once per state size (:func:`_chunk_layout`). True
+    derivatives, estimates and error norms are computed only on the
+    window's rows (:meth:`Trajectory.window_mask`): ``_drive_lti`` skips the
+    chunks before them and vouches for their outputs. The whole
     run fails if any value it records is not finite, so the window stands
     for it only when every sample is finite (so is the signal column), each
     order's ``sup_derivative_bound`` is below ``_SAFE_MAGNITUDE`` (so are the
@@ -398,13 +435,16 @@ def steady_state_errors(signal: sig_mod.AnalyticSignal, noise: sig_mod.NoiseSpec
         true = [signal.eval_many(t_rec[first:], order) for order in orders]
     bounded = [signal.sup_derivative_bound(order) < _SAFE_MAGNITUDE for order in orders]
     finite = bool(np.isfinite(W).all())
-    sups = []
+    sups, layouts = [], {}    # one layout per state size
     for est_cfg in est_cfgs:
         k = est_cfg.order
         estimator = est_mod.build_estimator(est_cfg, cfg.h)
         Y = sup = None
         if finite and all(bounded[:k]):
-            Y = _drive_lti(estimator.continuous, estimator.rk4_maps, W, estimator.state, first)
+            n = len(estimator.state)
+            if n not in layouts:
+                layouts[n] = _chunk_layout(W, n, first)
+            Y = _drive_lti(estimator.continuous, estimator.rk4_maps, layouts[n], estimator.state)
         if Y is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 sup = np.array([_norm(Y[:, i, :] - true[i]).max() for i in range(k)])
@@ -487,7 +527,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     # The velocity each correction is fed at the grid points (recorded); a
     # step holds the estimate (or zero) at its start.
     v0 = np.zeros((N + 1, B, p))
-    meas_all = None
+    meas_all, layouts = None, {}    # one layout of the measurement per state size
     for b, (mode, est_cfg) in enumerate(runs):
         if mode is Mode.IDEAL:
             v0[:, b] = theta_dot
@@ -495,8 +535,12 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             if meas_all is None:
                 meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
             estimator = est_mod.build_estimator(est_cfg, h)
-            v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, meas_all,
+            n = len(estimator.state)
+            if n not in layouts:
+                layouts[n] = _chunk_layout(meas_all, n)
+            v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, layouts[n],
                                   estimator.state)[:, 0, :]
+    del meas_all, layouts    # not held while the flows run
 
     # The stage tuple; ideal runs are fed the exact velocity at each stage.
     ideal = np.array([mode is Mode.IDEAL for mode, _ in runs])[:, None]

@@ -39,6 +39,8 @@ def _ticks(lo: float, hi: float):
     ticks = []
     v = start
     while v <= hi + 1e-9 * step:
+        if v + step == v:   # a step below half the float spacing at v: its ends
+            return [lo, hi]
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks

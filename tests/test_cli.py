@@ -653,6 +653,10 @@ _GOLDEN = {
         ["sweep", "--k", "3", "--signal", "cos(5*t-2),sin(5*t-2),cos2(5*t-2)", "--tf", "3"],
         {"stdout": "e626c85c41448ff9ebbd29c41b2231de9f4ae51f74a4d4aac145c74cdf349e37",
          "sweep.csv": "dee9e8a239a21f0e9258036ef95c55e67795690dc13b25d56d1dd60b258a42fb"}),
+    "sweep-scalar": (
+        ["sweep", "--k", "4", "--signal", "sin(5*t+0.7)", "--tf", "3"],
+        {"stdout": "e6a2aeafcbf2129c6c3a6f86790bcabbefbd257ae2133bcd26d829ad4c468c49",
+         "sweep.csv": "5abbf5ce4c26e4a4e8134b8cbb519f5a96f9bdf217450f10254eb1cca2978788"}),
 }
 
 

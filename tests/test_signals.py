@@ -59,6 +59,44 @@ class TestEval:
                 assert np.all(np.abs(fd - exact) <= 1e-5 * np.maximum(1.0, np.abs(exact)))
 
 
+def _former_sinusoid(desc, t, order):
+    """A sinusoid's derivative as one expression, each operation allocating."""
+    offset, a, w, phi = desc.canonical()
+    w = np.float64(w)
+    value = a * w ** order * np.cos(w * t + phi + order * (0.5 * math.pi))
+    return value + offset if order == 0 else value
+
+
+def _former_polynomial(desc, t, order):
+    value = np.zeros_like(t)
+    for c in reversed(desc._derivative_coefficients(order)):
+        value = value * t + c
+    return value
+
+
+class TestInPlaceEval:
+    @pytest.mark.parametrize("order", range(5))
+    def test_bits_equal_the_former_expressions(self, order):
+        # Zero and negative amplitudes, signed zero phases, unit scales; the
+        # order-0 offset of a zero amplitude turns -0.0 into +0.0.
+        sinusoids = [signals.Sinusoid(a, w, phi, kind)
+                     for kind in ("sin", "cos", "cos2")
+                     for a in (1.0, -2.5, 0.0, -0.0)
+                     for w in (5.0, 1.0, -3.0)
+                     for phi in (0.0, -0.0, 0.7)]
+        polynomials = [signals.Polynomial(c) for c in ((1.0, 2.0, 0.5, -0.25), (-0.0,),
+                                                        (0.0, -0.0, 3.0), (2.0, 0.0, 0.0, -1.0))]
+        sig = signals.AnalyticSignal(sinusoids + polynomials)
+        t = np.concatenate([[0.0, -0.0], np.linspace(-10.0, 30.0, 801)])
+        got = sig.eval_many(t, order)
+        assert got.shape == (len(t), sig.dim)
+        expected = np.column_stack([_former_sinusoid(d, t, order) for d in sinusoids]
+                                   + [_former_polynomial(d, t, order) for d in polynomials])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        zeros = expected == 0.0
+        assert np.signbit(expected[zeros]).any() and not np.signbit(expected[zeros]).all()
+
+
 class TestSupBound:
     def test_sinusoid_second_derivative(self):
         assert signals.sinusoid_5t_minus_2().sup_derivative_bound(2) == pytest.approx(25.0)

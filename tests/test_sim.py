@@ -15,6 +15,11 @@ IDEAL = flows.CorrectionMode.IDEAL
 ESTIMATED = flows.CorrectionMode.ESTIMATED
 
 
+def _drive(realization, maps, W, x0, first=0):
+    """sim._drive_lti on the samples ``W``, laid out for this run alone."""
+    return sim._drive_lti(realization, maps, sim._chunk_layout(W, len(x0), first), x0)
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -338,7 +343,7 @@ class TestDerivativeExperiment:
         rk4 = sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
         cascade = est.compose_cascade(1, 2.0)
         W = signal.eval_many(cfg.stage_times(), 0)
-        hat = sim._drive_lti(cascade, _zoh_maps(cascade, cfg.h), W, np.zeros((1, 1)))
+        hat = _drive(cascade, _zoh_maps(cascade, cfg.h), W, np.zeros((1, 1)))
         zoh = sim.Trajectory({"t": cfg.times(),
                               "est_error": hat[:, 0, 0] - signal.eval_many(cfg.times(), 1)[:, 0]})
         sup_rk4 = sim.steady_state_sup(rk4, "est_error")
@@ -436,6 +441,31 @@ class TestDerivativeExperiments:
         window = sim.Trajectory({"t": EXPERIMENT_CFG.times()}).window_mask()
         assert [len(args[1]) for args in evaluated[1:]] == [int(window.sum())] * 3
 
+    def test_gains_share_one_layout_per_state_size(self, monkeypatch):
+        laid_out = _counting(monkeypatch, sim, "_chunk_layout")
+        signal, noise = EXPERIMENT_SIGNALS[3], EXPERIMENT_NOISE[True]
+        cfgs = [est.DirtyDerivativeConfig(2, sigma, 3) for sigma in (5.0, 20.0, 60.0, 160.0)]
+        sim.steady_state_errors(signal, noise, cfgs, EXPERIMENT_CFG)
+        assert len(laid_out) == 1
+        laid_out.clear()
+        # Orders 1, 2, 3, 1, 3: state sizes 1, 4, 9 of three channels.
+        cfgs = [_experiment_config(i, 3) for i in range(len(EXPERIMENT_POOL))]
+        sim.steady_state_errors(signal, noise, cfgs, EXPERIMENT_CFG)
+        assert [args[1] for args in laid_out] == [1, 4, 9]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_each_gain_equals_the_gain_alone(self, channels, order):
+        # The window of tf = 0.2 starts at row 160, so two of the four chunks
+        # are skipped and vouched for by the layout's sample peak.
+        signal, noise = EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[True]
+        cfgs = [est.DirtyDerivativeConfig(order, sigma, channels)
+                for sigma in (5.0, 20.0, 60.0, 160.0)]
+        shared = sim.steady_state_errors(signal, noise, cfgs, EXPERIMENT_CFG)
+        for est_cfg, sups in zip(cfgs, shared):
+            alone, = sim.steady_state_errors(signal, noise, [est_cfg], EXPERIMENT_CFG)
+            assert np.array_equal(sups, alone), est_cfg
+
     def test_every_config_is_validated_before_anything_runs(self, monkeypatch):
         sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
         cfgs = [est.DirtyDerivativeConfig(1, 5.0, 1), est.DirtyDerivativeConfig(1, 5.0, 3)]
@@ -475,9 +505,9 @@ class TestDerivativeExperiments:
         dd = est.build_estimator(est_cfg, cfg.h)
         W = signal.eval_many(cfg.stage_times(), 0)
         first = int(np.argmax(sim.Trajectory({"t": cfg.times()}).window_mask()))
-        window = sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[first:]
+        window = _drive(dd.continuous, dd.rk4_maps, W, dd.state)[first:]
         assert np.all(np.abs(window) < 1e150)
-        assert sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state, first) is None
+        assert _drive(dd.continuous, dd.rk4_maps, W, dd.state, first) is None
         with pytest.raises(sim.NonFiniteStateError) as alone:
             sim.run_derivative_experiment(signal, signals.NoiseSpec(), est_cfg, cfg)
         with pytest.raises(sim.NonFiniteStateError) as batch:
@@ -536,7 +566,7 @@ class TestChunkedKernel:
         maps = dd.rk4_maps if maps == "rk4" else _zoh_maps(dd.continuous, h)
         W = np.sin(2.5 * h * np.arange(2 * steps + 1)[:, None] + np.arange(channels))
         x0 = np.random.default_rng(order).standard_normal(dd.state.shape)
-        got = sim._drive_lti(dd.continuous, maps, W, x0)
+        got = _drive(dd.continuous, maps, W, x0)
         expected = _loop_drive_lti(dd.continuous, maps, W, x0)
         assert got.shape == expected.shape == (steps + 1, order, channels)
         for i in range(order):
@@ -557,7 +587,7 @@ class TestChunkedKernel:
         dd = est.build_estimator(est.DirtyDerivativeConfig(order, sigma, 1), cfg.h)
         W = np.sin(5.0 * cfg.stage_times() - 2.0)[:, None]
         window = sim.Trajectory({"t": cfg.times()}).window_mask()
-        got = sim._drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
+        got = _drive(dd.continuous, dd.rk4_maps, W, dd.state)[window]
         loop = _loop_drive_lti(dd.continuous, dd.rk4_maps, W, dd.state)[window]
         ref = _loop_drive_lti(dd.continuous, dd.rk4_maps, W, dd.state, np.longdouble)[window]
         for i in range(order):
@@ -576,8 +606,8 @@ class TestChunkedKernel:
         dd = est.build_estimator(est.DirtyDerivativeConfig(order, 20.0, channels), h)
         W = np.sin(2.5 * h * np.arange(2 * 1000 + 1)[:, None] + np.arange(channels))
         x0 = np.random.default_rng(order).standard_normal(dd.state.shape)
-        full = sim._drive_lti(dd.continuous, dd.rk4_maps, W, x0)
-        tail = sim._drive_lti(dd.continuous, dd.rk4_maps, W, x0, first)
+        full = _drive(dd.continuous, dd.rk4_maps, W, x0)
+        tail = _drive(dd.continuous, dd.rk4_maps, W, x0, first)
         assert tail.shape == full[first:].shape
         assert np.array_equal(tail, full[first:])
 
@@ -587,7 +617,7 @@ class TestChunkedKernel:
         h = 1e-2
         dd = est.build_estimator(est.DirtyDerivativeConfig(2, 20.0), h)
         W = np.sin(2.5 * h * np.arange(2 * 1000 + 1))[:, None]
-        drive = functools.partial(sim._drive_lti, dd.continuous, dd.rk4_maps)
+        drive = functools.partial(_drive, dd.continuous, dd.rk4_maps)
         assert drive(W, dd.state, 900) is not None
         assert drive(W, np.full_like(dd.state, 1e160), 900) is None
         W[10] = np.inf
@@ -604,9 +634,9 @@ class TestChunkedKernel:
         maps = est.rk4_step_maps(block.A, block.B, h)
         u = np.sin(h * np.arange(2 * steps + 1))
         x0 = np.random.default_rng(n).standard_normal((n, m))
-        got = sim._drive_lti(block, maps, np.broadcast_to(u[:, None], (len(u), m)), x0)
+        got = _drive(block, maps, np.broadcast_to(u[:, None], (len(u), m)), x0)
         for i in range(m):
-            single = sim._drive_lti(block, maps, u[:, None], x0[:, i:i + 1])
+            single = _drive(block, maps, u[:, None], x0[:, i:i + 1])
             assert np.array_equal(got[:, :, i], single[:, :, 0]), i
 
 
@@ -891,7 +921,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
     if estimated:
         dd = est.build_estimator(est_cfg, h)
         meas = signals.sample_noisy_grid(theta_all, noise)
-        hat = sim._drive_lti(dd.continuous, dd.rk4_maps, meas, dd.state)[:, 0, :]
+        hat = _drive(dd.continuous, dd.rk4_maps, meas, dd.state)[:, 0, :]
     x = np.zeros(n)
     rows = []
     for j in range(N + 1):
@@ -1201,6 +1231,24 @@ class TestInterconnections:
             assert list(traj.columns) == list(alone.columns)
             for name in alone.columns:
                 assert np.array_equal(traj.column(name), alone.column(name)), name
+
+    def test_estimated_runs_share_one_layout_per_state_size(self, monkeypatch):
+        laid_out = _counting(monkeypatch, sim, "_chunk_layout")
+        runs = [(ESTIMATED, est.DirtyDerivativeConfig(1, 5.0, 3)), (IDEAL, None),
+                (ESTIMATED, est.DirtyDerivativeConfig(2, 20.0, 3)),
+                (ESTIMATED, est.DirtyDerivativeConfig(1, 20.0, 3)),
+                (ESTIMATED, est.DirtyDerivativeConfig(2, 5.0, 3))]
+        cost = flows.cost_by_name("quadratic-tracking", 3)
+        signal = signals.benchmark_parameter_path()
+        batch = sim.run_interconnections(cost, signal, runs, BATCH_CFG, noise=BATCH_NOISE)
+        assert [args[1] for args in laid_out] == [1, 4]
+        for (mode, est_cfg), traj in zip(runs, batch):
+            if mode is ESTIMATED:
+                alone = sim.run_interconnection(cost, signal, mode, BATCH_CFG, est_cfg=est_cfg,
+                                                noise=BATCH_NOISE)
+                for c in range(3):
+                    name = sim.column_name("thetahat", 1, c)
+                    assert np.array_equal(traj.column(name), alone.column(name)), (est_cfg, name)
 
     @pytest.mark.parametrize("cost_class,general_class", [
         (flows.QuadraticTrackingCost, _GeneralQuadratic),
