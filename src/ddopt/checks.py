@@ -46,10 +46,29 @@ class _Gate:
         self.details.append(("PASS" if condition else "FAIL") + "  " + message)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
+CHECKS = []
+
+
+def _check(name: str, budget: float | None = None):
+    """Register the check ``name`` in ``CHECKS``, in definition order: it fills a
+    ``_Gate`` and returns ``(expected, measured)``; its whole call is timed, gated
+    against ``budget`` (if any) as the last detail, and made a ``CheckResult``."""
+    def register(fn):
+        @functools.wraps(fn)
+        def check() -> CheckResult:
+            gate = _Gate()
+            start = time.perf_counter()
+            expected, measured = fn(gate)
+            runtime = time.perf_counter() - start
+            if budget is not None:
+                gate.require(runtime < budget, f"runtime {runtime:.2f}s < {budget:g}s")
+            return CheckResult(name, gate.ok, expected, measured, runtime, gate.details)
+
+        del check.__wrapped__    # its signature is its own: no arguments
+        CHECKS.append((name, check))
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +115,16 @@ def _ordering_runs():
 # ---------------------------------------------------------------------------
 # Checks.
 
-def check_sinusoid_error() -> CheckResult:
+@_check("sinusoid-error")
+def check_sinusoid_error(gate):
     """Measured steady-state first-derivative error against the exact
     frequency-domain oracle for sin(5t-2), k = 1, sigma in {5, 20}."""
-    gate = _Gate()
     measured = []
     expected = []
-    total_runtime = 0.0
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
-        (traj, runtime) = _timed(lambda s=sigma: _derivative_run(s))
-        total_runtime += runtime
+        start = time.perf_counter()
+        traj = _derivative_run(sigma)
+        runtime = time.perf_counter() - start
         sup = record_mod.steady_state_sup(traj, "est_error")
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
@@ -114,22 +133,17 @@ def check_sinusoid_error() -> CheckResult:
         gate.require(abs(sup - oracle) <= 0.02 * oracle,
                      f"sigma={sigma:g}: sup {sup:.6f} vs oracle {oracle:.6f}")
         gate.require(runtime < 1.0, f"sigma={sigma:g}: runtime {runtime:.2f}s < 1s")
-    return CheckResult("sinusoid-error", gate.ok, "; ".join(expected),
-                       "; ".join(measured), total_runtime, gate.details)
+    return "; ".join(expected), "; ".join(measured)
 
 
-def check_polynomial_exactness() -> CheckResult:
+@_check("polynomial-exactness", budget=1.0)
+def check_polynomial_exactness(gate):
     """Degree-2 polynomial input, k = 2: both estimates exact to 1e-6 by the
     end of the run (polynomials of degree <= k have no residual error)."""
-    gate = _Gate()
-
-    def run():
-        cfg = sim_mod.SimConfig(t0=0.0, tf=5.0, h=1e-3)
-        est_cfg = est_mod.DirtyDerivativeConfig(2, 10.0, 1)
-        signal = sig_mod.AnalyticSignal((sig_mod.Polynomial((1.0, 2.0, 0.5)),))
-        return sim_mod.run_derivative_experiment(signal, sig_mod.NoiseSpec(), est_cfg, cfg)
-
-    traj, runtime = _timed(run)
+    cfg = sim_mod.SimConfig(t0=0.0, tf=5.0, h=1e-3)
+    est_cfg = est_mod.DirtyDerivativeConfig(2, 10.0, 1)
+    signal = sig_mod.AnalyticSignal((sig_mod.Polynomial((1.0, 2.0, 0.5)),))
+    traj = sim_mod.run_derivative_experiment(signal, sig_mod.NoiseSpec(), est_cfg, cfg)
     t_end = float(traj.t[-1])
     d1 = float(traj.column("thetahat_0")[-1])
     d2 = float(traj.column("thetahat2_0")[-1])
@@ -137,30 +151,22 @@ def check_polynomial_exactness() -> CheckResult:
     e2 = abs(d2 - 1.0)
     gate.require(e1 <= 1e-6, f"first derivative error {e1:.3g} <= 1e-6")
     gate.require(e2 <= 1e-6, f"second derivative error {e2:.3g} <= 1e-6")
-    gate.require(runtime < 1.0, f"runtime {runtime:.2f}s < 1s")
-    return CheckResult("polynomial-exactness", gate.ok,
-                       f"estimates ({2.0 + t_end:g}, 1) +-1e-6",
-                       f"({d1:.8f}, {d2:.8f})", runtime, gate.details)
+    return f"estimates ({2.0 + t_end:g}, 1) +-1e-6", f"({d1:.8f}, {d2:.8f})"
 
 
-def check_sigma_scaling() -> CheckResult:
+@_check("sigma-scaling", budget=10.0)
+def check_sigma_scaling(gate):
     """Log-log slope of steady-state error versus sigma matches the
     -(k+1-i) power law for (k,i) in {(1,1), (2,1), (2,2)}."""
-    gate = _Gate()
-
-    def run():
-        cfg = sim_mod.SimConfig(t0=0.0, tf=30.0, h=1e-3)
-        sups = {}
-        for order in (1, 2):
-            est_cfgs = [est_mod.DirtyDerivativeConfig(order, sigma, 1) for sigma in SWEEP_SIGMAS]
-            errors = sim_mod.steady_state_errors(sig_mod.sinusoid_5t_minus_2(),
-                                                 sig_mod.NoiseSpec(), est_cfgs, cfg)
-            for sigma, sup in zip(SWEEP_SIGMAS, errors):
-                for i in range(1, order + 1):
-                    sups[(order, i, sigma)] = sup[i - 1]
-        return sups
-
-    sups, runtime = _timed(run)
+    cfg = sim_mod.SimConfig(t0=0.0, tf=30.0, h=1e-3)
+    sups = {}
+    for order in (1, 2):
+        est_cfgs = [est_mod.DirtyDerivativeConfig(order, sigma, 1) for sigma in SWEEP_SIGMAS]
+        errors = sim_mod.steady_state_errors(sig_mod.sinusoid_5t_minus_2(),
+                                             sig_mod.NoiseSpec(), est_cfgs, cfg)
+        for sigma, sup in zip(SWEEP_SIGMAS, errors):
+            for i in range(1, order + 1):
+                sups[(order, i, sigma)] = sup[i - 1]
     measured = []
     for order, i in ((1, 1), (2, 1), (2, 2)):
         pts = [(sigma, sups[(order, i, sigma)]) for sigma in SWEEP_SIGMAS]
@@ -169,100 +175,76 @@ def check_sigma_scaling() -> CheckResult:
         measured.append(f"(k={order},i={i}): {slope:.3f}")
         gate.require(abs(slope - target) <= 0.25,
                      f"(k={order},i={i}): slope {slope:.4f} within {target}+-0.25")
-    gate.require(runtime < 10.0, f"runtime {runtime:.2f}s < 10s")
-    return CheckResult("sigma-scaling", gate.ok,
-                       "slopes -1, -2, -1 (+-0.25)", "; ".join(measured),
-                       runtime, gate.details)
+    return "slopes -1, -2, -1 (+-0.25)", "; ".join(measured)
 
 
-def check_block_output_bound() -> CheckResult:
+@_check("block-output-bound", budget=5.0)
+def check_block_output_bound(gate):
     """Simulated output of each cascade block stays below the decay plus
     input-gain bound computed from its Lyapunov solution."""
-    gate = _Gate()
-
-    def run():
-        rng = np.random.default_rng(20260811)
-        cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
-        t = cfg.times()
-        # Ten initial states per block, driven as ten channels of one input.
-        u = np.sin(cfg.stage_times())
-        U = np.broadcast_to(u[:, None], (len(u), 10))
-        violations = 0
-        total = 0
-        margin = math.inf
-        for n in (1, 2, 3):
-            layout = sim_mod._chunk_layout(U, n)     # shared by the gains
-            for sigma in (2.0, 10.0):
-                block = est_mod.build_f_block(n, sigma)
-                constants = est_mod.output_bound_constants(n, sigma)
-                x0 = rng.standard_normal((10, n)).T     # the stream of ten draws of n
-                maps = est_mod.rk4_step_maps(block.A, block.B, cfg.h)
-                y = sim_mod._drive_lti(block, maps, layout, x0)[:, 0, :]
-                bound = constants.bound(np.linalg.norm(x0, axis=0), 1.0, sigma, t[:, None])
-                gap = bound - np.abs(y)
-                violations += int(np.sum(gap < 0.0))
-                total += gap.size
-                margin = min(margin, float(np.min(gap)))
-            del layout    # not held while the next block size's is laid out
-        return violations, total, margin
-
-    (violations, total, margin), runtime = _timed(run)
+    rng = np.random.default_rng(20260811)
+    cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
+    t = cfg.times()
+    # Ten initial states per block, driven as ten channels of one input.
+    u = np.sin(cfg.stage_times())
+    U = np.broadcast_to(u[:, None], (len(u), 10))
+    violations = 0
+    total = 0
+    margin = math.inf
+    for n in (1, 2, 3):
+        layout = sim_mod._chunk_layout(U, n)     # shared by the gains
+        for sigma in (2.0, 10.0):
+            block = est_mod.build_f_block(n, sigma)
+            constants = est_mod.output_bound_constants(n, sigma)
+            x0 = rng.standard_normal((10, n)).T     # the stream of ten draws of n
+            maps = est_mod.rk4_step_maps(block.A, block.B, cfg.h)
+            y = sim_mod._drive_lti(block, maps, layout, x0)[:, 0, :]
+            bound = constants.bound(np.linalg.norm(x0, axis=0), 1.0, sigma, t[:, None])
+            gap = bound - np.abs(y)
+            violations += int(np.sum(gap < 0.0))
+            total += gap.size
+            margin = min(margin, float(np.min(gap)))
+        del layout    # not held while the next block size's is laid out
     gate.require(violations == 0, f"{violations} violations over {total} samples")
-    gate.require(runtime < 5.0, f"runtime {runtime:.2f}s < 5s")
-    return CheckResult("block-output-bound", gate.ok, "0 violations",
-                       f"{violations} violations, worst margin {margin:.4g}",
-                       runtime, gate.details)
+    return "0 violations", f"{violations} violations, worst margin {margin:.4g}"
 
 
-def check_lyapunov_residuals() -> CheckResult:
+@_check("lyapunov-residuals")
+def check_lyapunov_residuals(gate):
     """Residual of the unit-gain companion Lyapunov equations, n = 1..6."""
-    gate = _Gate()
-
-    def run():
-        residuals = []
-        for n in range(1, 7):
-            A = est_mod.build_f_block(n, 1.0).A
-            P = numerics.lyapunov_solve(A, np.eye(n))
-            residuals.append(float(np.linalg.norm(A.T @ P + P @ A + np.eye(n))))
-        return residuals
-
-    residuals, runtime = _timed(run)
-    for n, r in enumerate(residuals, start=1):
+    residuals = []
+    for n in range(1, 7):
+        A = est_mod.build_f_block(n, 1.0).A
+        P = numerics.lyapunov_solve(A, np.eye(n))
+        r = float(np.linalg.norm(A.T @ P + P @ A + np.eye(n)))
+        residuals.append(r)
         gate.require(r < 1e-10, f"n={n}: residual {r:.3g} < 1e-10")
-    worst = max(residuals)
-    return CheckResult("lyapunov-residuals", gate.ok, "all < 1e-10",
-                       f"worst {worst:.3g}", runtime, gate.details)
+    return "all < 1e-10", f"worst {max(residuals):.3g}"
 
 
-def check_transfer_equivalence() -> CheckResult:
+@_check("transfer-equivalence")
+def check_transfer_equivalence(gate):
     """Frequency response of the composed realization against the closed-form
     cascade recursion, per-frequency response vector, relative error 1e-9."""
-    gate = _Gate()
-
-    def run():
-        worst = 0.0
-        for order in (1, 2, 3):
-            for sigma in (1.0, 5.0, 20.0):
-                omegas = np.logspace(-2, 3, 20)
-                H = est_mod.frequency_response(est_mod.compose_cascade(order, sigma), omegas)
-                for omega, response in zip(omegas, H[:, :, 0]):
-                    ref = np.array([est_mod.closed_form_transfer(order, sigma, i, float(omega))
-                                    for i in range(1, order + 1)])
-                    rel = float(np.linalg.norm(response - ref) / np.linalg.norm(ref))
-                    worst = max(worst, rel)
-        return worst
-
-    worst, runtime = _timed(run)
+    worst = 0.0
+    for order in (1, 2, 3):
+        for sigma in (1.0, 5.0, 20.0):
+            omegas = np.logspace(-2, 3, 20)
+            H = est_mod.frequency_response(est_mod.compose_cascade(order, sigma), omegas)
+            for omega, response in zip(omegas, H[:, :, 0]):
+                ref = np.array([est_mod.closed_form_transfer(order, sigma, i, float(omega))
+                                for i in range(1, order + 1)])
+                rel = float(np.linalg.norm(response - ref) / np.linalg.norm(ref))
+                worst = max(worst, rel)
     gate.require(worst < 1e-9, f"worst relative response error {worst:.3g} < 1e-9")
-    return CheckResult("transfer-equivalence", gate.ok, "< 1e-9",
-                       f"worst {worst:.3g}", runtime, gate.details)
+    return "< 1e-9", f"worst {worst:.3g}"
 
 
-def check_ideal_tracking() -> CheckResult:
+@_check("ideal-tracking", budget=1.0)
+def check_ideal_tracking(gate):
     """Ideally corrected Newton flow on the quadratic tracker contracts the
     tracking error exactly like e^-t and drives the loss to the floor."""
-    gate = _Gate()
-    traj, runtime = _timed(_ideal_tracking_run)
+    traj = _ideal_tracking_run()
     theta0 = sig_mod.benchmark_parameter_path().eval_many([0.0], 0)[0]
     e0 = float(np.linalg.norm(theta0))
     predicted = e0 * np.exp(-(traj.t - traj.t[0]))
@@ -270,98 +252,67 @@ def check_ideal_tracking() -> CheckResult:
     window_loss = record_mod.steady_state_sup(traj, "loss")
     gate.require(dev <= 1e-6, f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} <= 1e-6")
     gate.require(window_loss < 1e-10, f"final-window loss {window_loss:.3g} < 1e-10")
-    gate.require(runtime < 1.0, f"runtime {runtime:.2f}s < 1s")
-    return CheckResult("ideal-tracking", gate.ok, "deviation <= 1e-6, loss < 1e-10",
-                       f"deviation {dev:.3g}, loss {window_loss:.3g}", runtime, gate.details)
+    return ("deviation <= 1e-6, loss < 1e-10",
+            f"deviation {dev:.3g}, loss {window_loss:.3g}")
 
 
-def check_loss_ordering() -> CheckResult:
+@_check("loss-ordering", budget=5.0)
+def check_loss_ordering(gate):
     """Final-window mean losses order as ideal < estimated(sigma=20) <
     estimated(sigma=5) < uncorrected, each pair separated by a factor 2."""
-    gate = _Gate()
-    runs, runtime = _timed(_ordering_runs)
-    losses = {name: record_mod.steady_state_mean(traj, "loss") for name, traj in runs.items()}
+    losses = {name: record_mod.steady_state_mean(traj, "loss")
+              for name, traj in _ordering_runs().items()}
     chain = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
     for a, b in zip(chain, chain[1:]):
         gate.require(losses[a] < losses[b], f"{a} loss {losses[a]:.4g} < {b} loss {losses[b]:.4g}")
     for a, b in zip(chain, chain[1:]):
         ratio = losses[b] / losses[a]
         gate.require(ratio >= 2.0, f"{b}/{a} mean-loss ratio {ratio:.3f} >= 2")
-    gate.require(runtime < 5.0, f"runtime {runtime:.2f}s < 5s")
-    measured = ", ".join(f"{name}={losses[name]:.4g}" for name in chain)
-    return CheckResult("loss-ordering", gate.ok,
-                       "ordered, consecutive ratios >= 2", measured, runtime, gate.details)
+    return ("ordered, consecutive ratios >= 2",
+            ", ".join(f"{name}={losses[name]:.4g}" for name in chain))
 
 
-def check_redesign_cancellation() -> CheckResult:
+@_check("redesign-cancellation")
+def check_redesign_cancellation(gate):
     """The recorded redesign certificate stays at or below 1e-9 along every
     corrected trajectory (exact cancellation for the ideal correction, by
     construction for the estimated one)."""
-    gate = _Gate()
-
-    def run():
-        worst = {}
-        worst["ideal-tracking"] = float(np.max(_ideal_tracking_run().column("redesign_lhs")))
-        for name, traj in _ordering_runs().items():
-            if name == "none":
-                continue  # no correction: nothing for the condition to certify
-            worst[name] = float(np.max(traj.column("redesign_lhs")))
-        return worst
-
-    worst, runtime = _timed(run)
+    worst = {"ideal-tracking": float(np.max(_ideal_tracking_run().column("redesign_lhs")))}
+    for name, traj in _ordering_runs().items():
+        if name == "none":
+            continue  # no correction: nothing for the condition to certify
+        worst[name] = float(np.max(traj.column("redesign_lhs")))
     for name, value in worst.items():
         gate.require(value <= 1e-9, f"{name}: max lhs {value:.3g} <= 1e-9")
-    return CheckResult("redesign-cancellation", gate.ok, "max lhs <= 1e-9",
-                       f"worst {max(worst.values()):.3g}", runtime, gate.details)
+    return "max lhs <= 1e-9", f"worst {max(worst.values()):.3g}"
 
 
-def check_noise_robustness() -> CheckResult:
+@_check("noise-robustness", budget=5.0)
+def check_noise_robustness(gate):
     """Gaussian measurement noise (variance 0.01, seed 42) degrades the
     sigma = 20 runs by less than a factor 10 and never produces a
     non-finite state."""
-    gate = _Gate()
+    clean_est = _derivative_run(BENCH_SIGMA_HIGH)
+    noisy_est = _derivative_run(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
+    sup_clean = record_mod.steady_state_sup(clean_est, "est_error")
+    sup_noisy = record_mod.steady_state_sup(noisy_est, "est_error")
 
-    def run():
-        clean_est = _derivative_run(BENCH_SIGMA_HIGH)
-        noisy_est = _derivative_run(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
-        sup_clean = record_mod.steady_state_sup(clean_est, "est_error")
-        sup_noisy = record_mod.steady_state_sup(noisy_est, "est_error")
-
-        cost = flows_mod.QuadraticTrackingCost(3)
-        signal = sig_mod.benchmark_parameter_path()
-        cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
-        est_cfg = est_mod.DirtyDerivativeConfig(1, BENCH_SIGMA_HIGH, 3)
-        clean_opt = _ordering_runs()[f"estimated{BENCH_SIGMA_HIGH:g}"]
-        noisy_opt = sim_mod.run_interconnection(
-            cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
-            noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
-        loss_clean = record_mod.steady_state_sup(clean_opt, "loss")
-        loss_noisy = record_mod.steady_state_sup(noisy_opt, "loss")
-        return sup_clean, sup_noisy, loss_clean, loss_noisy
-
-    (sup_clean, sup_noisy, loss_clean, loss_noisy), runtime = _timed(run)
+    cost = flows_mod.QuadraticTrackingCost(3)
+    signal = sig_mod.benchmark_parameter_path()
+    cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
+    est_cfg = est_mod.DirtyDerivativeConfig(1, BENCH_SIGMA_HIGH, 3)
+    clean_opt = _ordering_runs()[f"estimated{BENCH_SIGMA_HIGH:g}"]
+    noisy_opt = sim_mod.run_interconnection(
+        cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
+        noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
+    loss_clean = record_mod.steady_state_sup(clean_opt, "loss")
+    loss_noisy = record_mod.steady_state_sup(noisy_opt, "loss")
     gate.require(sup_noisy < 10.0 * sup_clean,
                  f"estimation error {sup_noisy:.4f} < 10 x noise-free {sup_clean:.4f}")
     gate.require(loss_noisy < 10.0 * loss_clean,
                  f"loss {loss_noisy:.4g} < 10 x noise-free {loss_clean:.4g}")
-    gate.require(runtime < 5.0, f"runtime {runtime:.2f}s < 5s")
-    return CheckResult("noise-robustness", gate.ok, "noisy < 10 x noise-free",
-                       f"est {sup_noisy:.3f}/{sup_clean:.3f}, loss {loss_noisy:.3g}/{loss_clean:.3g}",
-                       runtime, gate.details)
-
-
-CHECKS = [
-    ("sinusoid-error", check_sinusoid_error),
-    ("polynomial-exactness", check_polynomial_exactness),
-    ("sigma-scaling", check_sigma_scaling),
-    ("block-output-bound", check_block_output_bound),
-    ("lyapunov-residuals", check_lyapunov_residuals),
-    ("transfer-equivalence", check_transfer_equivalence),
-    ("ideal-tracking", check_ideal_tracking),
-    ("loss-ordering", check_loss_ordering),
-    ("redesign-cancellation", check_redesign_cancellation),
-    ("noise-robustness", check_noise_robustness),
-]
+    return ("noisy < 10 x noise-free",
+            f"est {sup_noisy:.3f}/{sup_clean:.3f}, loss {loss_noisy:.3g}/{loss_clean:.3g}")
 
 
 def run_checks(names=None):

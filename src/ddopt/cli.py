@@ -374,7 +374,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     # The battery is imported here, so the run commands do not load it.
     from . import checks as checks_mod
 
-    names = set(ns.only.split(",")) if ns.only else None
+    names = {name.strip() for name in ns.only.split(",")} if ns.only else None
     try:
         results = checks_mod.run_checks(names)
     except ValueError as exc:

@@ -94,7 +94,10 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step run description: the grid t0, t0+h, ..., tf."""
+    """Fixed-step run description: the grid t0 + j h for j = 0, ..., N, with
+    N = round((tf - t0) / h). It ends at t0 + N h, short of tf or past it when
+    h does not divide the span: tf = 10, h = 0.3 ends at 9.9, and tf = 1.0006,
+    h = 1e-3 at 1.001."""
 
     t0: float = 0.0
     tf: float = 10.0
@@ -124,7 +127,7 @@ class SimConfig:
         return self.t0 + self.h * np.arange(self.num_steps + 1)
 
     def stage_times(self) -> np.ndarray:
-        """Integer and half-step sample times, t0, t0+h/2, t0+h, ..., tf."""
+        """Integer and half-step sample times, t0, t0+h/2, t0+h, ..., t0+N h."""
         return self.t0 + 0.5 * self.h * np.arange(2 * self.num_steps + 1)
 
 

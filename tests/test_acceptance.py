@@ -4,21 +4,57 @@ pass/fail line with the measured values (run with -s to see them inline).
 The same checks back the ``ddopt verify`` command.
 """
 
+import inspect
+
 import pytest
 
 from ddopt import checks
+from test_benchmark_oracles import workloads   # perfbench/workloads.py, only read
+
+# The runtime budgets of each check's gates, in the order it reports them.
+BUDGETS = {
+    "sinusoid-error": (1.0, 1.0),
+    "polynomial-exactness": (1.0,),
+    "sigma-scaling": (10.0,),
+    "block-output-bound": (5.0,),
+    "lyapunov-residuals": (),
+    "transfer-equivalence": (),
+    "ideal-tracking": (1.0,),
+    "loss-ordering": (5.0,),
+    "redesign-cancellation": (),
+    "noise-robustness": (5.0,),
+}
+
+
+def test_battery_order_matches_the_benchmark():
+    # The benchmark's verify workload runs checks.CHECKS in this order.
+    assert [name for name, _ in checks.CHECKS] == list(workloads.EXPECTED_VERDICTS)
+    assert list(BUDGETS) == list(workloads.EXPECTED_VERDICTS)
+    for _, fn in checks.CHECKS:
+        assert fn.__name__.startswith("check_") and fn.__doc__
+        assert not inspect.signature(fn).parameters
 
 
 def _run(number, result):
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number} [{result.name}]: {status}  "
           f"measured: {result.measured}  expected: {result.expected}")
+    # The benchmark judges a check by its detail lines; a drifted verdict,
+    # message or budget would show there only as an incorrect run.
+    gates = [workloads._RUNTIME_GATE.search(line) for line in result.details]
+    verdicts = [line.startswith("PASS") for line, gate in zip(result.details, gates) if not gate]
+    assert tuple(verdicts) == workloads.EXPECTED_VERDICTS[result.name], result.details
+    assert all(gate for line, gate in zip(result.details, gates) if "runtime" in line)
+    timed = [gate for gate in gates if gate]
+    assert tuple(float(gate.group(2)) for gate in timed) == BUDGETS[result.name]
+    if len(timed) == 1:
+        assert timed[0].group(1) == f"{result.runtime:.2f}"
     assert result.passed, "\n".join([result.name] + result.details)
 
 
 def test_criterion_01_steady_state_sinusoid_error():
     result = checks.check_sinusoid_error()
-    assert result.runtime > 0.0  # the sum of its two timed runs
+    assert result.runtime > 0.0  # the whole check, its two timed runs included
     _run(1, result)
 
 

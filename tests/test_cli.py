@@ -535,6 +535,14 @@ class TestVerifyCommand:
     def test_unknown_check_name(self):
         assert cli.main(["verify", "--only", "bogus-check"]) == 2
 
+    def test_only_ignores_spaces_around_names(self, capsys):
+        assert cli.main(["verify", "--only", "lyapunov-residuals, transfer-equivalence"]) == 0
+        printed = capsys.readouterr().out
+        assert "lyapunov-residuals" in printed and "transfer-equivalence" in printed
+        # An empty name is still an unknown one.
+        assert cli.main(["verify", "--only", "lyapunov-residuals,"]) == 2
+        assert capsys.readouterr().err.startswith("error: only:")
+
 
 class TestParser:
     def test_missing_command_exits_two(self):
@@ -678,6 +686,25 @@ def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
     argv, expected = _GOLDEN[name]
     assert _output_digests(tmp_path, capsys, monkeypatch, argv) == expected, (
         f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
+
+
+# The exit code and the sha256 of stdout of ``verify`` over every check but
+# sinusoid-error, whose table line prints its run times; recorded on the
+# same SkylakeX kernel. The loss-ordering shortfall makes the exit code 1.
+_VERIFY_GOLDEN = (
+    ["verify", "--only", "polynomial-exactness,sigma-scaling,block-output-bound,"
+     "lyapunov-residuals,transfer-equivalence,ideal-tracking,loss-ordering,"
+     "redesign-cancellation,noise-robustness"],
+    1, "3e896d21ad3f556579544f70696d685253f414249ee661a31ec444f4a9e61d19")
+
+
+def test_golden_verify_text(capsys):
+    argv, code, digest = _VERIFY_GOLDEN
+    assert cli.main(argv) == code
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert hashlib.sha256(printed.out.encode()).hexdigest() == digest, (
+        f"hash recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
 
 
 def _blas_core() -> str:
