@@ -115,24 +115,20 @@ def _ordering_runs():
 # ---------------------------------------------------------------------------
 # Checks.
 
-@_check("sinusoid-error")
+@_check("sinusoid-error", budget=1.0)
 def check_sinusoid_error(gate):
     """Measured steady-state first-derivative error against the exact
     frequency-domain oracle for sin(5t-2), k = 1, sigma in {5, 20}."""
     measured = []
     expected = []
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
-        start = time.perf_counter()
-        traj = _derivative_run(sigma)
-        runtime = time.perf_counter() - start
-        sup = record_mod.steady_state_sup(traj, "est_error")
+        sup = record_mod.steady_state_sup(_derivative_run(sigma), "est_error")
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
-        measured.append(f"sigma={sigma:g}: {sup:.5f} ({runtime:.2f}s)")
+        measured.append(f"sigma={sigma:g}: {sup:.5f}")
         expected.append(f"sigma={sigma:g}: {oracle:.5f} +-2%")
         gate.require(abs(sup - oracle) <= 0.02 * oracle,
                      f"sigma={sigma:g}: sup {sup:.6f} vs oracle {oracle:.6f}")
-        gate.require(runtime < 1.0, f"sigma={sigma:g}: runtime {runtime:.2f}s < 1s")
     return "; ".join(expected), "; ".join(measured)
 
 

@@ -205,7 +205,8 @@ _POSITIVE = (lambda v: v > 0.0, "must be > 0")
 # Spec key -> (parser, [(predicate, message), ...]). The predicates run in
 # order and the first one that fails is reported, under the flag's name.
 _RUN_FIELDS = {
-    "k": (int, [(lambda v: v >= 1, "must be >= 1")]),
+    "k": (int, [(lambda v: v >= 1, "must be >= 1"),
+                (lambda v: v <= est_mod.MAX_ORDER, f"must be <= {est_mod.MAX_ORDER}")]),
     "sigma": (float, [_POSITIVE, _FINITE]),
     # nan passes the sign test and is caught by the finiteness test.
     "noise_var": (float, [(lambda v: not v < 0.0, "must be >= 0"), _FINITE]),

@@ -23,8 +23,6 @@ import numpy as np
 
 from . import numerics
 
-REDESIGN_TOL = 1e-9
-
 
 class CorrectionMode(enum.Enum):
     NONE = "none"
@@ -329,9 +327,8 @@ def check_redesign_condition(grad_x_V, grad_theta_V, u, theta_rate):
     """Evaluate <grad_x V, u> + <grad_theta V, theta_rate>.
 
     ``theta_rate`` is the parameter velocity plus any disturbance (or the
-    online estimate standing in for it). Returns (lhs, lhs <= REDESIGN_TOL),
-    both of the shape of the leading batch axes.
+    online estimate standing in for it). Returns the lhs, of the shape of the
+    leading batch axes.
     """
-    lhs = (component_sum(np.multiply(grad_x_V, u))
-           + component_sum(np.multiply(grad_theta_V, theta_rate)))
-    return lhs, lhs <= REDESIGN_TOL
+    return (component_sum(np.multiply(grad_x_V, u))
+            + component_sum(np.multiply(grad_theta_V, theta_rate)))

@@ -576,7 +576,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             # The certificate is evaluated at the estimate in estimated runs
             # and at the exact velocity otherwise, the uncorrected flow's too.
             v_cert = np.where(estimated[:, None], v_r, theta_dot[rows, None, :])
-            lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)[0]
+            lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)
             loss[rows] = cost.value(x_r, theta_r)
             tracking[rows] = _norm(x_r - xstar[rows, None, :])
         est_error = _norm(v0 - theta_dot[:, None, :])

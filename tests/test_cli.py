@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddopt import checks, cli, estimator, signals, sim
+from test_benchmark_oracles import workloads   # perfbench/workloads.py, only read
 
 
 class TestSignalGrammar:
@@ -156,7 +157,8 @@ class TestEstimateCommand:
                                        ["--tf", "inf"], ["--t0", "nan"], ["--t0", "inf"],
                                        ["--h", "inf"], ["--noise-var", "inf"],
                                        ["--noise-var", "nan"], ["--sigma", "inf"],
-                                       ["--tf", "1e7"], ["--sigma", "5,20"]])
+                                       ["--tf", "1e7"], ["--sigma", "5,20"],
+                                       ["--k", str(estimator.MAX_ORDER + 1)]])
     def test_invalid_spec_exits_two(self, tmp_path, capsys, flags):
         # Past sim.MAX_STEPS is a run-length limit, which involves both flags
         # and is reported as "tf/h"; every other case names exactly its flag.
@@ -227,7 +229,7 @@ def test_overflowing_step_maps_are_a_run_failure(tmp_path, capsys, argv):
     ["estimate", "--k", "2", "--sigma", "1e200"],
     ["optimize", "--k", "3", "--sigma", "1e150"],
     ["sweep", "--k", "3", "--sigma", "1e150,1e160,1e170"],
-    ["estimate", "--k", "40", "--sigma", "1e20"]])
+    ["estimate", "--k", "20", "--sigma", "1e20"]])
 def test_cascade_past_the_float_range_is_refused(tmp_path, capsys, argv):
     # sigma**k overflows the cascade's rescaled entries: exit 2 with one line
     # naming sigma, no traceback and no numpy warning (which pytest turns
@@ -705,6 +707,33 @@ def test_golden_verify_text(capsys):
     assert printed.err == ""
     assert hashlib.sha256(printed.out.encode()).hexdigest() == digest, (
         f"hash recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
+
+
+# The whole battery: the exit code, the sha256 of ``verify``'s stdout, and
+# the sha256 of ``name: line`` (one line each) for every detail line of
+# every check but its runtime gate. ``verify`` prints only the details of
+# failed gates, so the second hash pins those of passing gates too. Recorded
+# on the same SkylakeX kernel, where no runtime gate failed.
+_VERIFY_FULL_GOLDEN = (
+    1, "31c85ae0f842a59a1e95724b6fb12c48ff4d24985d5b6df8058d7280743bab02",
+    "61ffa04c3741abc68832aaeba5e8cf23ce295bd74a091f7c4b21fa98d6271d2a")
+
+
+def test_golden_verify_full_text_and_details(capsys):
+    code, stdout_digest, details_digest = _VERIFY_FULL_GOLDEN
+    assert cli.main(["verify"]) == code
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    details = "".join(f"{r.name}: {line}\n" for r in checks.run_checks(None)
+                      for line in r.details if not workloads._RUNTIME_GATE.search(line))
+    core = f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}"
+    # A runtime gate that fails on a slow or busy host prints a FAIL line
+    # (and may flip its check's verdict), which also breaks the stdout hash.
+    slow = [line.strip() for line in printed.out.splitlines()
+            if workloads._RUNTIME_GATE.search(line)]
+    assert hashlib.sha256(printed.out.encode()).hexdigest() == stdout_digest, (
+        f"{core}; failed runtime gates: {slow}")
+    assert hashlib.sha256(details.encode()).hexdigest() == details_digest, core
 
 
 def _blas_core() -> str:

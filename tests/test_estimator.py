@@ -256,6 +256,11 @@ class TestStepping:
     def test_invalid_build_arguments(self):
         with pytest.raises(ValueError):
             est.DirtyDerivativeConfig(0, 5.0)
+        for order in (0, est.MAX_ORDER + 1):
+            with pytest.raises(ValueError, match="order"):
+                est.compose_cascade(order, 5.0)
+        with pytest.raises(ValueError, match="order"):
+            est.DirtyDerivativeConfig(est.MAX_ORDER + 1, 5.0)
         with pytest.raises(ValueError):
             est.DirtyDerivativeConfig(1, -1.0)
         with pytest.raises(ValueError):

@@ -287,14 +287,13 @@ class TestLyapunovGradients:
 
 class TestRedesignCondition:
     def test_zero_input_zero_drift(self):
-        lhs, ok = flows.check_redesign_condition(np.zeros(2), np.zeros(2),
-                                                 np.zeros(2), np.zeros(2))
-        assert lhs == 0.0 and ok
+        lhs = flows.check_redesign_condition(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        assert lhs == 0.0
 
     def test_positive_lhs_fails(self):
-        lhs, ok = flows.check_redesign_condition(np.array([1.0]), np.array([0.0]),
-                                                 np.array([1.0]), np.array([0.0]))
-        assert lhs == 1.0 and not ok
+        lhs = flows.check_redesign_condition(np.array([1.0]), np.array([0.0]),
+                                             np.array([1.0]), np.array([0.0]))
+        assert lhs == 1.0
 
     def test_ideal_correction_cancels_exactly(self):
         rng = np.random.default_rng(6)
@@ -303,8 +302,8 @@ class TestRedesignCondition:
                 x, theta, v = rng.standard_normal((3, 3))
                 u = flows.ideal_correction(cost, x, theta, v)
                 _, gx, gt = flows.lyapunov_gradients(cost, x, theta)
-                lhs, ok = flows.check_redesign_condition(gx, gt, u, v)
-                assert ok and abs(lhs) <= 1e-9
+                lhs = flows.check_redesign_condition(gx, gt, u, v)
+                assert abs(lhs) <= 1e-9
 
 
 # Finite terms, exact zeros of both signs, and magnitudes whose sums and

@@ -929,7 +929,7 @@ def _reference_run(cost, signal, mode, cfg, est_cfg=None, noise=signals.NoiseSpe
         v_cert = hat[j] if estimated else theta_dot
         u = np.zeros(n) if mode is NONE else flows.ideal_correction(cost, x, theta, v_cert)
         _, gx, gt = flows.lyapunov_gradients(cost, x, theta)
-        lhs, _ = flows.check_redesign_condition(gx, gt, u, v_cert)
+        lhs = flows.check_redesign_condition(gx, gt, u, v_cert)
         xstar = cost.minimizer(theta)
         row = {"t": cfg.t0 + j * h}
         row.update({f"theta_{c}": theta[c] for c in range(signal.dim)})
@@ -1654,6 +1654,22 @@ class TestInterconnections:
         with pytest.warns(UserWarning, match=r"omega_max \* h = 25 >= pi at h = 2\.5, "
                                              r"omega_max = 10:"):
             run(2.5)
+
+    def test_step_of_exactly_half_the_path_period_warns(self):
+        # 4 pi * 0.25 is pi in float64, and 4 pi times the float below 0.25
+        # is the float below pi: the warning starts at omega_max * h == pi.
+        path = signals.AnalyticSignal((signals.Sinusoid(1.0, 4.0 * math.pi),))
+        below = np.nextafter(0.25, 0.0)
+        assert 4.0 * math.pi * 0.25 == math.pi
+        assert 4.0 * math.pi * below == np.nextafter(math.pi, 0.0)
+
+        def run(h):
+            return sim.run_interconnections(flows.QuadraticTrackingCost(1), path, [(NONE, None)],
+                                            sim.SimConfig(tf=2.5, h=h))
+
+        run(below)                                 # a warning fails the test
+        with pytest.warns(UserWarning, match=r"omega_max \* h = 3\.14 >= pi at h = 0\.25, "):
+            run(0.25)
 
     def test_components_without_motion_set_no_bandwidth(self):
         # A zero-amplitude sinusoid and a polynomial have no period.
