@@ -13,6 +13,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +73,8 @@ def _check(name: str, budget: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Shared experiment runs (cached so dependent checks reuse them).
+# Shared experiment runs, cached as the statistics the checks read of them
+# (a run's trajectory is released as soon as they are taken).
 
 BENCH_SIGMA_LOW = 5.0
 BENCH_SIGMA_HIGH = 20.0
@@ -81,24 +83,50 @@ NOISE_VARIANCE = 0.01
 NOISE_SEED = 42
 
 
+class _FlowStats(NamedTuple):
+    """What the checks read of one optimization run."""
+
+    loss_mean: float    # mean loss over the steady-state window
+    loss_sup: float     # sup of the loss over that window
+    lhs_max: float      # largest recorded redesign certificate
+
+
+def _flow_stats(traj: record_mod.Trajectory) -> _FlowStats:
+    return _FlowStats(record_mod.steady_state_mean(traj, "loss"),
+                      record_mod.steady_state_sup(traj, "loss"),
+                      float(np.max(traj.column("redesign_lhs"))))
+
+
 @functools.lru_cache(maxsize=None)
-def _derivative_run(sigma: float, variance: float = 0.0, seed: int = 0) -> record_mod.Trajectory:
+def _derivative_error(sigma: float, variance: float = 0.0, seed: int = 0) -> float:
+    """Steady-state sup of ``est_error`` of the k = 1 estimate of sin(5t-2)."""
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
     est_cfg = est_mod.DirtyDerivativeConfig(1, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
-    return sim_mod.run_derivative_experiment(sig_mod.sinusoid_5t_minus_2(), noise, est_cfg, cfg)
+    traj = sim_mod.run_derivative_experiment(sig_mod.sinusoid_5t_minus_2(), noise, est_cfg, cfg)
+    return record_mod.steady_state_sup(traj, "est_error")
 
 
 @functools.lru_cache(maxsize=None)
-def _ideal_tracking_run() -> record_mod.Trajectory:
+def _ideal_tracking_stats() -> tuple[float, float, _FlowStats]:
+    """The ideally corrected run on the quadratic tracker: its initial
+    tracking error e0, the sup deviation of its tracking error from
+    e0 e^-t, and its flow statistics."""
     cost = flows_mod.QuadraticTrackingCost(3)
     cfg = sim_mod.SimConfig(t0=0.0, tf=15.0, h=1e-3)
-    return sim_mod.run_interconnection(cost, sig_mod.benchmark_parameter_path(),
+    traj = sim_mod.run_interconnection(cost, sig_mod.benchmark_parameter_path(),
                                        flows_mod.CorrectionMode.IDEAL, cfg)
+    theta0 = sig_mod.benchmark_parameter_path().eval_many([0.0], 0)[0]
+    e0 = float(np.linalg.norm(theta0))
+    predicted = e0 * np.exp(-(traj.t - traj.t[0]))
+    dev = float(np.max(np.abs(traj.column("tracking_error") - predicted)))
+    return e0, dev, _flow_stats(traj)
 
 
 @functools.lru_cache(maxsize=None)
-def _ordering_runs():
+def _ordering_stats() -> dict[str, _FlowStats]:
+    """Flow statistics of the ideal, sigma = 20, sigma = 5 and uncorrected
+    runs on the quadratic tracker, by name."""
     cost = flows_mod.QuadraticTrackingCost(3)
     signal = sig_mod.benchmark_parameter_path()
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
@@ -109,7 +137,8 @@ def _ordering_runs():
              (flows_mod.CorrectionMode.ESTIMATED, est_high),
              (flows_mod.CorrectionMode.ESTIMATED, est_low),
              (flows_mod.CorrectionMode.NONE, None)]
-    return dict(zip(names, sim_mod.run_interconnections(cost, signal, specs, cfg)))
+    runs = sim_mod.run_interconnections(cost, signal, specs, cfg)
+    return {name: _flow_stats(runs.pop(0)) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +151,7 @@ def check_sinusoid_error(gate):
     measured = []
     expected = []
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
-        sup = record_mod.steady_state_sup(_derivative_run(sigma), "est_error")
+        sup = _derivative_error(sigma)
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
         measured.append(f"sigma={sigma:g}: {sup:.5f}")
@@ -194,12 +223,15 @@ def check_block_output_bound(gate):
             constants = est_mod.output_bound_constants(n, sigma)
             x0 = rng.standard_normal((10, n)).T     # the stream of ten draws of n
             maps = est_mod.rk4_step_maps(block.A, block.B, cfg.h)
-            y = sim_mod._drive_lti(block, maps, layout, x0)[:, 0, :]
-            bound = constants.bound(np.linalg.norm(x0, axis=0), 1.0, sigma, t[:, None])
-            gap = bound - np.abs(y)
+            # Channel-major, one row per initial state: y and gap are (10, N+1).
+            y = sim_mod._drive_lti(block, maps, layout, x0)[:, 0, :].T
+            np.abs(y, out=y)
+            gap = constants.bound(np.linalg.norm(x0, axis=0)[:, None], 1.0, sigma, t)
+            gap -= y
             violations += int(np.sum(gap < 0.0))
             total += gap.size
             margin = min(margin, float(np.min(gap)))
+            del y, gap    # not held while the next gain is driven
         del layout    # not held while the next block size's is laid out
     gate.require(violations == 0, f"{violations} violations over {total} samples")
     return "0 violations", f"{violations} violations, worst margin {margin:.4g}"
@@ -240,12 +272,8 @@ def check_transfer_equivalence(gate):
 def check_ideal_tracking(gate):
     """Ideally corrected Newton flow on the quadratic tracker contracts the
     tracking error exactly like e^-t and drives the loss to the floor."""
-    traj = _ideal_tracking_run()
-    theta0 = sig_mod.benchmark_parameter_path().eval_many([0.0], 0)[0]
-    e0 = float(np.linalg.norm(theta0))
-    predicted = e0 * np.exp(-(traj.t - traj.t[0]))
-    dev = float(np.max(np.abs(traj.column("tracking_error") - predicted)))
-    window_loss = record_mod.steady_state_sup(traj, "loss")
+    e0, dev, stats = _ideal_tracking_stats()
+    window_loss = stats.loss_sup
     gate.require(dev <= 1e-6, f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} <= 1e-6")
     gate.require(window_loss < 1e-10, f"final-window loss {window_loss:.3g} < 1e-10")
     return ("deviation <= 1e-6, loss < 1e-10",
@@ -256,8 +284,7 @@ def check_ideal_tracking(gate):
 def check_loss_ordering(gate):
     """Final-window mean losses order as ideal < estimated(sigma=20) <
     estimated(sigma=5) < uncorrected, each pair separated by a factor 2."""
-    losses = {name: record_mod.steady_state_mean(traj, "loss")
-              for name, traj in _ordering_runs().items()}
+    losses = {name: stats.loss_mean for name, stats in _ordering_stats().items()}
     chain = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
     for a, b in zip(chain, chain[1:]):
         gate.require(losses[a] < losses[b], f"{a} loss {losses[a]:.4g} < {b} loss {losses[b]:.4g}")
@@ -273,11 +300,11 @@ def check_redesign_cancellation(gate):
     """The recorded redesign certificate stays at or below 1e-9 along every
     corrected trajectory (exact cancellation for the ideal correction, by
     construction for the estimated one)."""
-    worst = {"ideal-tracking": float(np.max(_ideal_tracking_run().column("redesign_lhs")))}
-    for name, traj in _ordering_runs().items():
+    worst = {"ideal-tracking": _ideal_tracking_stats()[2].lhs_max}
+    for name, stats in _ordering_stats().items():
         if name == "none":
             continue  # no correction: nothing for the condition to certify
-        worst[name] = float(np.max(traj.column("redesign_lhs")))
+        worst[name] = stats.lhs_max
     for name, value in worst.items():
         gate.require(value <= 1e-9, f"{name}: max lhs {value:.3g} <= 1e-9")
     return "max lhs <= 1e-9", f"worst {max(worst.values()):.3g}"
@@ -288,20 +315,17 @@ def check_noise_robustness(gate):
     """Gaussian measurement noise (variance 0.01, seed 42) degrades the
     sigma = 20 runs by less than a factor 10 and never produces a
     non-finite state."""
-    clean_est = _derivative_run(BENCH_SIGMA_HIGH)
-    noisy_est = _derivative_run(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
-    sup_clean = record_mod.steady_state_sup(clean_est, "est_error")
-    sup_noisy = record_mod.steady_state_sup(noisy_est, "est_error")
+    sup_clean = _derivative_error(BENCH_SIGMA_HIGH)
+    sup_noisy = _derivative_error(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
 
     cost = flows_mod.QuadraticTrackingCost(3)
     signal = sig_mod.benchmark_parameter_path()
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
     est_cfg = est_mod.DirtyDerivativeConfig(1, BENCH_SIGMA_HIGH, 3)
-    clean_opt = _ordering_runs()[f"estimated{BENCH_SIGMA_HIGH:g}"]
+    loss_clean = _ordering_stats()[f"estimated{BENCH_SIGMA_HIGH:g}"].loss_sup
     noisy_opt = sim_mod.run_interconnection(
         cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
         noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
-    loss_clean = record_mod.steady_state_sup(clean_opt, "loss")
     loss_noisy = record_mod.steady_state_sup(noisy_opt, "loss")
     gate.require(sup_noisy < 10.0 * sup_clean,
                  f"estimation error {sup_noisy:.4f} < 10 x noise-free {sup_clean:.4f}")

@@ -358,17 +358,25 @@ class OutputBoundConstants:
 
     def bound(self, x0_norm: float, u_sup: float, sigma: float, t):
         t = np.asarray(t, dtype=np.float64)
-        return (x0_norm * self.transient_gain * np.exp(-self.decay_rate * t)
-                + self.input_gain * u_sup / sigma)
+        bound = x0_norm * self.transient_gain * np.exp(-self.decay_rate * t)
+        bound += self.input_gain * u_sup / sigma
+        return bound
 
 
 def output_bound_constants(n: int, sigma: float) -> OutputBoundConstants:
     """Bound constants for the order-n block, derived from the Lyapunov
     solution P of A_n^T P + P A_n = -I for the sigma = 1 companion matrix."""
-    unit = build_f_block(n, 1.0)
-    P = numerics.lyapunov_solve(unit.A, np.eye(n))
-    lam_min, lam_max = numerics.eig_extremes_symmetric(P)
+    lam_min, lam_max = _unit_lyapunov_extremes(n)
     transient_gain = max(1.0, _power(sigma, n - 1)) * math.sqrt(lam_max / lam_min)
     decay_rate = sigma / (4.0 * lam_max)
     input_gain = 2.0 * math.sqrt(lam_max ** 3 / lam_min)
     return OutputBoundConstants(transient_gain, decay_rate, input_gain)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_lyapunov_extremes(n: int) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of that P, solved once per block
+    order: it does not depend on sigma."""
+    unit = build_f_block(n, 1.0)
+    P = numerics.lyapunov_solve(unit.A, np.eye(n))
+    return numerics.eig_extremes_symmetric(P)

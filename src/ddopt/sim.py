@@ -223,10 +223,16 @@ def _chunk_layout(W: np.ndarray, n: int, first: int = 0) -> _ChunkLayout:
     which each run writes its chunk start states. Chunk c holds the output
     rows cL+1 .. cL+L; the ``skip`` chunks whose rows all precede ``first``
     are not multiplied out, save that two chunks are always kept (a one-row
-    product goes to a matrix-vector kernel, which sums in another order).
-    ``peak`` is their largest |sample|, by which :func:`_drive_lti` vouches
-    for their rows. One layout serves every realization of that state size
-    driven by ``W``.
+    product goes to a matrix-vector kernel, which sums in another order) and
+    that ``skip`` is rounded down to an even count. Some OpenBLAS kernels
+    (Haswell's dgemm) sum a product's rows alike in groups down to pairs but
+    a lone last row in another order; skipping an even count keeps the
+    parity of the rows multiplied, so the last row is alone in the product
+    exactly when it is alone in the whole run's (a product split between
+    threads can still differ at the split). ``peak`` is the skipped
+    chunks' largest |sample|, by which :func:`_drive_lti` vouches for their
+    rows. One layout serves every realization of that state size driven by
+    ``W``.
     """
     L, R = _CHUNK, 2 * _CHUNK + 1
     N, m = (len(W) - 1) // 2, W.shape[1]
@@ -241,7 +247,7 @@ def _chunk_layout(W: np.ndarray, n: int, first: int = 0) -> _ChunkLayout:
     if full < chunks:
         rows[:, full, :R] = 0.0
         rows[:, full, :len(W) - 2 * full * L] = W[2 * full * L:].T
-    skip = min(max(first - 1, 0) // L, max(chunks - 2, 0))
+    skip = min(max(first - 1, 0) // L, max(chunks - 2, 0)) // 2 * 2
     peak = np.abs(W[:2 * skip * L + 1]).max() if skip else 0.0
     return _ChunkLayout(W, rows, first, skip, peak)
 

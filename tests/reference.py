@@ -3,9 +3,26 @@
 Nothing in ``src/`` calls them; they are kept simple rather than fast.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 
 from ddopt import sim
+
+
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on, or 'unknown'."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *root.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def integrate_rk4(rhs, x0, cfg: sim.SimConfig) -> sim.Trajectory:

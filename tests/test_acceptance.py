@@ -5,7 +5,9 @@ The same checks back the ``ddopt verify`` command.
 """
 
 import inspect
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ddopt import checks
@@ -99,3 +101,48 @@ def test_criterion_09_redesign_cancellation():
 
 def test_criterion_10_noise_robustness():
     _run(10, checks.check_noise_robustness())
+
+
+def _traced(fn):
+    """Run ``fn`` under tracemalloc; return the bytes of numpy data it left
+    allocated and the peak of all traced memory during it, above where it
+    started."""
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def numpy_bytes():
+        return sum(trace.size for trace in tracemalloc.take_snapshot().filter_traces(
+            numpy_data).traces)
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+        return numpy_bytes() - before, peak
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_battery_retains_statistics_not_runs():
+    # The shared runs are cached as the numbers the checks read of them,
+    # not as trajectories, which would hold megabytes to the end of the
+    # process.
+    for value in vars(checks).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    retained, _ = _traced(checks.run_checks)
+    assert retained < 0.1 * 2 ** 20
+
+
+def test_block_output_bound_peak_memory():
+    # Channel-major and in place, one gain's arrays at a time: about
+    # 3.5 MiB. Holding one gain's output, bound and gap through the next
+    # gain's drive passes the limit.
+    np.random.default_rng()     # numpy.random is imported lazily; not counted
+    _, peak = _traced(checks.check_block_output_bound)
+    assert peak < 4 * 2 ** 20

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import hashlib
 import io
 import math
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddopt import checks, cli, estimator, signals, sim
+from reference import blas_core
 from test_benchmark_oracles import workloads   # perfbench/workloads.py, only read
 
 
@@ -687,7 +687,7 @@ def _output_digests(tmp_path, capsys, monkeypatch, argv) -> dict:
 def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
     argv, expected = _GOLDEN[name]
     assert _output_digests(tmp_path, capsys, monkeypatch, argv) == expected, (
-        f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
+        f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {blas_core()}")
 
 
 # The exit code and the sha256 of stdout of ``verify`` over every check but
@@ -706,7 +706,7 @@ def test_golden_verify_text(capsys):
     printed = capsys.readouterr()
     assert printed.err == ""
     assert hashlib.sha256(printed.out.encode()).hexdigest() == digest, (
-        f"hash recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}")
+        f"hash recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {blas_core()}")
 
 
 # The whole battery: the exit code, the sha256 of ``verify``'s stdout, and
@@ -726,7 +726,7 @@ def test_golden_verify_full_text_and_details(capsys):
     assert printed.err == ""
     details = "".join(f"{r.name}: {line}\n" for r in checks.run_checks(None)
                       for line in r.details if not workloads._RUNTIME_GATE.search(line))
-    core = f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {_blas_core()}"
+    core = f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {blas_core()}"
     # A runtime gate that fails on a slow or busy host prints a FAIL line
     # (and may flip its check's verdict), which also breaks the stdout hash.
     slow = [line.strip() for line in printed.out.splitlines()
@@ -736,22 +736,8 @@ def test_golden_verify_full_text_and_details(capsys):
     assert hashlib.sha256(details.encode()).hexdigest() == details_digest, core
 
 
-def _blas_core() -> str:
-    """The kernel numpy's bundled OpenBLAS runs on, or 'unknown'."""
-    root = Path(np.__file__).parent
-    for lib in sorted([*root.parent.glob("numpy.libs/libscipy_openblas*"),
-                       *root.glob(".dylibs/libscipy_openblas*")]):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
 def test_blas_core_is_named():
-    assert _blas_core().isidentifier()
+    assert blas_core().isidentifier()
 
 
 # Random run specs for the property below. Half of them have one extreme

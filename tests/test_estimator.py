@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddopt import estimator as est
-from ddopt import signals, sim
+from ddopt import numerics, signals, sim
 from ddopt.numerics import SingularMatrixError
 
 
@@ -359,6 +359,31 @@ class TestOutputBoundConstants:
         assert constants.transient_gain == pytest.approx(2.0 * math.sqrt(lam_max / lam_min), rel=1e-9)
         assert constants.decay_rate == pytest.approx(2.0 / (4.0 * lam_max), rel=1e-9)
         assert constants.input_gain == pytest.approx(2.0 * math.sqrt(lam_max ** 3 / lam_min), rel=1e-9)
+
+    def test_equals_the_uncached_derivation(self, monkeypatch):
+        # The sigma = 1 Lyapunov solution is solved once per order and shared
+        # by every gain, with the bits of solving it for each call.
+        sigmas = (0.5, 1.0, 2.0, 10.0, 320.0)
+        expected = {}
+        for n in range(1, 7):
+            P = numerics.lyapunov_solve(est.build_f_block(n, 1.0).A, np.eye(n))
+            lam_min, lam_max = numerics.eig_extremes_symmetric(P)
+            for sigma in sigmas:
+                expected[n, sigma] = est.OutputBoundConstants(
+                    max(1.0, sigma ** (n - 1)) * math.sqrt(lam_max / lam_min),
+                    sigma / (4.0 * lam_max), 2.0 * math.sqrt(lam_max ** 3 / lam_min))
+        solve = numerics.lyapunov_solve
+        solved = []
+
+        def counted(A, Q):
+            solved.append(len(A))
+            return solve(A, Q)
+
+        monkeypatch.setattr(numerics, "lyapunov_solve", counted)
+        est._unit_lyapunov_extremes.cache_clear()
+        for (n, sigma), constants in expected.items():
+            assert est.output_bound_constants(n, sigma) == constants, (n, sigma)
+        assert solved == [1, 2, 3, 4, 5, 6]
 
     def test_transient_gain_overflows_to_inf(self):
         assert est.output_bound_constants(3, 1e200).transient_gain == math.inf

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +518,22 @@ class TestDerivativeExperiments:
             sim.steady_state_errors(signal, signals.NoiseSpec(), [est_cfg], cfg)
         assert batch.value.t == alone.value.t == 0.0
 
+    @pytest.mark.parametrize("amplitude,run_whole", [(np.nextafter(1.0, 0.0), 0), (1.0, 1)])
+    def test_derivative_bounds_below_the_safe_magnitude_take_the_window(
+            self, monkeypatch, amplitude, run_whole):
+        # At omega = 2^250 the second derivative's bound is amplitude * 2^500:
+        # one float below 2^500 the window vouches for the rows before it; at
+        # 2^500 itself the run is made whole. Both give the whole run's sups.
+        signal = signals.AnalyticSignal((signals.Sinusoid(amplitude, 2.0 ** 250, 0.0),))
+        assert signal.sup_derivative_bound(2) == amplitude * 2.0 ** 500
+        assert np.nextafter(2.0 ** 500, 0.0) == np.nextafter(1.0, 0.0) * 2.0 ** 500
+        est_cfg = est.DirtyDerivativeConfig(2, 20.0)
+        expected = _window_sups(signal, signals.NoiseSpec(), est_cfg, EXPERIMENT_CFG)
+        whole = _counting(monkeypatch, sim, "run_derivative_experiment")
+        sups, = sim.steady_state_errors(signal, signals.NoiseSpec(), [est_cfg], EXPERIMENT_CFG)
+        assert len(whole) == run_whole
+        assert np.isfinite(sups).all() and np.array_equal(sups, expected)
+
     def test_unbounded_derivatives_are_run_whole(self, monkeypatch):
         # A degree-2 input has an unbounded first derivative, so the window
         # cannot vouch for the rows before it; the whole run decides.
@@ -638,6 +658,47 @@ class TestChunkedKernel:
         for i in range(m):
             single = _drive(block, maps, u[:, None], x0[:, i:i + 1])
             assert np.array_equal(got[:, :, i], single[:, :, 0]), i
+
+
+# The tests whose bits must not depend on how a product's rows are split:
+# windowed runs against whole ones, and gains sharing a layout against each
+# gain laid out alone.
+_BIT_IDENTITY_TESTS = [
+    "tests/test_sim.py::TestChunkedKernel::test_first_row_skips_only_rows_before_it",
+    "tests/test_sim.py::TestDerivativeExperiments::test_each_run_equals_the_run_alone",
+    "tests/test_sim.py::TestDerivativeExperiments::test_each_gain_equals_the_gain_alone",
+    "tests/test_sim.py::TestDerivativeExperiments::test_gains_share_one_layout_per_state_size",
+    "tests/test_sim.py::TestInterconnections::test_estimated_runs_share_one_layout_per_state_size",
+]
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+class TestOtherBlasKernels:
+    @pytest.mark.skipif(reference.blas_core() == "unknown",
+                        reason="numpy's OpenBLAS does not name its kernel")
+    @pytest.mark.skipif(not (_cpu_features().get("AVX2") and _cpu_features().get("FMA3")),
+                        reason="this CPU cannot run the Haswell kernel")
+    def test_bit_identity_holds_on_the_haswell_kernel(self):
+        # Haswell's dgemm sums a lone last row in another order than rows in
+        # pairs; the even skip of sim._chunk_layout keeps them alike. The
+        # child's environment selects the kernel; it names the kernel it ran
+        # on before running the tests.
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys\nsys.path[:0] = ['src', 'tests']\nimport pytest, reference\n"
+                "print(reference.blas_core(), flush=True)\n"
+                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, *_BIT_IDENTITY_TESTS], cwd=root,
+                              env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.stdout.partition("\n")[0] == "Haswell", proc.stdout + proc.stderr
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
 
 
 class TestScanLinear:
