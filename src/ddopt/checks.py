@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,16 +36,28 @@ class CheckResult:
     details: list = field(default_factory=list)
 
 
+def _num(x: float) -> str:
+    """A threshold as the details and expectations print it: ``1e-6``, not ``1e-06``."""
+    return f"{x:g}".replace("e-0", "e-")
+
+
 class _Gate:
-    """Collects sub-assertions for one check."""
+    """Collects sub-assertions for one check: the only place the battery
+    compares a measured value with its limit."""
+
+    _COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
     def __init__(self):
         self.ok = True
         self.details = []
 
-    def require(self, condition: bool, message: str) -> None:
-        self.ok = self.ok and bool(condition)
-        self.details.append(("PASS" if condition else "FAIL") + "  " + message)
+    def require(self, value, op: str, limit, text: str) -> None:
+        """Gate ``value op limit``; the detail is ``text`` with ``{op}`` and
+        ``{limit}`` (by :func:`_num`) filled in."""
+        passed = bool(self._COMPARE[op](value, limit))
+        self.ok = self.ok and passed
+        detail = text.format(op=op, limit=_num(limit))
+        self.details.append(("PASS" if passed else "FAIL") + "  " + detail)
 
 
 CHECKS = []
@@ -62,7 +75,7 @@ def _check(name: str, budget: float | None = None):
             expected, measured = fn(gate)
             runtime = time.perf_counter() - start
             if budget is not None:
-                gate.require(runtime < budget, f"runtime {runtime:.2f}s < {budget:g}s")
+                gate.require(runtime, "<", budget, f"runtime {runtime:.2f}s {{op}} {{limit}}s")
             return CheckResult(name, gate.ok, expected, measured, runtime, gate.details)
 
         del check.__wrapped__    # its signature is its own: no arguments
@@ -103,8 +116,8 @@ def _derivative_error(sigma: float, variance: float = 0.0, seed: int = 0) -> flo
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
     est_cfg = est_mod.DirtyDerivativeConfig(1, sigma, 1)
     noise = sig_mod.NoiseSpec(variance, seed)
-    traj = sim_mod.run_derivative_experiment(sig_mod.sinusoid_5t_minus_2(), noise, est_cfg, cfg)
-    return record_mod.steady_state_sup(traj, "est_error")
+    return float(sim_mod.steady_state_errors(sig_mod.sinusoid_5t_minus_2(), noise,
+                                             [est_cfg], cfg)[0][0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,23 +161,24 @@ def _ordering_stats() -> dict[str, _FlowStats]:
 def check_sinusoid_error(gate):
     """Measured steady-state first-derivative error against the exact
     frequency-domain oracle for sin(5t-2), k = 1, sigma in {5, 20}."""
-    measured = []
-    expected = []
+    rel_tol = 0.02
+    measured, expected = [], []
     for sigma in (BENCH_SIGMA_LOW, BENCH_SIGMA_HIGH):
         sup = _derivative_error(sigma)
         oracle = est_mod.steady_state_sinusoid_error(
             est_mod.DirtyDerivativeConfig(1, sigma, 1), 1, 1.0, 5.0)
         measured.append(f"sigma={sigma:g}: {sup:.5f}")
-        expected.append(f"sigma={sigma:g}: {oracle:.5f} +-2%")
-        gate.require(abs(sup - oracle) <= 0.02 * oracle,
+        expected.append(f"sigma={sigma:g}: {oracle:.5f} +-{rel_tol:.0%}")
+        gate.require(abs(sup - oracle), "<=", rel_tol * oracle,
                      f"sigma={sigma:g}: sup {sup:.6f} vs oracle {oracle:.6f}")
     return "; ".join(expected), "; ".join(measured)
 
 
 @_check("polynomial-exactness", budget=1.0)
 def check_polynomial_exactness(gate):
-    """Degree-2 polynomial input, k = 2: both estimates exact to 1e-6 by the
-    end of the run (polynomials of degree <= k have no residual error)."""
+    """Degree-2 polynomial input, k = 2: both estimates exact to ``exact_tol`` by
+    the end of the run (polynomials of degree <= k have no residual error)."""
+    exact_tol = 1e-6
     cfg = sim_mod.SimConfig(t0=0.0, tf=5.0, h=1e-3)
     est_cfg = est_mod.DirtyDerivativeConfig(2, 10.0, 1)
     signal = sig_mod.AnalyticSignal((sig_mod.Polynomial((1.0, 2.0, 0.5)),))
@@ -174,15 +188,16 @@ def check_polynomial_exactness(gate):
     d2 = float(traj.column("thetahat2_0")[-1])
     e1 = abs(d1 - (2.0 + t_end))
     e2 = abs(d2 - 1.0)
-    gate.require(e1 <= 1e-6, f"first derivative error {e1:.3g} <= 1e-6")
-    gate.require(e2 <= 1e-6, f"second derivative error {e2:.3g} <= 1e-6")
-    return f"estimates ({2.0 + t_end:g}, 1) +-1e-6", f"({d1:.8f}, {d2:.8f})"
+    gate.require(e1, "<=", exact_tol, f"first derivative error {e1:.3g} {{op}} {{limit}}")
+    gate.require(e2, "<=", exact_tol, f"second derivative error {e2:.3g} {{op}} {{limit}}")
+    return f"estimates ({2.0 + t_end:g}, 1) +-{_num(exact_tol)}", f"({d1:.8f}, {d2:.8f})"
 
 
 @_check("sigma-scaling", budget=10.0)
 def check_sigma_scaling(gate):
     """Log-log slope of steady-state error versus sigma matches the
     -(k+1-i) power law for (k,i) in {(1,1), (2,1), (2,2)}."""
+    slope_tol = 0.25
     cfg = sim_mod.SimConfig(t0=0.0, tf=30.0, h=1e-3)
     sups = {}
     for order in (1, 2):
@@ -198,23 +213,23 @@ def check_sigma_scaling(gate):
         slope = sim_mod.slope_fit(pts)
         target = -(order + 1 - i)
         measured.append(f"(k={order},i={i}): {slope:.3f}")
-        gate.require(abs(slope - target) <= 0.25,
-                     f"(k={order},i={i}): slope {slope:.4f} within {target}+-0.25")
-    return "slopes -1, -2, -1 (+-0.25)", "; ".join(measured)
+        gate.require(abs(slope - target), "<=", slope_tol,
+                     f"(k={order},i={i}): slope {slope:.4f} within {target}+-{{limit}}")
+    return f"slopes -1, -2, -1 (+-{_num(slope_tol)})", "; ".join(measured)
 
 
 @_check("block-output-bound", budget=5.0)
 def check_block_output_bound(gate):
     """Simulated output of each cascade block stays below the decay plus
     input-gain bound computed from its Lyapunov solution."""
+    max_violations = 0
     rng = np.random.default_rng(20260811)
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
     t = cfg.times()
     # Ten initial states per block, driven as ten channels of one input.
     u = np.sin(cfg.stage_times())
     U = np.broadcast_to(u[:, None], (len(u), 10))
-    violations = 0
-    total = 0
+    violations = total = 0
     margin = math.inf
     for n in (1, 2, 3):
         layout = sim_mod._chunk_layout(U, n)     # shared by the gains
@@ -233,27 +248,29 @@ def check_block_output_bound(gate):
             margin = min(margin, float(np.min(gap)))
             del y, gap    # not held while the next gain is driven
         del layout    # not held while the next block size's is laid out
-    gate.require(violations == 0, f"{violations} violations over {total} samples")
-    return "0 violations", f"{violations} violations, worst margin {margin:.4g}"
+    gate.require(violations, "<=", max_violations, f"{violations} violations over {total} samples")
+    return f"{max_violations} violations", f"{violations} violations, worst margin {margin:.4g}"
 
 
 @_check("lyapunov-residuals")
 def check_lyapunov_residuals(gate):
     """Residual of the unit-gain companion Lyapunov equations, n = 1..6."""
+    residual_tol = 1e-10
     residuals = []
     for n in range(1, 7):
         A = est_mod.build_f_block(n, 1.0).A
         P = numerics.lyapunov_solve(A, np.eye(n))
         r = float(np.linalg.norm(A.T @ P + P @ A + np.eye(n)))
         residuals.append(r)
-        gate.require(r < 1e-10, f"n={n}: residual {r:.3g} < 1e-10")
-    return "all < 1e-10", f"worst {max(residuals):.3g}"
+        gate.require(r, "<", residual_tol, f"n={n}: residual {r:.3g} {{op}} {{limit}}")
+    return f"all < {_num(residual_tol)}", f"worst {max(residuals):.3g}"
 
 
 @_check("transfer-equivalence")
 def check_transfer_equivalence(gate):
     """Frequency response of the composed realization against the closed-form
-    cascade recursion, per-frequency response vector, relative error 1e-9."""
+    cascade recursion, per-frequency response vector, relative error ``response_tol``."""
+    response_tol = 1e-9
     worst = 0.0
     for order in (1, 2, 3):
         for sigma in (1.0, 5.0, 20.0):
@@ -264,57 +281,66 @@ def check_transfer_equivalence(gate):
                                 for i in range(1, order + 1)])
                 rel = float(np.linalg.norm(response - ref) / np.linalg.norm(ref))
                 worst = max(worst, rel)
-    gate.require(worst < 1e-9, f"worst relative response error {worst:.3g} < 1e-9")
-    return "< 1e-9", f"worst {worst:.3g}"
+    gate.require(worst, "<", response_tol,
+                 f"worst relative response error {worst:.3g} {{op}} {{limit}}")
+    return f"< {_num(response_tol)}", f"worst {worst:.3g}"
 
 
 @_check("ideal-tracking", budget=1.0)
 def check_ideal_tracking(gate):
     """Ideally corrected Newton flow on the quadratic tracker contracts the
     tracking error exactly like e^-t and drives the loss to the floor."""
+    dev_tol, loss_tol = 1e-6, 1e-10
     e0, dev, stats = _ideal_tracking_stats()
     window_loss = stats.loss_sup
-    gate.require(dev <= 1e-6, f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} <= 1e-6")
-    gate.require(window_loss < 1e-10, f"final-window loss {window_loss:.3g} < 1e-10")
-    return ("deviation <= 1e-6, loss < 1e-10",
+    gate.require(dev, "<=", dev_tol,
+                 f"|tracking error - {e0:.4f} e^-t| sup {dev:.3g} {{op}} {{limit}}")
+    gate.require(window_loss, "<", loss_tol,
+                 f"final-window loss {window_loss:.3g} {{op}} {{limit}}")
+    return (f"deviation <= {_num(dev_tol)}, loss < {_num(loss_tol)}",
             f"deviation {dev:.3g}, loss {window_loss:.3g}")
 
 
 @_check("loss-ordering", budget=5.0)
 def check_loss_ordering(gate):
     """Final-window mean losses order as ideal < estimated(sigma=20) <
-    estimated(sigma=5) < uncorrected, each pair separated by a factor 2."""
+    estimated(sigma=5) < uncorrected, each pair separated by ``min_ratio``."""
+    min_ratio = 2.0
     losses = {name: stats.loss_mean for name, stats in _ordering_stats().items()}
     chain = ["ideal", f"estimated{BENCH_SIGMA_HIGH:g}", f"estimated{BENCH_SIGMA_LOW:g}", "none"]
     for a, b in zip(chain, chain[1:]):
-        gate.require(losses[a] < losses[b], f"{a} loss {losses[a]:.4g} < {b} loss {losses[b]:.4g}")
+        gate.require(losses[a], "<", losses[b],
+                     f"{a} loss {losses[a]:.4g} {{op}} {b} loss {losses[b]:.4g}")
     for a, b in zip(chain, chain[1:]):
         ratio = losses[b] / losses[a]
-        gate.require(ratio >= 2.0, f"{b}/{a} mean-loss ratio {ratio:.3f} >= 2")
-    return ("ordered, consecutive ratios >= 2",
+        gate.require(ratio, ">=", min_ratio,
+                     f"{b}/{a} mean-loss ratio {ratio:.3f} {{op}} {{limit}}")
+    return (f"ordered, consecutive ratios >= {_num(min_ratio)}",
             ", ".join(f"{name}={losses[name]:.4g}" for name in chain))
 
 
 @_check("redesign-cancellation")
 def check_redesign_cancellation(gate):
-    """The recorded redesign certificate stays at or below 1e-9 along every
+    """The recorded redesign certificate stays at or below ``lhs_tol`` along every
     corrected trajectory (exact cancellation for the ideal correction, by
     construction for the estimated one)."""
+    lhs_tol = 1e-9
     worst = {"ideal-tracking": _ideal_tracking_stats()[2].lhs_max}
     for name, stats in _ordering_stats().items():
         if name == "none":
             continue  # no correction: nothing for the condition to certify
         worst[name] = stats.lhs_max
     for name, value in worst.items():
-        gate.require(value <= 1e-9, f"{name}: max lhs {value:.3g} <= 1e-9")
-    return "max lhs <= 1e-9", f"worst {max(worst.values()):.3g}"
+        gate.require(value, "<=", lhs_tol, f"{name}: max lhs {value:.3g} {{op}} {{limit}}")
+    return f"max lhs <= {_num(lhs_tol)}", f"worst {max(worst.values()):.3g}"
 
 
 @_check("noise-robustness", budget=5.0)
 def check_noise_robustness(gate):
     """Gaussian measurement noise (variance 0.01, seed 42) degrades the
-    sigma = 20 runs by less than a factor 10 and never produces a
+    sigma = 20 runs by less than ``factor`` and never produces a
     non-finite state."""
+    factor = 10.0
     sup_clean = _derivative_error(BENCH_SIGMA_HIGH)
     sup_noisy = _derivative_error(BENCH_SIGMA_HIGH, variance=NOISE_VARIANCE, seed=NOISE_SEED)
 
@@ -327,24 +353,18 @@ def check_noise_robustness(gate):
         cost, signal, flows_mod.CorrectionMode.ESTIMATED, cfg, est_cfg=est_cfg,
         noise=sig_mod.NoiseSpec(NOISE_VARIANCE, NOISE_SEED))
     loss_noisy = record_mod.steady_state_sup(noisy_opt, "loss")
-    gate.require(sup_noisy < 10.0 * sup_clean,
-                 f"estimation error {sup_noisy:.4f} < 10 x noise-free {sup_clean:.4f}")
-    gate.require(loss_noisy < 10.0 * loss_clean,
-                 f"loss {loss_noisy:.4g} < 10 x noise-free {loss_clean:.4g}")
-    return ("noisy < 10 x noise-free",
+    limit_text = f"{{op}} {_num(factor)} x noise-free"
+    gate.require(sup_noisy, "<", factor * sup_clean,
+                 f"estimation error {sup_noisy:.4f} {limit_text} {sup_clean:.4f}")
+    gate.require(loss_noisy, "<", factor * loss_clean,
+                 f"loss {loss_noisy:.4g} {limit_text} {loss_clean:.4g}")
+    return (f"noisy < {_num(factor)} x noise-free",
             f"est {sup_noisy:.3f}/{sup_clean:.3f}, loss {loss_noisy:.3g}/{loss_clean:.3g}")
 
 
 def run_checks(names=None):
     """Run the battery (or the named subset) and return CheckResults."""
-    known = {name for name, _ in CHECKS}
-    if names:
-        unknown = set(names) - known
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-    results = []
-    for name, fn in CHECKS:
-        if names and name not in names:
-            continue
-        results.append(fn())
-    return results
+    unknown = set(names or ()) - {name for name, _ in CHECKS}
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return [fn() for name, fn in CHECKS if not names or name in names]

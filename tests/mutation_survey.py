@@ -47,36 +47,35 @@ class Mutant(NamedTuple):
 
 CHECKS, SIM, EST = "src/ddopt/checks.py", "src/ddopt/sim.py", "src/ddopt/estimator.py"
 
-# The loosened check thresholds survive because each is written twice, in the
-# comparison and in the text the tests pin (see ROADMAP, "Gates as data").
+# Each check threshold is written once in checks.py, where the comparison, the
+# detail text and the expectation all read it: a loosened one shows in the
+# verify text the goldens pin (see ROADMAP, "Gates as data").
 MUTANTS = [
-    Mutant(CHECKS, "abs(slope - target) <= 0.25,", "abs(slope - target) <= 0.5,", SURVIVED,
+    Mutant(CHECKS, "slope_tol = 0.25", "slope_tol = 0.5", KILLED,
            "sigma-scaling slope tolerance 0.25 -> 0.5"),
-    Mutant(CHECKS, "abs(sup - oracle) <= 0.02 * oracle,", "abs(sup - oracle) <= 0.2 * oracle,",
-           SURVIVED, "sinusoid-error tolerance 2% -> 20%"),
-    Mutant(CHECKS, "gate.require(value <= 1e-9,", "gate.require(value <= 1e-3,", SURVIVED,
+    Mutant(CHECKS, "rel_tol = 0.02", "rel_tol = 0.2", KILLED,
+           "sinusoid-error tolerance 2% -> 20%"),
+    Mutant(CHECKS, "lhs_tol = 1e-9", "lhs_tol = 1e-3", KILLED,
            "redesign-cancellation certificate 1e-9 -> 1e-3"),
-    Mutant(CHECKS, "gate.require(dev <= 1e-6,", "gate.require(dev <= 1e-3,", SURVIVED,
+    Mutant(CHECKS, "dev_tol, loss_tol = 1e-6, 1e-10", "dev_tol, loss_tol = 1e-3, 1e-10", KILLED,
            "ideal-tracking deviation 1e-6 -> 1e-3"),
-    Mutant(CHECKS, "gate.require(window_loss < 1e-10,", "gate.require(window_loss < 1e-6,",
-           SURVIVED, "ideal-tracking loss 1e-10 -> 1e-6"),
-    Mutant(CHECKS, "gate.require(worst < 1e-9,", "gate.require(worst < 1e-3,", SURVIVED,
+    Mutant(CHECKS, "dev_tol, loss_tol = 1e-6, 1e-10", "dev_tol, loss_tol = 1e-6, 1e-6", KILLED,
+           "ideal-tracking loss 1e-10 -> 1e-6"),
+    Mutant(CHECKS, "response_tol = 1e-9", "response_tol = 1e-3", KILLED,
            "transfer-equivalence relative error 1e-9 -> 1e-3"),
-    Mutant(CHECKS, "gate.require(r < 1e-10,", "gate.require(r < 1e-3,", SURVIVED,
+    Mutant(CHECKS, "residual_tol = 1e-10", "residual_tol = 1e-3", KILLED,
            "lyapunov-residuals residual 1e-10 -> 1e-3"),
-    Mutant(CHECKS, "gate.require(sup_noisy < 10.0 * sup_clean,",
-           "gate.require(sup_noisy < 100.0 * sup_clean,", SURVIVED,
-           "noise-robustness estimation factor 10 -> 100"),
-    Mutant(CHECKS, "gate.require(e1 <= 1e-6,", "gate.require(e1 <= 1e-3,", SURVIVED,
-           "polynomial-exactness first derivative 1e-6 -> 1e-3"),
-    Mutant(CHECKS, "gate.require(violations == 0,", "gate.require(violations <= 5,", SURVIVED,
-           "block-output-bound violations == 0 -> <= 5"),
+    Mutant(CHECKS, "factor = 10.0", "factor = 100.0", KILLED,
+           "noise-robustness factor 10 -> 100"),
+    Mutant(CHECKS, "exact_tol = 1e-6", "exact_tol = 1e-3", KILLED,
+           "polynomial-exactness tolerance 1e-6 -> 1e-3"),
+    Mutant(CHECKS, "max_violations = 0", "max_violations = 5", KILLED,
+           "block-output-bound violations <= 0 -> <= 5"),
     Mutant(SIM, "if omega * h >= np.pi:", "if omega * h > np.pi:", KILLED,
            "step warning omega h >= pi -> > pi"),
     Mutant(SIM, "_SAFE_MAGNITUDE = 2.0 ** 500", "_SAFE_MAGNITUDE = 2.0 ** 100", KILLED,
            "window vouching magnitude 2^500 -> 2^100"),
-    # Possibly equivalent: every tested Newton window may converge within 12.
-    Mutant(SIM, "_NEWTON_ITERATIONS = 24", "_NEWTON_ITERATIONS = 12", SURVIVED,
+    Mutant(SIM, "_NEWTON_ITERATIONS = 24", "_NEWTON_ITERATIONS = 12", KILLED,
            "Newton iterations per window 24 -> 12"),
     Mutant(EST, "decay_rate = sigma / (4.0 * lam_max)", "decay_rate = sigma / (8.0 * lam_max)",
            KILLED, "output bound decay rate sigma/(4 lam_max) -> sigma/(8 lam_max)"),
@@ -87,6 +86,9 @@ MUTANTS = [
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+# Checks that each mutant's edit applies to the unmutated tree, so every
+# mutant fails it by construction; it is left out of the mutant runs.
+_GUARD = "tests/test_acceptance.py::test_every_survey_mutant_applies"
 
 
 def _suite(copy: Path, extra: list[str]) -> subprocess.CompletedProcess:
@@ -110,7 +112,7 @@ def survey(mutants: list[tuple[int, Mutant]]) -> int:
         known = _FAILED.findall(base.stdout)
         print(f"unmutated: {len(known)} failing test(s) deselected from every mutant run "
               f"({time.perf_counter() - start:.0f}s): {', '.join(known) or 'none'}")
-        deselect = [arg for nodeid in known for arg in ("--deselect", nodeid)]
+        deselect = [arg for nodeid in [*known, _GUARD] for arg in ("--deselect", nodeid)]
         if _suite(copy, deselect).returncode != 0:
             print("the unmutated suite does not pass with those deselected; no survey")
             return 1

@@ -6,10 +6,12 @@ The same checks back the ``ddopt verify`` command.
 
 import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mutation_survey
 from ddopt import checks
 from test_benchmark_oracles import workloads   # perfbench/workloads.py, only read
 
@@ -146,3 +148,14 @@ def test_block_output_bound_peak_memory():
     np.random.default_rng()     # numpy.random is imported lazily; not counted
     _, peak = _traced(checks.check_block_output_bound)
     assert peak < 4 * 2 ** 20
+
+
+def test_every_survey_mutant_applies():
+    # The suite does not run tests/mutation_survey.py; this keeps a refactor
+    # from silently leaving a mutant's edit matching nothing, or more than once.
+    # The survey's mutant runs leave this test out by its node id.
+    this = f"tests/{Path(__file__).name}::{test_every_survey_mutant_applies.__name__}"
+    assert mutation_survey._GUARD == this
+    for mutant in mutation_survey.MUTANTS:
+        text = (mutation_survey.ROOT / mutant.path).read_text()
+        assert text.count(mutant.old) == 1, mutant.what

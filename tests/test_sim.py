@@ -1540,6 +1540,29 @@ class TestInterconnections:
         stepped = sim.run_interconnection(_SlopelessLogCosh(1), signal, NONE, cfg)
         assert np.array_equal(traj.column("x_0"), stepped.column("x_0"))
 
+    def test_window_needing_more_than_twelve_newton_iterations_is_solved(self, monkeypatch):
+        # On theta = 30t at h = 0.02 the one window of 250 steps takes 16
+        # Newton iterations, one scan each, within the cap: neither run is
+        # stepped, and both agree with the stepped recurrence. A cap of 12
+        # would step the window.
+        signal = signals.AnalyticSignal((signals.Polynomial((0.0, 30.0)),))
+        cfg, runs = sim.SimConfig(0.0, 5.0, 0.02), [(NONE, None), (IDEAL, None)]
+        scan, calls = sim._scan_affine, {"scans": 0}
+
+        def counted_scan(q, b):
+            calls["scans"] += 1
+            return scan(q, b)
+
+        monkeypatch.setattr(sim, "_scan_affine", counted_scan)
+        monkeypatch.setattr(sim, "_step_window", _no_loop)
+        batch = sim.run_interconnections(flows.LogCoshTrackingCost(1), signal, runs, cfg)
+        monkeypatch.undo()
+        assert calls["scans"] > 12
+        stepped = sim.run_interconnections(_SlopelessLogCosh(1), signal, runs, cfg)
+        for traj, ref in zip(batch, stepped):
+            x, x_ref = traj.column("x_0"), ref.column("x_0")
+            assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
+
     def test_stepped_windows_are_measured_on_their_stepped_states(self, monkeypatch):
         # The declared slopes amplify no deviation along the stepped states.
         # Taken at the last Newton guesses, which had not settled, they would
