@@ -33,24 +33,27 @@ grid point is held constant over the optimizer's RK4 step.
 The interconnection runs that share a parameter path (none, ideal and
 estimated at each gain) are integrated together by
 :func:`run_interconnections`, the one place that turns a run's correction
-mode into the velocities its flow steps are fed: one stage tuple (th0, thm,
-th1, v0, vm, v1) of (N, runs, p) arrays laid out once, theta and each run's
-velocity at each step's start, middle and end stage. The kind of slope the
-cost's one flow hook (:meth:`flows.CostModel.newton_field_slope`) returns
-picks the integrator. A float slope, the quadratic tracker's, marks a field
-affine in the state: its RK4 steps are an elementwise affine recurrence,
-evaluated over the whole run by a log-depth scan (:func:`_scan_affine`).
-Every other flow goes through one window driver (:func:`_flow_states`), 256
-RK4 steps at a time: an array slope, the logcosh tracker's, has each window
-solved by Newton's method, each update one such scan; the runs of a cost
-without a slope, and runs whose states turn non-finite or whose Newton
-solve does not settle, are stepped from then on, which finds the step at
-which a state failed. Either way the other columns are computed from the
-states on blocks of rows, through the same ``flows`` functions, elementwise
-for a cost that declares a diagonal Hessian
-(:meth:`flows.CostModel.diagonal_hessian`). Each path also
-measures, from the step derivatives it forms anyway, how much a span of a
-run's RK4 steps amplifies a deviation. The runs come out as
+mode into the velocities its flow steps are fed. It lays the stages out
+once as (N, runs, p) views: theta at each step's start, middle and end
+stage, each run's velocity at its start, and the exact velocity at its
+middle and end, fed there to ideal runs, the start's to the others. The
+integrators form those velocities one stage (the affine path) or window
+(the window driver) at a time. The kind of slope the cost's one flow hook
+(:meth:`flows.CostModel.newton_field_slope`) returns picks the integrator.
+A float slope, the quadratic tracker's, marks a field affine in the state:
+its RK4 steps are an elementwise affine recurrence, evaluated over the
+whole run by a log-depth scan (:func:`_scan_affine`). Every other flow goes
+through one window driver (:func:`_flow_states`), 256 RK4 steps at a time:
+an array slope, the logcosh tracker's, has each window solved by Newton's
+method, each update one such scan; the runs of a cost without a slope, and
+runs whose states turn non-finite or whose Newton solve does not settle,
+are stepped from then on, which finds the step at which a state failed.
+Either way the other columns are computed from the states on blocks of
+rows sized by values (about 16k values per temporary, at least 256 rows),
+through the same ``flows`` functions, elementwise for a cost that declares
+a diagonal Hessian (:meth:`flows.CostModel.diagonal_hessian`). Each path
+also measures, from the step derivatives it forms anyway, how much a span
+of a run's RK4 steps amplifies a deviation. The runs come out as
 :class:`record.Trajectory` records, which :mod:`record` writes as CSV.
 """
 
@@ -72,12 +75,18 @@ from .record import NonFiniteStateError, Trajectory, column_name, steady_state_s
 # is refused before anything is allocated. About 67 times the longest
 # shipped run (30k steps).
 MAX_STEPS = 2_000_000
-# Steps per window of _flow_states, and rows per block when deriving the
-# other columns, so that buffers and temporaries (such as stacked Hessians)
-# do not grow with run length.
-_RECORD_BLOCK_ROWS = 256
-# Steps per chunk of the LTI kernel in _drive_lti.
+# Steps per window of _flow_states, so that buffers do not grow with run
+# length; a window's Newton solve, and so its bits, depend on it.
+_WINDOW_STEPS = 256
+# Values per temporary (such as stacked Hessians) when deriving the other
+# columns, 128 KiB: a block holds as many rows, and at least the minimum.
+_RECORD_VALUES = 16384
+_RECORD_MIN_ROWS = 256
+# Steps per chunk of the LTI kernel in _drive_lti, and each kernel sample
+# r's lag 2(i+1) - r in the output after step i, or R (zero weight) if later.
 _CHUNK = 64
+_LAGS = 2 * np.arange(1, _CHUNK + 1) - np.arange(2 * _CHUNK + 1)[:, None]
+_LAGS[_LAGS < 0] = 2 * _CHUNK + 1
 # Newton iterations a window of _flow_states may take before its unconverged
 # runs are stepped.
 _NEWTON_ITERATIONS = 24
@@ -332,10 +341,9 @@ def _drive_lti(realization, maps, layout: _ChunkLayout, x0: np.ndarray) -> np.nd
         lag[2:R:2] += reach[:, :, 0]
         lag[0, n:] += D[:, 0]
         E = lag[R - 1::-1, :n].copy()                      # a BLAS operand
-        d = 2 * np.arange(1, L + 1) - np.arange(R)[:, None]    # (R, L)
         GH = np.empty((R + n, L * q))
         G = GH[:R].reshape(R, L, q)
-        G[...] = np.take(lag[:, n:], np.where(d < 0, R, d), axis=0)
+        G[...] = np.take(lag[:, n:], _LAGS, axis=0)
         G[0] = CPB[:, :, 0]                                 # sample 0 ends no step
         GH[R:] = (C @ P[1:]).transpose(2, 0, 1).reshape(n, L * q)
 
@@ -478,17 +486,18 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     (ideal), or the run's estimate (estimated). The estimator is open loop,
     so each estimate is computed for the whole grid first, and a flow step
     holds the estimate at its start constant over the optimizer's RK4 step.
-    The integrators read the stage tuple (module docstring), built here once,
-    theta as views, and released before recording. The slope that
-    :meth:`flows.CostModel.newton_field_slope` returns at the first state
-    picks the integrator: for a float slope, an affine field, each run's RK4
-    steps are evaluated as an elementwise affine recurrence
-    (:func:`_affine_states`), and only runs that turn non-finite are stepped,
-    to find the failing step; otherwise the runs go through
+    The integrators read the stage layout (module docstring), views laid
+    out here once and released before recording, and form the velocity fed
+    at the middle and end stages one stage or window at a time. The slope
+    that :meth:`flows.CostModel.newton_field_slope` returns at the first
+    state picks the integrator: for a float slope, an affine field, each
+    run's RK4 steps are evaluated as an elementwise affine recurrence
+    (:func:`_affine_states`), and only runs that turn non-finite are
+    stepped, to find the failing step; otherwise the runs go through
     :func:`_flow_states`, stepped throughout if there is no slope. The other
     columns are computed from the stored states afterwards, a block of rows
-    at a time, the correction and the certificate's gradients by
-    :func:`flows.redesign_terms`. Each run comes out bit-identical to the
+    sized by ``_RECORD_VALUES`` at a time, the correction and the
+    certificate's gradients by :func:`flows.redesign_terms`. Each run comes out bit-identical to the
     same run alone. A step h that spans half a period of the path's fastest
     sinusoid is warned of, and so is one whose RK4 steps amplify a deviation
     over some span of a run (:func:`_flow_states`), the whole run included:
@@ -544,26 +553,27 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             if meas_all is None:
                 meas_all = sig_mod.sample_noisy_grid(theta_all, noise)
             estimator = est_mod.build_estimator(est_cfg, h)
-            n = len(estimator.state)
-            if n not in layouts:
-                layouts[n] = _chunk_layout(meas_all, n)
-            v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, layouts[n],
+            size = len(estimator.state)
+            if size not in layouts:
+                layouts[size] = _chunk_layout(meas_all, size)
+            v0[:, b] = _drive_lti(estimator.continuous, estimator.rk4_maps, layouts[size],
                                   estimator.state)[:, 0, :]
     del meas_all, layouts    # not held while the flows run
 
-    # The stage tuple; ideal runs are fed the exact velocity at each stage.
-    ideal = np.array([mode is Mode.IDEAL for mode, _ in runs])[:, None]
-    stages = (*np.broadcast_arrays(theta_all[0:-2:2, None], theta_all[1::2, None],
-                                   theta_all[2::2, None], v0[:-1]),
-              *(np.where(ideal, theta_dot_all[s::2, None], v0[:-1]) for s in (1, 2)))
+    # The stage layout (module docstring); ideal runs are fed the last two arrays.
+    ideal = np.array([mode is Mode.IDEAL for mode, _ in runs])
+    stages = np.broadcast_arrays(theta_all[0:-2:2, None], theta_all[1::2, None],
+                                 theta_all[2::2, None], v0[:-1],
+                                 theta_dot_all[1::2, None], theta_dot_all[2::2, None])
     if isinstance(slope, float):
-        X, amplification = _affine_states(cost, slope, stages, x0, h)
+        X, amplification = _affine_states(cost, slope, stages, ideal, x0, h)
         # Non-finite values spread through the scan; stepping finds the step.
         bad = ~np.isfinite(X).all(axis=(0, 2))
         if bad.any():
-            X[:, bad] = _flow_states(cost, [s[:, bad] for s in stages], x0, cfg, True)[0]
+            X[:, bad] = _flow_states(cost, [s[:, bad] for s in stages], ideal[bad], x0, cfg,
+                                     True)[0]
     else:
-        X, amplification = _flow_states(cost, stages, x0, cfg, slope is None)
+        X, amplification = _flow_states(cost, stages, ideal, x0, cfg, slope is None)
     del stages
     if amplification.max() > 1.0:
         warnings.warn(f"the flow's RK4 steps amplify a deviation by up to {amplification.max():.3g}"
@@ -573,9 +583,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     with np.errstate(over="ignore", invalid="ignore"):
         xstar = cost.minimizer(theta)
         estimated = np.array([mode is Mode.ESTIMATED for mode, _ in runs])
-        loss, tracking, lhs = np.empty((3, len(X), B))
-        for start in range(0, len(X), _RECORD_BLOCK_ROWS):
-            rows = slice(start, start + _RECORD_BLOCK_ROWS)
+        loss, tracking, lhs, est_error = np.empty((4, len(X), B))
+        block = max(_RECORD_MIN_ROWS, _RECORD_VALUES // (B * n))
+        for start in range(0, len(X), block):
+            rows = slice(start, start + block)
             x_r, theta_r, v_r = X[rows], theta[rows, None, :], v0[rows]
             # An uncorrected run is fed zero velocity, so its u is zero.
             u, gxV, gtV = flows_mod.redesign_terms(cost, x_r, theta_r, v_r)
@@ -583,9 +594,10 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
             # and at the exact velocity otherwise, the uncorrected flow's too.
             v_cert = np.where(estimated[:, None], v_r, theta_dot[rows, None, :])
             lhs[rows] = flows_mod.check_redesign_condition(gxV, gtV, u, v_cert)
+            del u, gxV, gtV, v_cert    # not held while the next block is formed
             loss[rows] = cost.value(x_r, theta_r)
             tracking[rows] = _norm(x_r - xstar[rows, None, :])
-        est_error = _norm(v0 - theta_dot[:, None, :])
+            est_error[rows] = _norm(v_r - theta_dot[rows, None, :])
 
     t_rec = cfg.times()
     trajectories = []
@@ -608,7 +620,7 @@ def run_interconnections(cost: flows_mod.CostModel, signal: sig_mod.AnalyticSign
     return trajectories
 
 
-def _affine_states(cost, a, stages, x0, h):
+def _affine_states(cost, a, stages, ideal, x0, h):
     """States (N+1, runs, n) of the flows x' = a x + f(theta, v), by RK4, and
     each run's amplification (:func:`_flow_states`), for a cost whose field
     (:meth:`flows.CostModel.newton_field_slope`) has the float slope ``a``;
@@ -617,9 +629,12 @@ def _affine_states(cost, a, stages, x0, h):
     Per component, one RK4 step is x + q x + V[j], with q = Phi - 1 and V the
     stage weights M0, M1, M2 of ``estimator.rk4_step_maps(a, 1, h)`` applied
     to f at the start, middle and end stage, one call per stage of the
-    ``stages`` tuple for every run. All runs go through one :func:`_scan_affine`
-    call, with the first step from x0 folded into V[0]; the scan is
-    elementwise, so each run comes out the same whichever runs are with it.
+    ``stages`` layout for every run, its middle or end velocity (exact for
+    the runs the mask ``ideal`` marks) formed for that call only; V sums
+    into the states stage by stage, rounding as M0 f0 + M1 f1 + M2 f2. All
+    runs go through one :func:`_scan_affine` call, with the first step from
+    x0 folded into V[0]; the scan is elementwise, so each run comes out the
+    same whichever runs are with it.
     """
     _, M0, M1, M2 = (float(M[0, 0]) for M in
                      est_mod.rk4_step_maps(np.array([[a]]), np.eye(1), h))
@@ -630,25 +645,27 @@ def _affine_states(cost, a, stages, x0, h):
     # 65 times the stepped recurrence's own error at h = 1e-3.
     q = ha * (1.0 + ha / 2.0 * (1.0 + ha / 3.0 * (1.0 + ha / 4.0)))
 
-    th0, thm, th1, v0, vm, v1 = stages
+    th0, thm, th1, v0, dm, d1 = stages
     X = np.empty((len(th0) + 1, th0.shape[1], len(x0)))
     X[0] = x0
     field, zero = cost.newton_field_slope, np.zeros_like(x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        X[1:] = (M0 * field(zero, th0, v0)[0] + M1 * field(zero, thm, vm)[0]
-                 + M2 * field(zero, th1, v1)[0])
+        np.multiply(M0, field(zero, th0, v0)[0], out=X[1:])
+        for M, th, exact in ((M1, thm, dm), (M2, th1, d1)):
+            X[1:] += M * field(zero, th, np.where(ideal[:, None], exact, v0))[0]
         X[1] += x0 + q * x0
         _scan_affine(np.full((len(X) - 1, 1, 1), q), X[1:])
         # Every step has derivative 1 + q: a span that grows is longest as the whole run.
         return X, np.full(X.shape[1], np.maximum(abs(1.0 + q), 1.0) ** (len(X) - 1))
 
 
-def _flow_states(cost, stages, x0, cfg, step_all):
+def _flow_states(cost, stages, ideal, x0, cfg, step_all):
     """States (N+1, runs, n) of the corrected Newton flows fed the
-    ``stages`` tuple, a window of ``_RECORD_BLOCK_ROWS`` RK4 steps
-    (:func:`_rk4_step`) at a time, each from the previous window's last
-    state; and each run's amplification, the largest factor by which a span
-    of its steps (the empty one included) amplifies a deviation.
+    ``stages`` layout (the runs the mask ``ideal`` marks are ideal), a
+    window of ``_WINDOW_STEPS`` RK4 steps (:func:`_rk4_step`) at a time, each
+    from the previous window's last state; and each run's amplification, the
+    largest factor by which a span of its steps (the empty one included)
+    amplifies a deviation.
 
     Unless ``step_all``, each window is solved by
     Newton's method on the whole window (parallel-in-time, as in DEER: Lim
@@ -678,9 +695,10 @@ def _flow_states(cost, stages, x0, cfg, step_all):
     tol, stalled = 4.0 * np.finfo(np.float64).eps, 2.0 ** -36
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = np.full(B, step_all)
-        for start in range(0, N, _RECORD_BLOCK_ROWS):
-            stop = min(start + _RECORD_BLOCK_ROWS, N)
-            rows = [s[start:stop] for s in stages]
+        for start in range(0, N, _WINDOW_STEPS):
+            stop = min(start + _WINDOW_STEPS, N)
+            *theta, v0, dm, d1 = [s[start:stop] for s in stages]
+            rows = (*theta, v0, *(np.where(ideal[:, None], d, v0) for d in (dm, d1)))
             window = X[start:stop + 1]
             window[1:] = window[0]
             offsets = np.empty((stop - start, B, n))   # each run's q
@@ -724,11 +742,11 @@ def _flow_states(cost, stages, x0, cfg, step_all):
 def _rk4_step(cost, x, stage, h):
     """One RK4 step of the corrected Newton flow from x, its stages evaluated
     by :meth:`flows.CostModel.newton_field_slope` fed theta and the velocity
-    at the step's start, middle and end stage, one step's rows of the
-    ``stages`` tuple. Returns the next state and q, the offset from 1 of the
-    step's derivative in x (elementwise), from the chained stage slopes, or
-    -1 for a cost without them, its Jacobian at the minimizer: then
-    q = R(-h) - 1, R the RK4 map."""
+    at the step's start, middle and end stage, one step's rows of a window's
+    stage tuple (:func:`_flow_states`). Returns the next state and q, the
+    offset from 1 of the step's derivative in x (elementwise), from the
+    chained stage slopes, or -1 for a cost without them, its Jacobian at the
+    minimizer: then q = R(-h) - 1, R the RK4 map."""
     field, (th0, thm, th1, v0, vm, v1) = cost.newton_field_slope, stage
     k1, s1 = field(x, th0, v0)
     k2, s2 = field(x + 0.5 * h * k1, thm, vm)
@@ -745,7 +763,7 @@ def _rk4_step(cost, x, stage, h):
 
 def _step_window(cost, y, stages, h, times):
     """Fills y[1:] (steps, runs, n) by successive :func:`_rk4_step` calls
-    from y[0], fed the ``stages`` tuple cut to its steps and runs; returns
+    from y[0], fed a window's stage tuple cut to its runs; returns
     their q. ``times`` holds the time after each step; the first step whose
     state is not finite raises :class:`NonFiniteStateError` with it, also
     when the cost raised on such a state (as ``numerics.solve_linear``

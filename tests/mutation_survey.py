@@ -83,6 +83,10 @@ MUTANTS = [
            "output bound input gain 2 -> 4"),
     Mutant(EST, "if config.gain * step > 0.5:", "if config.gain * step > 0.6:", KILLED,
            "estimator step warning sigma h > 0.5 -> > 0.6"),
+    Mutant(SIM, "((M1, thm, dm), (M2, th1, d1))", "((M1, thm, v0), (M2, th1, v0))", KILLED,
+           "affine path feeds ideal runs their start velocity at the middle and end stages"),
+    Mutant(SIM, "rows = slice(start, start + block)", "rows = slice(start, start + block - 1)",
+           KILLED, "recording blocks one row short of the loop's step: a row per block skipped"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

@@ -690,14 +690,14 @@ def test_golden_output_bytes(tmp_path, capsys, monkeypatch, name):
         f"hashes recorded on OpenBLAS core {_GOLDEN_BLAS_CORE}, this run is on {blas_core()}")
 
 
-# The exit code and the sha256 of stdout of ``verify`` over every check but
-# sinusoid-error, whose table line prints its run times; recorded on the
-# same SkylakeX kernel. The loss-ordering shortfall makes the exit code 1.
+# The exit code and the sha256 of stdout of ``verify --only`` over every
+# check (no table line prints a run time); recorded on the same SkylakeX
+# kernel. The loss-ordering shortfall makes the exit code 1.
 _VERIFY_GOLDEN = (
-    ["verify", "--only", "polynomial-exactness,sigma-scaling,block-output-bound,"
-     "lyapunov-residuals,transfer-equivalence,ideal-tracking,loss-ordering,"
-     "redesign-cancellation,noise-robustness"],
-    1, "3e896d21ad3f556579544f70696d685253f414249ee661a31ec444f4a9e61d19")
+    ["verify", "--only", "sinusoid-error,polynomial-exactness,sigma-scaling,"
+     "block-output-bound,lyapunov-residuals,transfer-equivalence,ideal-tracking,"
+     "loss-ordering,redesign-cancellation,noise-robustness"],
+    1, "31c85ae0f842a59a1e95724b6fb12c48ff4d24985d5b6df8058d7280743bab02")
 
 
 def test_golden_verify_text(capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reference
 from ddopt import estimator as est
 from ddopt import flows, record, signals, sim
+from ddopt.checks import SWEEP_SIGMAS
 
 NONE = flows.CorrectionMode.NONE
 IDEAL = flows.CorrectionMode.IDEAL
@@ -470,6 +471,18 @@ class TestDerivativeExperiments:
             alone, = sim.steady_state_errors(signal, noise, [est_cfg], EXPERIMENT_CFG)
             assert np.array_equal(sups, alone), est_cfg
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_mixed_orders_equal_each_config_alone(self, channels):
+        # Orders 1 and 2 at the sweep gains in one call, as the sigma-scaling
+        # check runs them: two state sizes, each laid out once.
+        signal, noise = EXPERIMENT_SIGNALS[channels], EXPERIMENT_NOISE[True]
+        cfgs = [est.DirtyDerivativeConfig(order, sigma, channels)
+                for order in (1, 2) for sigma in SWEEP_SIGMAS]
+        shared = sim.steady_state_errors(signal, noise, cfgs, EXPERIMENT_CFG)
+        for est_cfg, sups in zip(cfgs, shared):
+            alone, = sim.steady_state_errors(signal, noise, [est_cfg], EXPERIMENT_CFG)
+            assert np.array_equal(sups, alone), est_cfg
+
     def test_every_config_is_validated_before_anything_runs(self, monkeypatch):
         sampled = _counting(monkeypatch, signals, "sample_noisy_grid")
         cfgs = [est.DirtyDerivativeConfig(1, 5.0, 1), est.DirtyDerivativeConfig(1, 5.0, 3)]
@@ -667,6 +680,7 @@ _BIT_IDENTITY_TESTS = [
     "tests/test_sim.py::TestChunkedKernel::test_first_row_skips_only_rows_before_it",
     "tests/test_sim.py::TestDerivativeExperiments::test_each_run_equals_the_run_alone",
     "tests/test_sim.py::TestDerivativeExperiments::test_each_gain_equals_the_gain_alone",
+    "tests/test_sim.py::TestDerivativeExperiments::test_mixed_orders_equal_each_config_alone",
     "tests/test_sim.py::TestDerivativeExperiments::test_gains_share_one_layout_per_state_size",
     "tests/test_sim.py::TestInterconnections::test_estimated_runs_share_one_layout_per_state_size",
 ]
@@ -1248,18 +1262,28 @@ STEP_PATH = signals.AnalyticSignal((signals.Polynomial((1.0,)), signals.Polynomi
                                     signals.Polynomial((-1.0,))))
 
 
+def _recording_blocks(monkeypatch):
+    """The rows of each block the batches that follow are recorded in: the
+    certificate is evaluated once a block."""
+    calls = _counting(monkeypatch, flows, "check_redesign_condition")
+    return lambda: [len(args[0]) for args in calls]
+
+
 class TestInterconnections:
-    # tf = 1 records 101 rows, inside one recording block; tf = 3 records
-    # 301 rows, more than one.
+    # Recorded in blocks of 256 rows: tf = 1 records 101 rows, inside one
+    # block; tf = 3 records 301 rows, a full block and a partial one.
     @pytest.mark.parametrize("cost_name,noise_var,tf", [
         ("quadratic-tracking", 0.0, 1), ("logcosh", 0.0, 3),
         ("quadratic-tracking", 0.01, 3), ("logcosh", 0.01, 1)])
-    def test_batch_matches_run_by_run_reference(self, cost_name, noise_var, tf):
+    def test_batch_matches_run_by_run_reference(self, monkeypatch, cost_name, noise_var, tf):
+        monkeypatch.setattr(sim, "_RECORD_VALUES", 256 * len(MIXED_RUNS) * 3)
+        blocks = _recording_blocks(monkeypatch)
         cost = flows.cost_by_name(cost_name, 3)
         signal = signals.benchmark_parameter_path()
         cfg = sim.SimConfig(tf=tf, h=1e-2)
         noise = signals.NoiseSpec(noise_var, 5)
         batch = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg, noise=noise)
+        assert blocks() == {1: [101], 3: [256, 45]}[tf]
         for (mode, est_cfg), traj in zip(MIXED_RUNS, batch):
             ref = _reference_run(cost, signal, mode, cfg, est_cfg, noise)
             assert list(traj.columns) == list(ref)
@@ -1318,9 +1342,9 @@ class TestInterconnections:
             self, monkeypatch, cost_class, general_class):
         # A declaring cost's correction and certificate are recorded
         # elementwise, never through the general path, with the same bits in
-        # every column. 701 rows end in a partial recording block.
+        # every column. 1501 rows fill a recording block and end in a partial one.
         signal = signals.benchmark_parameter_path()
-        cfg, noise = sim.SimConfig(tf=0.7, h=1e-3), signals.NoiseSpec(0.01, 7)
+        cfg, noise = sim.SimConfig(tf=1.5, h=1e-3), signals.NoiseSpec(0.01, 7)
         general = sim.run_interconnections(general_class(3), signal, MIXED_RUNS, cfg, noise=noise)
 
         def general_path(*args):
@@ -1328,11 +1352,31 @@ class TestInterconnections:
 
         monkeypatch.setattr(flows, "ideal_correction", general_path)
         monkeypatch.setattr(flows, "lyapunov_gradients", general_path)
+        blocks = _recording_blocks(monkeypatch)
         declared = sim.run_interconnections(cost_class(3), signal, MIXED_RUNS, cfg, noise=noise)
+        assert blocks() == [1365, 136]
         for got, want in zip(declared, general):
             assert list(got.columns) == list(want.columns)
             for name, column in want.columns.items():
                 assert np.array_equal(got.column(name).view(np.int64), column.view(np.int64)), name
+
+    @pytest.mark.parametrize("cost_name", ["quadratic-tracking", "logcosh"])
+    def test_recording_blocks_do_not_change_the_bits(self, monkeypatch, cost_name):
+        # A mixed batch recorded in value-sized blocks, two and a partial
+        # third, equals, in every column, the batch recorded one row at a time.
+        cost, signal = flows.cost_by_name(cost_name, 3), signals.benchmark_parameter_path()
+        cfg, noise = sim.SimConfig(tf=3.0, h=1e-3), signals.NoiseSpec(0.01, 9)
+        blocks = _recording_blocks(monkeypatch)
+        valued = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg, noise=noise)
+        assert blocks() == [1365, 1365, 271]     # 16384 // 12 rows of 4 runs by 3
+        monkeypatch.setattr(sim, "_RECORD_VALUES", 1)
+        monkeypatch.setattr(sim, "_RECORD_MIN_ROWS", 1)
+        rows = sim.run_interconnections(cost, signal, MIXED_RUNS, cfg, noise=noise)
+        assert blocks()[3:] == [1] * 3001
+        for got, want in zip(valued, rows):
+            assert list(got.columns) == list(want.columns)
+            for name, column in want.columns.items():
+                assert np.array_equal(got.column(name), column), name
 
     def test_quadratic_batch_never_steps_a_window(self, monkeypatch):
         # The quadratic field declares the float slope -1: it is affine, so
@@ -1421,7 +1465,7 @@ class TestInterconnections:
         cfg = sim.SimConfig(tf=4.0, h=1e-3)
         sim.run_interconnections(flows.LogCoshTrackingCost(3), signals.benchmark_parameter_path(),
                                  BATCH_POOL, cfg, noise=signals.NoiseSpec(0.01, 3))
-        assert calls["scans"] >= -(-cfg.num_steps // sim._RECORD_BLOCK_ROWS)   # every window
+        assert calls["scans"] >= -(-cfg.num_steps // sim._WINDOW_STEPS)   # every window
         assert calls["stages"] == 1 + 4 * calls["scans"]
 
     def test_affine_field_evaluates_each_stage_once(self, monkeypatch):
@@ -1597,7 +1641,7 @@ class TestInterconnections:
 
         monkeypatch.setattr(sim, "_step_window", spy)
         batch = sim.run_interconnections(_SlopeLostAt(0.2), signal, runs, cfg)
-        block = sim._RECORD_BLOCK_ROWS
+        block = sim._WINDOW_STEPS
         assert looped == [(start, 1, True) for start in range(block, cfg.num_steps, block)]
         alone = [sim.run_interconnection(_SlopeLostAt(0.2), signal, mode, cfg)
                  for mode, _ in runs]
@@ -1643,9 +1687,9 @@ class TestInterconnections:
     # the failing ideal run.
     @pytest.mark.parametrize("step,finite_runs", [
         (0, 1),                                 # the first step
-        (sim._RECORD_BLOCK_ROWS - 1, 1),        # the last step of a block
-        (sim._RECORD_BLOCK_ROWS, 1),            # the first step of the next block
-        (100, 3)])                              # a step inside a block
+        (sim._WINDOW_STEPS - 1, 1),             # the last step of a window
+        (sim._WINDOW_STEPS, 1),                 # the first step of the next window
+        (100, 3)])                              # a step inside a window
     def test_failing_time_matches_a_per_step_check(self, cost_class, step, finite_runs):
         cfg = sim.SimConfig(tf=6.0, h=1e-2)
         signal = signals.AnalyticSignal((signals.Polynomial((0.0, 1.0)),))   # theta = t
