@@ -224,21 +224,19 @@ def check_block_output_bound(gate):
     max_violations = 0
     rng = np.random.default_rng(20260811)
     cfg = sim_mod.SimConfig(t0=0.0, tf=10.0, h=1e-3)
-    t = cfg.times()
     # Ten initial states per block, driven as ten channels of one input.
     u = np.sin(cfg.stage_times())
     U = np.broadcast_to(u[:, None], (len(u), 10))
     violations = total = 0
     margin = math.inf
     for n in (1, 2, 3):
-        layout = sim_mod._chunk_layout(U, n)     # shared by the gains
         for sigma in (2.0, 10.0):
             block = est_mod.build_f_block(n, sigma)
             constants = est_mod.output_bound_constants(n, sigma)
             x0 = rng.standard_normal((10, n)).T     # the stream of ten draws of n
-            maps = est_mod.rk4_step_maps(block.A, block.B, cfg.h)
+            t, y = sim_mod.simulate_realization(block, U, cfg, x0)
             # Channel-major, one row per initial state: y and gap are (10, N+1).
-            y = sim_mod._drive_lti(block, maps, layout, x0)[:, 0, :].T
+            y = y[:, 0, :].T
             np.abs(y, out=y)
             gap = constants.bound(np.linalg.norm(x0, axis=0)[:, None], 1.0, sigma, t)
             gap -= y
@@ -246,7 +244,6 @@ def check_block_output_bound(gate):
             total += gap.size
             margin = min(margin, float(np.min(gap)))
             del y, gap    # not held while the next gain is driven
-        del layout    # not held while the next block size's is laid out
     gate.require(violations, "<=", max_violations, f"{violations} violations over {total} samples")
     return f"{max_violations} violations", f"{violations} violations, worst margin {margin:.4g}"
 

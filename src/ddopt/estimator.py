@@ -89,7 +89,7 @@ class DirtyDerivativeConfig:
             raise ValueError("gain must be > 0")
         if self.signal_dim < 1:
             raise ValueError("signal_dim must be >= 1")
-        _rescaled_cascade(self.order, self.gain)
+        compose_cascade(self.order, self.gain)
 
 
 def _power(sigma: float, i: int) -> float:
@@ -151,7 +151,9 @@ def compose_cascade(order: int, sigma: float) -> LtiRealization:
     """Single-input, order-k-output realization of the whole cascade.
 
     State layout: branch blocks 1..k, then f-blocks 1..k-1 (state dimension
-    k^2 in total). Output row i is the i-th derivative estimate.
+    k^2 in total). Block i has i states, so branch block i starts at row
+    i(i-1)/2 and f-block i at k(k+1)/2 + i(i-1)/2. Output row i is the i-th
+    derivative estimate.
 
     The blocks are assembled at unit gain and the result rescaled through
     H_i(s) = sigma^i * Hhat_i(s / sigma), which keeps every matrix entry
@@ -160,11 +162,6 @@ def compose_cascade(order: int, sigma: float) -> LtiRealization:
     linear algebra. An order outside 1..MAX_ORDER, or a gain whose rescaled
     entries pass the float range, raises ValueError.
     """
-    return LtiRealization(*_rescaled_cascade(order, sigma))
-
-
-def _rescaled_cascade(order: int, sigma: float):
-    """The (A, B, C, D) of :func:`compose_cascade`, or ValueError."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     unit = _unit_cascade(order)
@@ -174,45 +171,31 @@ def _rescaled_cascade(order: int, sigma: float):
     if not all(np.isfinite(m).all() for m in (A, B, C, D)):
         raise ValueError(f"gain {sigma:g} puts the order-{order} cascade's entries, which "
                          f"grow as sigma**{order}, past the float range")
-    return A, B, C, D
+    return LtiRealization(A, B, C, D)
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_cascade(order: int) -> LtiRealization:
-    """The cascade of :func:`compose_cascade` at gain 1; callers must not
-    modify its arrays."""
-    branches = [build_branch_block(i, 1.0) for i in range(1, order + 1)]
-    fblocks = [build_f_block(i, 1.0) for i in range(1, order)]
-
-    sizes = [b.state_dim for b in branches] + [f.state_dim for f in fblocks]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    total = int(offsets[-1])
-
-    def branch_slice(i):  # i is 1-based
-        return slice(offsets[i - 1], offsets[i])
-
-    def f_slice(i):
-        return slice(offsets[order + i - 1], offsets[order + i])
-
-    A = np.zeros((total, total))
-    B = np.zeros((total, 1))
-    C = np.zeros((order, total))
+    """The cascade of :func:`compose_cascade` at gain 1, assembled in one
+    pass; callers must not modify its arrays. F-block i is driven by estimate
+    i+1, an affine function of the state and the input, and is coupled to it
+    as it is placed: placed from k-1 down, that estimate's row, which reads
+    f-block i+1, is complete by then."""
+    A = np.zeros((order * order, order * order))
+    B = np.zeros((order * order, 1))
+    C = np.zeros((order, order * order))
     D = np.zeros((order, 1))
-
-    for i, blk in enumerate(branches, start=1):
-        sl = branch_slice(i)
+    for i in range(1, order + 1):
+        blk, sl = build_branch_block(i, 1.0), slice(i * (i - 1) // 2, i * (i + 1) // 2)
         A[sl, sl] = blk.A
         B[sl, :] = blk.B
         C[i - 1, sl] = blk.C[0]
         D[i - 1, 0] = blk.D[0, 0]
-    for i, blk in enumerate(fblocks, start=1):
-        sl = f_slice(i)
+    for i in range(order - 1, 0, -1):
+        start = order * (order + 1) // 2 + i * (i - 1) // 2
+        blk, sl = build_f_block(i, 1.0), slice(start, start + i)
         A[sl, sl] = blk.A
         C[i - 1, sl] = blk.C[0]
-    # Each f-block is driven by the next-higher estimate, which is an affine
-    # function of the assembled state and the input.
-    for i, blk in enumerate(fblocks, start=1):
-        sl = f_slice(i)
         A[sl, :] += blk.B @ C[[i], :]
         B[sl, :] += blk.B * D[i, 0]
     return LtiRealization(A, B, C, D)

@@ -49,18 +49,16 @@ class Sinusoid:
             return 0.0, self.amplitude, self.omega, self.phase
         return 0.5 * self.amplitude, 0.5 * self.amplitude, 2.0 * self.omega, 2.0 * self.phase
 
-    def eval(self, t, order: int, out=None):
+    def eval(self, t, order: int, out):
         """offset + a w^order cos(w t + phi + order pi/2), the offset at order
-        0 only, at the times ``t``: computed in ``out`` (a fresh array if
-        None), which is returned. The argument, its cosine and the scaled
-        value are each rounded as in that expression, left to right; only
-        exact no-ops are skipped, the + 0 pi/2 at order 0 (cos(-0) = cos(+0))
-        and a scale of exactly 1. The offset is added even when it is 0,
-        which turns a value of -0.0 into +0.0."""
+        0 only, at the times ``t``, computed in ``out`` and returned. The
+        argument, its cosine and the scaled value are each rounded as in that
+        expression, left to right; only exact no-ops are skipped, the + 0 pi/2
+        at order 0 (cos(-0) = cos(+0)) and a scale of exactly 1. The offset is
+        added even when it is 0, which turns a value of -0.0 into +0.0."""
         offset, a, w, phi = self.canonical()
         w = np.float64(w)   # its power overflows to inf, where a float power raises
-        t = np.asarray(t, dtype=np.float64)
-        value = np.multiply(w, t, out=np.empty_like(t) if out is None else out)
+        value = np.multiply(w, t, out=out)
         value += phi
         if order:
             value += order * _HALF_PI
@@ -103,16 +101,14 @@ class Polynomial:
                 return [0.0]
         return coeffs
 
-    def eval(self, t, order: int, out=None):
+    def eval(self, t, order: int, out):
         """The order-th derivative by Horner's rule at the times ``t``, in
-        ``out`` (a fresh array if None), which is returned."""
-        t = np.asarray(t, dtype=np.float64)
-        value = np.empty_like(t) if out is None else out
-        value.fill(0.0)
+        ``out``, which is returned."""
+        out.fill(0.0)
         for c in reversed(self._derivative_coefficients(order)):
-            value *= t
-            value += c
-        return value
+            out *= t
+            out += c
+        return out
 
     def sup_derivative(self, order: int) -> float:
         coeffs = list(self.coefficients)

@@ -367,20 +367,20 @@ def simulate_realization(realization, input_values: np.ndarray, cfg: SimConfig,
                          x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Drive one LTI realization with a sampled input; returns (times, outputs).
 
-    ``input_values`` holds the scalar input sampled on
-    :meth:`SimConfig.stage_times`. Outputs are (N+1, q) at the integer
-    sample times.
+    ``input_values`` holds one channel, (2N+1,), or m channels, (2N+1, m),
+    sampled on :meth:`SimConfig.stage_times`, and ``x0`` the initial state,
+    (n,) or (n, m), zero if None. The channels share one chunk layout of the
+    grid. Outputs are (N+1, q) or (N+1, q, m) at the integer sample times.
     """
     n = realization.state_dim
-    N = cfg.num_steps
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=np.float64).reshape(n, 1)
     u = np.asarray(input_values, dtype=np.float64)
-    if u.shape[0] != 2 * N + 1:
+    if u.shape[0] != 2 * cfg.num_steps + 1:
         raise ValueError("input must be sampled on the stage grid")
+    W = u.reshape(len(u), -1)
+    x0 = np.zeros((n, W.shape[1])) if x0 is None else np.asarray(x0, dtype=np.float64)
     maps = est_mod.rk4_step_maps(realization.A, realization.B, cfg.h)
-    return cfg.times(), _drive_lti(realization, maps, _chunk_layout(u[:, None], n), x0)[:, :, 0]
+    Y = _drive_lti(realization, maps, _chunk_layout(W, n), x0.reshape(n, W.shape[1]))
+    return cfg.times(), Y.reshape(Y.shape[:2] + u.shape[1:])
 
 
 def _check_signal_dim(signal: sig_mod.AnalyticSignal, est_cfgs) -> None:

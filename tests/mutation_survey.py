@@ -87,6 +87,11 @@ MUTANTS = [
            "affine path feeds ideal runs their start velocity at the middle and end stages"),
     Mutant(SIM, "rows = slice(start, start + block)", "rows = slice(start, start + block - 1)",
            KILLED, "recording blocks one row short of the loop's step: a row per block skipped"),
+    Mutant(EST, "for i in range(order - 1, 0, -1):", "for i in range(1, order):", KILLED,
+           "cascade f-blocks coupled first to last, before the estimate rows they read are whole"),
+    Mutant(SIM, "_chunk_layout(W, n), x0.reshape(n, W.shape[1]))",
+           "_chunk_layout(W, n), 0.0 * x0.reshape(n, W.shape[1]))", KILLED,
+           "simulate_realization ignores its initial state"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

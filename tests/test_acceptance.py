@@ -143,7 +143,7 @@ def test_battery_retains_statistics_not_runs():
 
 def test_block_output_bound_peak_memory():
     # Channel-major and in place, one gain's arrays at a time: about
-    # 3.5 MiB. Holding one gain's output, bound and gap through the next
+    # 2.8 MiB. Holding one gain's output, bound and gap through the next
     # gain's drive passes the limit.
     np.random.default_rng()     # numpy.random is imported lazily; not counted
     _, peak = _traced(checks.check_block_output_bound)

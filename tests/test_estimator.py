@@ -54,6 +54,12 @@ class TestFBlock:
 
 
 class TestBranchBlock:
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="block order"):
+            est.build_branch_block(0, 1.0)
+        with pytest.raises(ValueError, match="gain"):
+            est.build_branch_block(1, 0.0)
+
     def test_first_order_matrices(self):
         blk = est.build_branch_block(1, 5.0)
         assert np.array_equal(blk.A, [[-5.0]])
@@ -124,15 +130,18 @@ class TestComposition:
 
     def test_transfer_equivalence_grid(self):
         # Composed realization vs the closed-form recursion, per-frequency
-        # response vector, 1e-9 relative.
-        for order in (1, 2, 3):
-            for sigma in (1.0, 5.0, 20.0):
-                casc = est.compose_cascade(order, sigma)
-                for w in np.logspace(-2, 3, 20):
-                    H = est.frequency_response(casc, float(w))[:, 0]
-                    ref = np.array([est.closed_form_transfer(order, sigma, i, float(w))
-                                    for i in range(1, order + 1)])
-                    assert np.linalg.norm(H - ref) <= 1e-9 * np.linalg.norm(ref)
+        # response vector, 1e-9 relative; orders 4..8 at unit gain, where the
+        # frequencies span the corner, reach every f-block's coupling.
+        grid = [(order, sigma, np.logspace(-2, 3, 20))
+                for order in (1, 2, 3) for sigma in (1.0, 5.0, 20.0)]
+        grid += [(order, 1.0, np.logspace(-1, 1, 20)) for order in range(4, 9)]
+        for order, sigma, omegas in grid:
+            casc = est.compose_cascade(order, sigma)
+            for w in omegas:
+                H = est.frequency_response(casc, float(w))[:, 0]
+                ref = np.array([est.closed_form_transfer(order, sigma, i, float(w))
+                                for i in range(1, order + 1)])
+                assert np.linalg.norm(H - ref) <= 1e-9 * np.linalg.norm(ref), (order, sigma, w)
 
     def test_closed_form_literal(self):
         # k=1, sigma=5, w=5: 25j/(5+5j) = 2.5 + 2.5j.
@@ -178,6 +187,7 @@ class TestSteadyStateOracle:
         cfg = est.DirtyDerivativeConfig(3, 7.0)
         for i in (1, 2, 3):
             assert est.steady_state_sinusoid_error(cfg, i, 2.0, 0.0) == 0.0
+            assert est.closed_form_transfer(3, 7.0, i, 0.0) == 0
 
     def test_scales_with_amplitude(self):
         cfg = est.DirtyDerivativeConfig(2, 10.0)
@@ -261,6 +271,11 @@ class TestStepping:
                 est.compose_cascade(order, 5.0)
         with pytest.raises(ValueError, match="order"):
             est.DirtyDerivativeConfig(est.MAX_ORDER + 1, 5.0)
+        # The order range is checked before the float range.
+        with pytest.raises(ValueError, match="order must be between"):
+            est.DirtyDerivativeConfig(est.MAX_ORDER + 1, 1e300)
+        with pytest.raises(ValueError, match="gain 1e\\+150 puts the order-3 cascade"):
+            est.DirtyDerivativeConfig(3, 1e150)
         with pytest.raises(ValueError):
             est.DirtyDerivativeConfig(1, -1.0)
         with pytest.raises(ValueError):

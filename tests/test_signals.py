@@ -115,6 +115,10 @@ class TestSupBound:
         assert math.isinf(poly.sup_derivative_bound(1))
         assert poly.sup_derivative_bound(2) == pytest.approx(1.0)  # 0.5 * 2!
         assert poly.sup_derivative_bound(3) == 0.0
+        # 1 + 2t + 0t^2 has degree 1: a bounded first derivative, not inf.
+        trailing_zero = signals.Polynomial((1.0, 2.0, 0.0))
+        assert trailing_zero.sup_derivative(1) == 2.0
+        assert trailing_zero.sup_derivative(2) == 0.0
 
     def test_upper_bounds_dense_grid(self):
         ts = np.arange(0.0, 20.0 + 1e-9, 1e-3)
